@@ -18,13 +18,11 @@ from .kuelbs import (
     SteadmanFunctional,
     build_kuelbs,
     canonical_duality_map,
-    h_inner,
-    h_norm,
     lax_diagnostic,
     lp_operator_norm,
     steadman,
 )
-from .linalg import EigenSystem, SvdResult, hermitian_eigen, norm, solve, svd, vnorm
+from .linalg import EigenSystem, SvdResult, hermitian_eigen, norm, svd, vnorm
 from .polar import PolarDecomposition, intertwining_check, polar_decompose
 from .spectral import (
     DeformedSpectralMeasure,
@@ -49,7 +47,6 @@ __all__ = [
     "SvdResult",
     "hermitian_eigen",
     "svd",
-    "solve",
     "norm",
     "vnorm",
     "PolarDecomposition",
@@ -69,8 +66,6 @@ __all__ = [
     "SteadmanFunctional",
     "canonical_duality_map",
     "build_kuelbs",
-    "h_inner",
-    "h_norm",
     "steadman",
     "lp_operator_norm",
     "lax_diagnostic",

@@ -34,9 +34,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT, EPS, Tolerances
-from .errors import BadGrid, DimensionMismatch, SingularGram
-from .kuelbs import KuelbsEmbedding, LpSpace, SteadmanFunctional, steadman
+from .config import DEFAULT, Tolerances
+from .errors import BadGrid, DimensionMismatch
+from .kuelbs import GramMetric, KuelbsEmbedding, LpSpace, SteadmanFunctional, steadman
 from .linalg import as_matrix, as_vector, herm, vnorm
 from .polar import polar_decompose
 from .spectral import DeformedSpectralMeasure, SpectralMeasure, deform, spectral_measure
@@ -85,20 +85,12 @@ def banach_operator(matrix, embedding: KuelbsEmbedding) -> BanachOperator:
     return BanachOperator(matrix=as_matrix(matrix, square=True), embedding=embedding)
 
 
-def _gram_factor(g: np.ndarray) -> np.ndarray:
-    evs = np.linalg.eigvalsh(g)
-    if evs[0] <= g.shape[0] * EPS * max(evs[-1], 0.0):
-        raise SingularGram(f"gram matrix is not positive definite (min eigenvalue {evs[0]:.3e})")
-    return np.linalg.cholesky(g)
-
-
 @dataclass(frozen=True)
 class AdjointPair:
-    """An operator together with its metric adjoint and the Gram used."""
+    """An operator together with its metric adjoint."""
 
     operator: BanachOperator
     astar: np.ndarray
-    gram: np.ndarray
 
     def __post_init__(self):
         self.astar.setflags(write=False)
@@ -114,9 +106,8 @@ class AdjointPair:
 def adjoint(op: BanachOperator) -> AdjointPair:
     """Metric adjoint A* = inv(G) A^H G of a coordinate operator."""
     g = op.embedding.gram
-    _gram_factor(g)  # raises SingularGram early
     astar = np.linalg.solve(g, herm(op.matrix) @ g)
-    return AdjointPair(operator=op, astar=astar, gram=g)
+    return AdjointPair(operator=op, astar=astar)
 
 
 @dataclass(frozen=True)
@@ -133,11 +124,10 @@ class AdjointAxioms:
     inverse_norm: float
 
 
-def _axioms_for_gram(astar_a: np.ndarray, gram: np.ndarray, probes: Sequence[np.ndarray]) -> AdjointAxioms:
+def _axioms_for_gram(astar_a: np.ndarray, metric: GramMetric, probes: Sequence[np.ndarray]) -> AdjointAxioms:
     n = astar_a.shape[0]
-    ell = _gram_factor(gram)
-    ell_h = herm(ell)
-    basis = np.linalg.inv(ell_h)  # columns are H-orthonormal
+    gram = metric.gram
+    basis = metric.frame_inv  # columns are H-orthonormal
 
     def inner(x, y):
         return complex(np.vdot(y, gram @ x))
@@ -155,7 +145,7 @@ def _axioms_for_gram(astar_a: np.ndarray, gram: np.ndarray, probes: Sequence[np.
     ns_resid = float(np.linalg.norm(second - astar_a)) / (1.0 + float(np.linalg.norm(astar_a)))
 
     inv_op = np.linalg.solve(np.eye(n) + astar_a, np.eye(n, dtype=np.complex128))
-    inverse_norm = float(np.linalg.norm(ell_h @ inv_op @ basis, 2))
+    inverse_norm = float(np.linalg.norm(metric.chol_h @ inv_op @ basis, 2))
     return AdjointAxioms(
         accretive_min=float(accretive_min),
         natural_selfadjoint_residual=ns_resid,
@@ -169,15 +159,15 @@ def adjoint_axioms(pair: AdjointPair, *, probes: Sequence[np.ndarray] = (), tols
     The accretive minimum sweeps an H-orthonormal basis (the columns of
     inv(L*)) plus any supplied probe vectors.
     """
-    return _axioms_for_gram(pair.astar @ pair.operator.matrix, pair.gram, probes)
+    return _axioms_for_gram(pair.astar @ pair.operator.matrix, pair.operator.embedding.metric, probes)
 
 
 @dataclass(frozen=True)
 class GramPolar:
     """Polar decomposition A = U T = Tbar U in the embedded metric.
 
-    T and Tbar are H-selfadjoint H-PSD, U an H-partial-isometry; ``chol``
-    is the Gram factor L used for the frame transform.
+    T and Tbar are H-selfadjoint H-PSD, U an H-partial-isometry. The
+    Gram factor used for the frame transform is the embedding's metric.
     """
 
     U: np.ndarray
@@ -186,8 +176,6 @@ class GramPolar:
     rank: int
     tol: float
     threshold: float
-    gram: np.ndarray
-    chol: np.ndarray
 
     def __post_init__(self):
         for a in (self.U, self.T, self.Tbar):
@@ -196,13 +184,9 @@ class GramPolar:
 
 def h_polar(op: BanachOperator, tol: float | None = None, *, tols: Tolerances = DEFAULT) -> GramPolar:
     """Polar-decompose in the embedded metric via the Cholesky frame."""
-    k = op.embedding
-    ell = _gram_factor(k.gram)
-    ell_h = herm(ell)
-    frame_inv = np.linalg.inv(ell_h)
-    a_frame = ell_h @ op.matrix @ frame_inv
-    p = polar_decompose(a_frame, tol, tols=tols)
-    pull = lambda m: frame_inv @ m @ ell_h
+    m = op.embedding.metric
+    p = polar_decompose(m.chol_h @ op.matrix @ m.frame_inv, tol, tols=tols)
+    pull = lambda x: m.frame_inv @ x @ m.chol_h
     return GramPolar(
         U=pull(p.U),
         T=pull(p.T),
@@ -210,8 +194,6 @@ def h_polar(op: BanachOperator, tol: float | None = None, *, tols: Tolerances = 
         rank=p.rank,
         tol=p.tol,
         threshold=p.threshold,
-        gram=k.gram,
-        chol=ell,
     )
 
 
@@ -244,9 +226,9 @@ def baire_approximant(
     gp: GramPolar | None = None,
     tols: Tolerances = DEFAULT,
 ) -> ResolventProbe:
-    """Bounded approximant of A at resolvent parameter lam > 0."""
-    if lam <= 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    """Bounded approximant of A at a finite resolvent parameter lam > 0."""
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
     if gp is None:
         gp = h_polar(op, tols=tols)
     n = op.space.dim
@@ -286,7 +268,7 @@ def baire_convergence_study(
     Rows come back in schedule order regardless of evaluation order.
     """
     lams = [float(x) for x in lambdas]
-    if any(x <= 0 for x in lams):
+    if not all(x > 0 for x in lams):  # also rejects NaN
         raise ValueError("lambda schedule must be positive")
     if sorted(lams) != lams:
         raise ValueError("lambda schedule must be ascending")
@@ -295,10 +277,9 @@ def baire_convergence_study(
         raise ValueError("lambda schedule capped at 1e8")
     k = op.embedding
     gp = h_polar(op, tols=tols)
-    evs = np.linalg.eigvalsh(k.gram)
     n = k.space.dim
     # ||x||_p <= n^max(0, 1/p - 1/2) ||x||_2 and ||x||_2 <= ||x||_H / sqrt(min eig G)
-    h_to_b = n ** max(0.0, 1.0 / k.space.p - 0.5) / math.sqrt(evs[0])
+    h_to_b = n ** max(0.0, 1.0 / k.space.p - 0.5) / math.sqrt(k.metric.eig_min)
     phi_list = [as_vector(phi) for phi in phis]
     rows = []
     for lam in lams:
@@ -329,11 +310,10 @@ def banach_deformed_spectral(op: BanachOperator, tol: float | None = None, *, to
     and selfadjoint for the Gram inner product, not the Euclidean one).
     """
     gp = h_polar(op, tol, tols=tols)
-    ell_h = herm(gp.chol)
-    frame_inv = np.linalg.inv(ell_h)
-    t_frame = ell_h @ gp.T @ frame_inv
+    m = op.embedding.metric
+    t_frame = m.chol_h @ gp.T @ m.frame_inv
     e_frame = spectral_measure((t_frame + herm(t_frame)) / 2.0, tols=tols)
-    atoms = tuple((lam, frame_inv @ p @ ell_h) for lam, p in e_frame.atoms)
+    atoms = tuple((lam, m.frame_inv @ p @ m.chol_h) for lam, p in e_frame.atoms)
     e_pulled = SpectralMeasure(atoms=atoms, dim=e_frame.dim)
     measure = deform(gp.U, e_pulled, support_tol=gp.threshold, tols=tols)
     resid = float(np.linalg.norm(measure.reconstruct() - op.matrix)) / (
@@ -407,12 +387,12 @@ def dirichlet_laplacian_demo(
     if a.shape[0] != n:
         raise BadGrid(f"operator is {a.shape[0]}x{a.shape[1]}, grid has {n} interior points")
     j0_inv = np.linalg.solve(j0, eye)
-    gram = (j0_inv + herm(j0_inv)) / 2.0
+    metric = GramMetric((j0_inv + herm(j0_inv)) / 2.0)
 
     astar = j0 @ herm(a) @ j0_inv  # closed form of the metric adjoint
 
     def g_inner(x, y):
-        return complex(np.vdot(y, gram @ x))
+        return complex(np.vdot(y, metric.gram @ x))
 
     worst = 0.0
     scale = 1.0 + float(np.linalg.norm(a))
@@ -425,7 +405,7 @@ def dirichlet_laplacian_demo(
     involution = float(np.linalg.norm(astar2 - a)) / scale
 
     LpSpace(dim=n, p=r)  # validates r in (1, inf)
-    axioms = _axioms_for_gram(astar @ a, gram, probes)
+    axioms = _axioms_for_gram(astar @ a, metric, probes)
 
     residual_r = max(vnorm(astar2[:, j] - a[:, j], r) for j in range(n)) / scale
     return LaplacianDemoReport(

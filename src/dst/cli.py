@@ -161,14 +161,13 @@ def _cmd_kuelbs(args) -> int:
         dualnorm = max(dualnorm, abs(fu.dual_norm - nb) / (1.0 + nb))
         su = steadman(emb, u)
         steadman_rel = max(steadman_rel, abs(su(u) - nb**2) / (1.0 + nb**2))
-    evs = np.linalg.eigvalsh(emb.gram)
     obj = {
         "p": args.p,
         "dim": args.dim,
         "seed": args.seed,
         "weights": [float(w) for w in emb.weights],
-        "gram_min_eig": float(evs[0]),
-        "gram_max_eig": float(evs[-1]),
+        "gram_min_eig": emb.metric.eig_min,
+        "gram_max_eig": emb.metric.eig_max,
         "continuity_excess": continuity,
         "duality_pairing": pairing,
         "duality_norm": dualnorm,

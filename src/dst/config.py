@@ -30,15 +30,9 @@ class Tolerances:
     support_rel: float = 1e-10
     # singular values <= rank_rel*sigma_max count as zero; None -> n*eps
     rank_rel: float | None = None
-    # solve() refuses systems with sigma_min <= singular_rel*sigma_max; None -> n*eps
-    singular_rel: float | None = None
 
     def rank_threshold_rel(self, n: int) -> float:
         rel = self.rank_rel if self.rank_rel is not None else n * EPS
-        return rel * self.scale
-
-    def singular_threshold_rel(self, n: int) -> float:
-        rel = self.singular_rel if self.singular_rel is not None else n * EPS
         return rel * self.scale
 
     def hermitian_tol(self) -> float:

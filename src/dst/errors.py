@@ -21,10 +21,6 @@ class ConvergenceFailure(ToolkitError):
     pass
 
 
-class Singular(ToolkitError):
-    pass
-
-
 class InvalidP(ToolkitError):
     pass
 

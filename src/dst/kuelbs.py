@@ -24,7 +24,7 @@ conj(g(u_n)) on coefficient vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .errors import (
     DegenerateSeeds,
     DimensionMismatch,
     InvalidP,
+    SingularGram,
     ZeroVector,
 )
 from .linalg import as_matrix, as_vector, herm, vnorm
@@ -42,6 +43,7 @@ from .rng import Rng, substream
 __all__ = [
     "LpSpace",
     "DualityFunctional",
+    "GramMetric",
     "KuelbsEmbedding",
     "SteadmanFunctional",
     "EmbeddingConfig",
@@ -50,8 +52,6 @@ __all__ = [
     "canonical_duality_map",
     "build_kuelbs",
     "build_from_config",
-    "h_inner",
-    "h_norm",
     "steadman",
     "lp_operator_norm",
     "lax_diagnostic",
@@ -128,6 +128,48 @@ def canonical_duality_map(u, space: LpSpace) -> DualityFunctional:
 
 
 @dataclass(frozen=True)
+class GramMetric:
+    """A Hermitian positive definite Gram G = L L*, factored once.
+
+    gram       -- G
+    chol       -- the lower Cholesky factor L
+    chol_h     -- L*, which maps coordinates into the frame where the
+                  Gram inner product is the Euclidean one
+    frame_inv  -- inv(L*); its columns are G-orthonormal
+    eig_min, eig_max -- extreme eigenvalues of G
+
+    Construction is the one positivity gate: a Gram whose smallest
+    eigenvalue is at or below n * eps * (largest) raises SingularGram.
+    """
+
+    gram: np.ndarray
+    chol: np.ndarray = field(init=False)
+    chol_h: np.ndarray = field(init=False)
+    frame_inv: np.ndarray = field(init=False)
+    eig_min: float = field(init=False)
+    eig_max: float = field(init=False)
+
+    def __post_init__(self):
+        g = self.gram
+        evs = np.linalg.eigvalsh(g)
+        if evs[0] <= g.shape[0] * EPS * max(evs[-1], 0.0):
+            raise SingularGram(
+                f"gram matrix is numerically singular (min/max eigenvalue = {evs[0]:.3e}/{evs[-1]:.3e})"
+            )
+        chol = np.linalg.cholesky(g)
+        chol_h = herm(chol)
+        frame_inv = np.linalg.inv(chol_h)
+        for a in (g, chol, chol_h, frame_inv):
+            a.setflags(write=False)
+        set_field = object.__setattr__  # frozen: fill the derived fields once
+        set_field(self, "chol", chol)
+        set_field(self, "chol_h", chol_h)
+        set_field(self, "frame_inv", frame_inv)
+        set_field(self, "eig_min", float(evs[0]))
+        set_field(self, "eig_max", float(evs[-1]))
+
+
+@dataclass(frozen=True)
 class KuelbsEmbedding:
     """Hilbert inner product (u, v)_H = v* G u constructed on an lp space.
 
@@ -136,6 +178,7 @@ class KuelbsEmbedding:
     weights    -- positive, sums to 1
     seeds      -- the spanning family the functionals came from
     functionals-- unit-dual-norm coefficient rows, one per seed
+    metric     -- the GramMetric of G, built once at construction
     """
 
     space: LpSpace
@@ -144,11 +187,12 @@ class KuelbsEmbedding:
     weights: np.ndarray
     seeds: tuple[np.ndarray, ...]
     functionals: tuple[np.ndarray, ...]
+    metric: GramMetric = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.gram.setflags(write=False)
         self.dual_gram.setflags(write=False)
         self.weights.setflags(write=False)
+        object.__setattr__(self, "metric", GramMetric(self.gram))  # also freezes gram
 
     def h_inner(self, u, v) -> complex:
         u = as_vector(u)
@@ -172,14 +216,11 @@ class KuelbsEmbedding:
         u = as_vector(u)
         return (self.gram @ u).conj()
 
-    def j_unmap(self, coeffs) -> np.ndarray:
-        """Inverse of j_map."""
-        coeffs = as_vector(coeffs)
-        return np.linalg.solve(self.gram, coeffs.conj())
-
 
 def _default_weights(count: int) -> np.ndarray:
-    w = np.array([2.0 ** -(k + 1) for k in range(count)])
+    # geometric decay capped at 2^-19: below 20 seeds this is plain 2^-k;
+    # beyond, the floor holds cond(G) of the canonical basis at 2^18
+    w = np.array([2.0 ** -min(k + 1, 19) for k in range(count)])
     return w / w.sum()
 
 
@@ -193,9 +234,10 @@ def build_kuelbs(
     """Assemble the embedding from seed vectors and weights.
 
     Defaults: seeds are the canonical basis (spanning, and yielding a
-    diagonal Gram), weights are 2^-k renormalized to sum to 1. Explicit
-    weights must be positive and sum to 1 within 1e-12. Seeds whose
-    functionals fail to span the dual raise DegenerateSeeds.
+    diagonal Gram), weights are 2^-min(k, 19) for k = 1..m renormalized
+    to sum to 1; the cap keeps the Gram well conditioned at any dim.
+    Explicit weights must be positive and sum to 1 within 1e-12. Seeds
+    whose functionals fail to span the dual raise DegenerateSeeds.
     """
     n = space.dim
     if seeds is None:
@@ -230,27 +272,17 @@ def build_kuelbs(
     dual_gram = herm(seeds_mat) @ (w[:, None] * seeds_mat)
     dual_gram = (dual_gram + herm(dual_gram)) / 2.0
 
-    evs = np.linalg.eigvalsh(gram)
-    if evs[0] <= max(n * EPS * evs[-1], 0.0):
-        raise DegenerateSeeds(
-            f"gram matrix is numerically singular (min/max eigenvalue = {evs[0]:.3e}/{evs[-1]:.3e})"
+    try:
+        return KuelbsEmbedding(
+            space=space,
+            gram=gram,
+            dual_gram=dual_gram,
+            weights=w,
+            seeds=tuple(s.copy() for s in seed_list),
+            functionals=tuple(funcs),
         )
-    return KuelbsEmbedding(
-        space=space,
-        gram=gram,
-        dual_gram=dual_gram,
-        weights=w,
-        seeds=tuple(s.copy() for s in seed_list),
-        functionals=tuple(funcs),
-    )
-
-
-def h_inner(k: KuelbsEmbedding, u, v) -> complex:
-    return k.h_inner(u, v)
-
-
-def h_norm(k: KuelbsEmbedding, u) -> float:
-    return k.h_norm(u)
+    except SingularGram as exc:
+        raise DegenerateSeeds(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -259,7 +291,8 @@ class EmbeddingConfig:
 
     Seeds are the canonical basis plus ``extra_seeds`` pseudo-random
     vectors drawn from the stated seed (useful for exercising
-    non-diagonal Grams); ``weights = None`` selects the 2^-k default.
+    non-diagonal Grams); ``weights = None`` selects the default of
+    ``build_kuelbs``, 2^-min(k, 19) renormalized.
     """
 
     dim: int
@@ -463,13 +496,10 @@ def lax_diagnostic(k: KuelbsEmbedding, a, *, tols: Tolerances = DEFAULT) -> LaxD
     resid = float(np.linalg.norm(ga - herm(ga))) / scale
     is_h = resid <= 1e-10 * max(1.0, tols.scale)
 
-    ell = np.linalg.cholesky(k.gram)
-    ell_h = herm(ell)
-    a_frame = ell_h @ a @ np.linalg.inv(ell_h)
-    norm_h = float(np.linalg.norm(a_frame, 2))
+    m = k.metric
+    norm_h = float(np.linalg.norm(m.chol_h @ a @ m.frame_inv, 2))
     est = lp_operator_norm(a, k.space.p)
-    evs = np.linalg.eigvalsh(k.gram)
-    bound = math.sqrt(evs[-1] / evs[0]) * n ** abs(0.5 - 1.0 / k.space.p)
+    bound = math.sqrt(m.eig_max / m.eig_min) * n ** abs(0.5 - 1.0 / k.space.p)
     ratio = norm_h / est.value if est.value > 0 else 0.0
     return LaxDiagnostic(
         is_h_selfadjoint=is_h,

@@ -22,7 +22,6 @@ from .errors import (
     InvalidP,
     NotHermitian,
     NotSquare,
-    Singular,
 )
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "as_vector",
     "hermitian_eigen",
     "svd",
-    "solve",
     "norm",
     "vnorm",
     "herm",
@@ -131,27 +129,6 @@ def svd(m) -> SvdResult:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
     return SvdResult(left=w, sigma=np.asarray(s, dtype=np.float64), right=herm(vh))
-
-
-def solve(m, b, *, tols: Tolerances = DEFAULT) -> np.ndarray:
-    """Solve M x = b for a numerically nonsingular square M.
-
-    ``b`` may be a vector or a matrix of right-hand sides. Raises
-    ``Singular`` when the smallest singular value falls at or below the
-    configured threshold times the largest.
-    """
-    m = as_matrix(m, square=True)
-    rhs = np.asarray(b, dtype=np.complex128)
-    if rhs.shape[0] != m.shape[0]:
-        raise DimensionMismatch(f"rhs has {rhs.shape[0]} rows, matrix is {m.shape[0]}x{m.shape[1]}")
-    n = m.shape[0]
-    sigma = np.linalg.svd(m, compute_uv=False)
-    if sigma[0] == 0.0 or sigma[-1] <= tols.singular_threshold_rel(n) * sigma[0]:
-        raise Singular(
-            f"matrix is numerically singular (sigma_min/sigma_max = "
-            f"{sigma[-1] / sigma[0] if sigma[0] else 0.0:.3e})"
-        )
-    return np.linalg.solve(m, rhs)
 
 
 def norm(m, kind: str = "frobenius") -> float:

@@ -82,7 +82,3 @@ class Rng:
             for j in range(cols):
                 out[i, j] = self.complex_entry()
         return out
-
-    def spawn(self, k: int) -> "Rng":
-        """Stream derived from the *current* state and index ``k``."""
-        return Rng(substream(self._state, k))

@@ -176,12 +176,21 @@ def deformed_of(a, tol: float | None = None, *, tols: Tolerances = DEFAULT) -> D
 
     Pipeline: polar decomposition of A, spectral measure of the positive
     factor T, deformation by the partial isometry U. The support threshold
-    is the polar rank cutoff, so a singular A keeps its zero cluster in
-    ``source`` but reports only the nonzero spectrum of T as support.
+    is the polar rank cutoff, raised where needed over the atoms of the
+    lowest n - rank eigen-directions of T: those span ker(T), whose
+    eigenvalues can round to just above the cutoff. A singular A thus
+    keeps its zero cluster in ``source`` but reports only the nonzero
+    spectrum of T as support.
     """
     p = polar_decompose(a, tol, tols=tols)
     e = spectral_measure(p.T, tols=tols)
-    return deform(p.U, e, support_tol=p.threshold, tols=tols)
+    cut, seen = p.threshold, 0
+    for lam, proj in e.atoms:  # ascending; stop at the first atom with range outside ker(T)
+        seen += round(float(np.trace(proj).real))
+        if seen > e.dim - p.rank:
+            break
+        cut = max(cut, lam)
+    return deform(p.U, e, support_tol=cut, tols=tols)
 
 
 def _as_scalar_function(g) -> Callable[[float], complex]:

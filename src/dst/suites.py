@@ -52,6 +52,9 @@ SUITE_NAMES = ("deformed", "funcalc", "kuelbs", "adjoint", "baire", "banach-spec
 
 G_CORPUS = ("lambda", "lambda^2", "exp(-lambda)", "sin(lambda)", "sqrt(lambda)")
 
+# the banach-spectral suite skips larger dims
+BANACH_MAX_DIM = 16
+
 TOL_DEFAULTS: dict[str, float] = {
     "deformed.reconstruction": 1e-10,
     "deformed.support": 1e-10,
@@ -97,6 +100,10 @@ class SuiteConfig:
     tol: dict[str, float] = field(default_factory=dict)
     corrupt_gram: bool = False  # negative-control hook: invalidates the kuelbs suite
     jobs: int = 1
+
+    def __post_init__(self):
+        if self.jobs < 1:
+            raise ConfigError(f"jobs must be at least 1, got {self.jobs}")
 
     def tolerance(self, key: str) -> float:
         if key in self.tol:
@@ -174,22 +181,6 @@ class Report:
 def _stream(cfg: SuiteConfig, label: str) -> int:
     """Deterministic substream id for a labelled part of a run."""
     return substream(cfg.seed, zlib.crc32(label.encode("utf-8")))
-
-
-def _suite_weights(m: int) -> np.ndarray:
-    """Geometric weights with the decay capped at 2^-19.
-
-    Identical to the library default below dim 20; beyond that the floor
-    keeps the canonical Gram's condition number near 5e5, so suites stay
-    meaningful at any desk-scale dim instead of tripping the positivity
-    gate around dim 45.
-    """
-    w = np.array([2.0 ** -min(k + 1, 19) for k in range(m)])
-    return w / w.sum()
-
-
-def _embedding(p: float, dim: int, tols: Tolerances):
-    return build_kuelbs(LpSpace(dim=dim, p=p), weights=_suite_weights(dim), tols=tols)
 
 
 def _map_ordered(fn, items, jobs: int):
@@ -359,14 +350,12 @@ def _suite_kuelbs(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
     for p in cfg.ps:
         for dim in cfg.dims:
             space = LpSpace(dim=dim, p=p)
-            emb = _embedding(p, dim, tols)
-            gram = emb.gram
+            emb = build_kuelbs(space, tols=tols)
+            gram, gram_min = emb.gram, emb.metric.eig_min
             if cfg.corrupt_gram:
-                bad = gram.copy()
-                evs = np.linalg.eigvalsh(bad)
-                bad[0, 0] -= 2.0 * float(evs[-1])  # inject a negative eigenvalue
-                gram = bad
-            gram_min = float(np.linalg.eigvalsh(gram)[0])
+                gram = gram.copy()
+                gram[0, 0] -= 2.0 * emb.metric.eig_max  # inject a negative eigenvalue
+                gram_min = float(np.linalg.eigvalsh(gram)[0])
 
             rng = Rng(_stream(cfg, f"kuelbs/{p}/{dim}"))
             continuity = -math.inf
@@ -457,7 +446,7 @@ def _suite_adjoint(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
     cases: list[CaseResult] = []
     for p in cfg.ps:
         for dim in cfg.dims:
-            emb = _embedding(p, dim, tols)
+            emb = build_kuelbs(LpSpace(dim=dim, p=p), tols=tols)
             ens = Ensemble("general", dim, cfg.trials, _stream(cfg, f"adjoint/{p}/{dim}"))
             mats = generate(ens)
 
@@ -514,7 +503,7 @@ def _suite_baire(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
     lams = tuple(sorted(cfg.lambdas))
     for p in cfg.ps:
         for dim in cfg.dims:
-            emb = _embedding(p, dim, tols)
+            emb = build_kuelbs(LpSpace(dim=dim, p=p), tols=tols)
             ens = Ensemble("general", dim, cfg.trials, _stream(cfg, f"baire/{p}/{dim}"))
             mats = generate(ens)
 
@@ -523,8 +512,8 @@ def _suite_baire(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
                 rng = Rng(substream(_seed, 30_000 + idx))
                 op = banach_operator(a, _emb)
                 gp = h_polar(op, tols=tols)
-                ell_h = herm(gp.chol)
-                t_h_norm = float(np.linalg.norm(ell_h @ gp.T @ np.linalg.inv(ell_h), 2))
+                m = _emb.metric
+                t_h_norm = float(np.linalg.norm(m.chol_h @ gp.T @ m.frame_inv, 2))
                 sigma = np.linalg.svd(a, compute_uv=False)
                 full_rank = sigma.size and sigma[-1] > 1e-6 * sigma[0]
                 phis = [rng.vector(_dim) for _ in range(4)]
@@ -591,8 +580,8 @@ def _suite_baire(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
 def _suite_banach_spectral(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
     cases: list[CaseResult] = []
     for p in cfg.ps:
-        for dim in (d for d in cfg.dims if d <= 16):
-            emb = _embedding(p, dim, tols)
+        for dim in (d for d in cfg.dims if d <= BANACH_MAX_DIM):
+            emb = build_kuelbs(LpSpace(dim=dim, p=p), tols=tols)
             ens = Ensemble("general", dim, cfg.trials, _stream(cfg, f"banach-spectral/{p}/{dim}"))
             mats = generate(ens)
 
@@ -708,4 +697,7 @@ def run_suite(
         cases = _SUITE_FNS[name](cfg, tols)
     else:
         raise ConfigError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)} or 'all'")
+    if not cases:  # a run that checks nothing must not pass
+        hint = f"; banach-spectral only covers dims <= {BANACH_MAX_DIM}" if name == "banach-spectral" else ""
+        raise ConfigError(f"suite {name!r} has no cases under this configuration{hint}")
     return Report(suite=name, seed=cfg.seed, config=cfg.to_obj(), cases=tuple(cases), timestamp=timestamp)

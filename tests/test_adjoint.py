@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,7 @@ from dst.adjoint import (
     intertwining_residual,
     steadman_form_report,
 )
-from dst.errors import BadGrid, DimensionMismatch
+from dst.errors import BadGrid, DimensionMismatch, SingularGram
 from dst.kuelbs import KuelbsEmbedding, LpSpace, build_kuelbs
 from dst.linalg import herm, vnorm
 from dst.polar import polar_decompose
@@ -39,6 +42,14 @@ def diag_embedding(diag_entries, p=3.0):
         seeds=emb.seeds,
         functionals=emb.functionals,
     )
+
+
+def test_direct_embedding_carries_its_metric():
+    emb = diag_embedding([1.0, 4.0])
+    assert (emb.metric.eig_min, emb.metric.eig_max) == (1.0, 4.0)
+    assert np.array_equal(emb.metric.chol, np.diag([1.0, 2.0]))
+    with pytest.raises(SingularGram):
+        replace(emb, gram=np.diag([1.0, 0.0]).astype(complex))
 
 
 def test_adjoint_hilbert_case_is_hermitian_adjoint():
@@ -223,6 +234,15 @@ def test_baire_convergence_study():
         baire_convergence_study(op, phis, (1e2, 1e1))
     with pytest.raises(ValueError):
         baire_convergence_study(op, phis, (1e1, 1e9))
+    with pytest.raises(ValueError):
+        baire_convergence_study(op, phis, (math.nan, 1e1))
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_baire_approximant_rejects_bad_lambda(lam):
+    op = banach_operator(Rng(213).matrix(3, 3), hilbert_embedding(3))
+    with pytest.raises(ValueError):
+        baire_approximant(op, lam)
 
 
 def test_banach_deformed_hilbert_specialization():

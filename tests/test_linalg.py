@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dst.errors import DimensionMismatch, InvalidP, NotHermitian, NotSquare, Singular
-from dst.linalg import herm, hermitian_eigen, norm, solve, svd, vnorm
+from dst.errors import InvalidP, NotHermitian, NotSquare
+from dst.linalg import herm, hermitian_eigen, norm, svd, vnorm
 from dst.rng import Rng
 
 
@@ -68,41 +68,6 @@ def test_svd_eigen_agree_on_psd():
     sig = svd(m).sigma
     ev = hermitian_eigen(m).values
     assert np.allclose(np.sort(sig), np.sort(np.abs(ev)), atol=1e-10)
-
-
-def test_solve_trivial_and_diag():
-    b = np.array([1.0, 2.0], dtype=complex)
-    assert np.allclose(solve(np.eye(2, dtype=complex), b), b)
-    x = solve(np.diag([2.0, 4.0]).astype(complex), np.array([2.0, 4.0], dtype=complex))
-    assert np.allclose(x, [1.0, 1.0])
-
-
-def test_solve_residual_random():
-    m = Rng(5).matrix(16, 16)
-    b = Rng(6).vector(16)
-    x = solve(m, b)
-    resid = np.linalg.norm(m @ x - b)
-    assert resid <= 1e-10 * (np.linalg.norm(m) * np.linalg.norm(x) + np.linalg.norm(b))
-
-
-def test_solve_high_condition_roundtrip():
-    # spectrum spread over 8 decades; residual bound must still hold
-    n = 12
-    rng = Rng(7)
-    q, _ = np.linalg.qr(rng.matrix(n, n))
-    s = np.logspace(0, -8, n)
-    m = (q * s) @ herm(q)
-    b = rng.vector(n)
-    x = solve(m, b)
-    assert np.linalg.norm(m @ x - b) <= 1e-10 * (np.linalg.norm(m) * np.linalg.norm(x) + np.linalg.norm(b))
-
-
-def test_solve_singular_raises():
-    m = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
-    with pytest.raises(Singular):
-        solve(m, np.array([1.0, 0.0], dtype=complex))
-    with pytest.raises(DimensionMismatch):
-        solve(np.eye(2, dtype=complex), np.ones(3, dtype=complex))
 
 
 def test_vnorm_examples():

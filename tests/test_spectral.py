@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dst.ensembles import Ensemble, generate
 from dst.errors import DimensionMismatch, EvalError, NegativeSupport, NotHermitian
 from dst.gexpr import evaluate, parse
 from dst.linalg import herm, hermitian_eigen
@@ -14,6 +15,7 @@ from dst.spectral import (
     spectral_measure,
     variation,
 )
+from dst.suites import SuiteConfig, _stream
 
 
 def unit_projector(k, n):
@@ -115,6 +117,18 @@ def test_deformed_of_identity_and_nilpotent():
     expect = np.zeros((2, 2), dtype=complex)
     expect[0, 1] = 1.0
     assert np.allclose(nz[0], expect)
+
+
+@pytest.mark.parametrize("seed, idx", [(105, 5), (306, 17)])
+def test_deformed_support_excludes_kernel_at_rank_boundary(seed, idx):
+    # verify case deformed/rankdef/n2/t{idx}: eigh(T) rounds the kernel
+    # eigenvalue of T to just above the polar rank cut
+    stream = _stream(SuiteConfig(seed=seed), "deformed/rankdef/2")
+    a = generate(Ensemble("rankdef", 2, 20, stream, rank=1))[idx]
+    f = deformed_of(a)
+    p = polar_decompose(a)
+    assert f.source.lambdas[0] > p.threshold
+    assert len(f.support) == p.rank == 1
 
 
 def test_integrate_identity_function_recovers_a():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -35,6 +36,34 @@ def test_corrupt_gram_negative_control():
     cfg = SuiteConfig(dims=(2,), trials=2, seed=7, corrupt_gram=True)
     report = run_suite("kuelbs", cfg)
     assert not report.passed
+
+
+def test_jobs_must_be_positive(capsys):
+    for jobs in (0, -3):
+        with pytest.raises(ConfigError):
+            SuiteConfig(jobs=jobs)
+        assert main(["verify", "--suite", "deformed", "--dims", "2", "--trials", "1", "--jobs", str(jobs)]) == 1
+        assert "jobs must be at least 1" in capsys.readouterr().err
+
+
+def test_run_that_checks_nothing_fails(capsys):
+    with pytest.raises(ConfigError):
+        run_suite("deformed", SuiteConfig(dims=()))
+    assert main(["verify", "--suite", "banach-spectral", "--dims", "32"]) == 1
+    assert "banach-spectral only covers dims <= 16" in capsys.readouterr().err
+
+
+# SHA-256 of the default `dst verify --suite all --no-timestamp` report,
+# pinned with Python 3.11, numpy 2.4 and OpenBLAS 0.3.31. Re-pin only with
+# a CHANGES.md entry that gives the largest metric drift.
+GOLDEN_DEFAULT_REPORT = "cf1f81354cadb673e3a2ff6b2e5fd9f6834854bcb78de4bc597c87b01baf608d"
+
+
+def test_golden_report_digest(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert main(["verify", "--suite", "all", "--no-timestamp", "--report", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_DEFAULT_REPORT
 
 
 def test_unknown_suite_and_tolerance():
