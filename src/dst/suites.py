@@ -4,9 +4,9 @@ pass/fail report.
 Each suite runs a battery of randomized checks over deterministic
 ensembles; the case list depends only on the configuration (dims, trials,
 seed, tolerances), never on wall clock or evaluation order, so two runs
-with the same arguments produce byte-identical reports. Trials may be
-evaluated on a thread pool (``jobs``); results are slotted by index, so
-the report is the same either way.
+with the same arguments produce byte-identical reports. Every case is
+built by ``_case``, which derives the pass flag from the gated metrics and
+any extra conditions.
 
 Tolerance keys (see ``TOL_DEFAULTS``) can be overridden one at a time;
 the CLI exposes them as ``--tol KEY=VALUE`` and multiplies every default
@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .adjoint import (
+    AdjointPair,
     adjoint,
     adjoint_axioms,
     baire_approximant,
@@ -40,13 +40,16 @@ from .errors import ConfigError
 from .fileio import digest
 from .gexpr import evaluate
 from .gexpr import parse as parse_g
-from .kuelbs import LpSpace, build_kuelbs, canonical_duality_map, lax_diagnostic, steadman
+from .kuelbs import KuelbsEmbedding, LpSpace, build_kuelbs, canonical_duality_map, lax_diagnostic, steadman
 from .linalg import EigenSystem, herm, hermitian_eigen, vnorm
 from .polar import polar_decompose
 from .rng import Rng, substream
 from .spectral import deformed_of, integrate, spectral_measure, variation
 
-__all__ = ["SuiteConfig", "CaseResult", "Report", "run_suite", "SUITE_NAMES", "TOL_DEFAULTS", "G_CORPUS"]
+__all__ = [
+    "SuiteConfig", "CaseResult", "Report", "run_suite", "SUITE_NAMES", "TOL_DEFAULTS", "G_CORPUS",
+    "BANACH_MAX_DIM", "kuelbs_probe_metrics", "adjoint_metrics",
+]
 
 SUITE_NAMES = ("deformed", "funcalc", "kuelbs", "adjoint", "baire", "banach-spectral", "laplacian")
 
@@ -99,11 +102,6 @@ class SuiteConfig:
     laplacian_ns: tuple[int, ...] = (8, 32)
     tol: dict[str, float] = field(default_factory=dict)
     corrupt_gram: bool = False  # negative-control hook: invalidates the kuelbs suite
-    jobs: int = 1
-
-    def __post_init__(self):
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be at least 1, got {self.jobs}")
 
     def tolerance(self, key: str) -> float:
         if key in self.tol:
@@ -183,11 +181,14 @@ def _stream(cfg: SuiteConfig, label: str) -> int:
     return substream(cfg.seed, zlib.crc32(label.encode("utf-8")))
 
 
-def _map_ordered(fn, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+def _case(cfg: SuiteConfig, case_id: str, inputs: np.ndarray, metrics: dict[str, float],
+          limits: dict[str, str], *conditions: bool) -> CaseResult:
+    """One case: each metric named in ``limits`` must not exceed the
+    tolerance under its ``TOL_DEFAULTS`` key, and every extra condition
+    (a sign test or bound not expressed as a metric limit) must hold."""
+    tolerances = {k: cfg.tolerance(key) for k, key in limits.items()}
+    passed = all(metrics[k] <= tol for k, tol in tolerances.items()) and all(conditions)
+    return CaseResult(case_id, digest(inputs), metrics, tolerances, passed)
 
 
 def _support_match(support, sigma_nonzero) -> float:
@@ -222,30 +223,33 @@ def _rel(delta: float, scale: float) -> float:
 
 def _suite_deformed(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
     cases: list[CaseResult] = []
+    base_limits = {
+        "reconstruction": "deformed.reconstruction",
+        "support": "deformed.support",
+        "variation_excess": "deformed.variation",
+        "commutation": "deformed.commutation",
+    }
     for dim in cfg.dims:
         for kind in ("general", "hermitian", "negdef", "rankdef"):
             rank = max(1, dim // 2) if kind == "rankdef" else None
             ens = Ensemble(kind, dim, cfg.trials, _stream(cfg, f"deformed/{kind}/{dim}"), rank=rank)
-            mats = generate(ens)
-
-            def run_one(item, _kind=kind, _dim=dim, _seed=ens.seed):
-                idx, a = item
-                rng = Rng(substream(_seed, 10_000 + idx))
+            for idx, a in enumerate(generate(ens)):
+                rng = Rng(substream(ens.seed, 10_000 + idx))
                 f = deformed_of(a, tols=tols)
                 recon = _rel(float(np.linalg.norm(f.reconstruct() - a)), float(np.linalg.norm(a)))
 
                 sigma = np.linalg.svd(a, compute_uv=False)
-                cut = tols.rank_threshold_rel(_dim) * (float(sigma[0]) if sigma.size else 0.0)
+                cut = tols.rank_threshold_rel(dim) * (float(sigma[0]) if sigma.size else 0.0)
                 support_err = _support_match(f.support, sigma[sigma > cut])
 
                 var_excess = 0.0
                 for _ in range(3):
-                    phi = rng.vector(_dim)
+                    phi = rng.vector(dim)
                     var_excess = max(var_excess, variation(f, phi) - variation(f.source, phi))
 
                 # summation-order independence: U (sum g dE) phi vs sum g d(UE) phi
                 g = parse_g("exp(-lambda)")
-                phi = rng.vector(_dim)
+                phi = rng.vector(dim)
                 via_deformed = integrate(g, f, phi)
                 via_source = f.U @ integrate(g, f.source, phi)
                 comm = _rel(float(np.linalg.norm(via_deformed - via_source)), float(np.linalg.norm(via_source)))
@@ -256,35 +260,17 @@ def _suite_deformed(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
                     "variation_excess": var_excess,
                     "commutation": comm,
                 }
-                tol_used = {
-                    "reconstruction": cfg.tolerance("deformed.reconstruction"),
-                    "support": cfg.tolerance("deformed.support"),
-                    "variation_excess": cfg.tolerance("deformed.variation"),
-                    "commutation": cfg.tolerance("deformed.commutation"),
-                }
-                ok = all(metrics[k] <= tol_used[k] for k in metrics)
-
-                if _kind == "negdef":
+                limits, signs = base_limits, ()
+                if kind == "negdef":
                     es = hermitian_eigen(a, tols=tols)
-                    flip = _support_match(f.support, np.abs(es.values))
                     classical_max = float(max(spectral_measure(a, tols=tols).lambdas))
                     deformed_min = float(min(f.support)) if f.support else 0.0
-                    metrics["distinctness_flip"] = flip
+                    metrics["distinctness_flip"] = _support_match(f.support, np.abs(es.values))
                     metrics["classical_max_atom"] = classical_max
                     metrics["deformed_min_support"] = deformed_min
-                    tol_used["distinctness_flip"] = cfg.tolerance("deformed.distinctness")
-                    ok = ok and flip <= tol_used["distinctness_flip"]
-                    ok = ok and classical_max < 0.0 and deformed_min > 0.0
-
-                return CaseResult(
-                    case_id=f"deformed/{_kind}/n{_dim}/t{idx}",
-                    inputs_digest=digest(a),
-                    metrics=metrics,
-                    tolerances=tol_used,
-                    passed=ok,
-                )
-
-            cases.extend(_map_ordered(run_one, list(enumerate(mats)), cfg.jobs))
+                    limits = {**base_limits, "distinctness_flip": "deformed.distinctness"}
+                    signs = (classical_max < 0.0, deformed_min > 0.0)
+                cases.append(_case(cfg, f"deformed/{kind}/n{dim}/t{idx}", a, metrics, limits, *signs))
     return cases
 
 
@@ -294,12 +280,10 @@ def _suite_deformed(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
 
 def _suite_funcalc(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
     cases: list[CaseResult] = []
+    limits = {"identity": "funcalc.identity", "classical_agreement": "funcalc.classical"}
     for dim in cfg.dims:
         ens = Ensemble("general", dim, cfg.trials, _stream(cfg, f"funcalc/{dim}"))
-        mats = generate(ens)
-
-        def run_one(item, _dim=dim):
-            idx, a = item
+        for idx, a in enumerate(generate(ens)):
             f = deformed_of(a, tols=tols)
             p = polar_decompose(a, tols=tols)
             et = hermitian_eigen(p.T, tols=tols)
@@ -311,7 +295,7 @@ def _suite_funcalc(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
                 worst = max(worst, _rel(float(np.linalg.norm(lhs - rhs)), float(np.linalg.norm(rhs))))
 
             # positive-definite input: deformed and classical calculi agree
-            pd = a @ herm(a) + 0.5 * np.eye(_dim)
+            pd = a @ herm(a) + 0.5 * np.eye(dim)
             fd = deformed_of(pd, tols=tols)
             ec = spectral_measure(pd, tols=tols)
             classical_worst = 0.0
@@ -324,20 +308,7 @@ def _suite_funcalc(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
                 )
 
             metrics = {"identity": worst, "classical_agreement": classical_worst}
-            tol_used = {
-                "identity": cfg.tolerance("funcalc.identity"),
-                "classical_agreement": cfg.tolerance("funcalc.classical"),
-            }
-            ok = all(metrics[k] <= tol_used[k] for k in metrics)
-            return CaseResult(
-                case_id=f"funcalc/n{_dim}/t{idx}",
-                inputs_digest=digest(a),
-                metrics=metrics,
-                tolerances=tol_used,
-                passed=ok,
-            )
-
-        cases.extend(_map_ordered(run_one, list(enumerate(mats)), cfg.jobs))
+            cases.append(_case(cfg, f"funcalc/n{dim}/t{idx}", a, metrics, limits))
     return cases
 
 
@@ -345,12 +316,62 @@ def _suite_funcalc(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
 # kuelbs: embedding positivity, continuity, duality identities, Lax bound
 
 
+def kuelbs_probe_metrics(emb: KuelbsEmbedding, gram: np.ndarray, rng: Rng, trials: int) -> dict[str, float]:
+    """Worst defects over ``trials`` random probe pairs (u, v) of the
+    embedding: continuity ``||u||_H - ||u||_B`` (with ``||u||_H`` read from
+    ``gram``), the duality pairing and dual norm, the Steadman identity, and
+    ``(u, v)_H`` against the atomwise weighted sum over the functionals.
+    """
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1 (a run without probes checks nothing), got {trials}")
+    space = emb.space
+    continuity = -math.inf
+    pairing = 0.0
+    dual_norm = 0.0
+    steadman_rel = 0.0
+    consistency = 0.0
+    for _ in range(trials):
+        u = rng.vector(space.dim)
+        nb = space.norm(u)
+        nh = math.sqrt(max(float(np.vdot(u, gram @ u).real), 0.0))
+        continuity = max(continuity, nh - nb)
+
+        fu = canonical_duality_map(u, space)
+        pairing = max(pairing, abs(fu(u) - nb**2) / (1.0 + nb**2))
+        dual_norm = max(dual_norm, abs(fu.dual_norm - nb) / (1.0 + nb))
+
+        su = steadman(emb, u)
+        steadman_rel = max(steadman_rel, abs(su(u) - nb**2) / (1.0 + nb**2))
+
+        v = rng.vector(space.dim)
+        atomwise = sum(
+            w * complex(fc @ u) * complex(fc @ v).conjugate()
+            for w, fc in zip(emb.weights, emb.functionals)
+        )
+        consistency = max(consistency, abs(atomwise - emb.h_inner(u, v)))
+    return {
+        "continuity_excess": continuity,
+        "duality_pairing": pairing,
+        "duality_norm": dual_norm,
+        "steadman_identity": steadman_rel,
+        "gram_consistency": consistency,
+    }
+
+
 def _suite_kuelbs(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
     cases: list[CaseResult] = []
+    limits = {
+        "continuity_excess": "kuelbs.continuity",
+        "duality_pairing": "kuelbs.duality",
+        "duality_norm": "kuelbs.duality",
+        "steadman_identity": "kuelbs.steadman",
+        "gram_consistency": "kuelbs.gram_consistency",
+        "dual_gram": "kuelbs.dual_gram",
+        "lax_margin": "kuelbs.lax_margin",
+    }
     for p in cfg.ps:
         for dim in cfg.dims:
-            space = LpSpace(dim=dim, p=p)
-            emb = build_kuelbs(space, tols=tols)
+            emb = build_kuelbs(LpSpace(dim=dim, p=p), tols=tols)
             gram, gram_min = emb.gram, emb.metric.eig_min
             if cfg.corrupt_gram:
                 gram = gram.copy()
@@ -358,30 +379,7 @@ def _suite_kuelbs(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
                 gram_min = float(np.linalg.eigvalsh(gram)[0])
 
             rng = Rng(_stream(cfg, f"kuelbs/{p}/{dim}"))
-            continuity = -math.inf
-            duality_pair = 0.0
-            duality_norm = 0.0
-            steadman_rel = 0.0
-            gram_consistency = 0.0
-            for _ in range(max(cfg.trials * 4, 8)):
-                u = rng.vector(dim)
-                nb = space.norm(u)
-                nh = math.sqrt(max(float(np.vdot(u, gram @ u).real), 0.0))
-                continuity = max(continuity, nh - nb)
-
-                fu = canonical_duality_map(u, space)
-                duality_pair = max(duality_pair, abs(fu(u) - nb**2) / (1.0 + nb**2))
-                duality_norm = max(duality_norm, abs(fu.dual_norm - nb) / (1.0 + nb))
-
-                su = steadman(emb, u)
-                steadman_rel = max(steadman_rel, abs(su(u) - nb**2) / (1.0 + nb**2))
-
-                v = rng.vector(dim)
-                atomwise = sum(
-                    w * complex(fc @ u) * complex(fc @ v).conjugate()
-                    for w, fc in zip(emb.weights, emb.functionals)
-                )
-                gram_consistency = max(gram_consistency, abs(atomwise - emb.h_inner(u, v)))
+            metrics = kuelbs_probe_metrics(emb, gram, rng, max(cfg.trials * 4, 8))
 
             dual_gram_err = 0.0
             for a_idx in range(min(dim, 4)):
@@ -406,34 +404,9 @@ def _suite_kuelbs(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
                 lax_margin = max(lax_margin, diag.ratio - diag.bound)
                 lax_selfadj = lax_selfadj and diag.is_h_selfadjoint
 
-            metrics = {
-                "gram_min_eig": gram_min,
-                "continuity_excess": continuity,
-                "duality_pairing": duality_pair,
-                "duality_norm": duality_norm,
-                "steadman_identity": steadman_rel,
-                "gram_consistency": gram_consistency,
-                "dual_gram": dual_gram_err,
-                "lax_margin": lax_margin,
-            }
-            tol_used = {
-                "continuity_excess": cfg.tolerance("kuelbs.continuity"),
-                "duality_pairing": cfg.tolerance("kuelbs.duality"),
-                "duality_norm": cfg.tolerance("kuelbs.duality"),
-                "steadman_identity": cfg.tolerance("kuelbs.steadman"),
-                "gram_consistency": cfg.tolerance("kuelbs.gram_consistency"),
-                "dual_gram": cfg.tolerance("kuelbs.dual_gram"),
-                "lax_margin": cfg.tolerance("kuelbs.lax_margin"),
-            }
-            ok = gram_min > 0.0 and lax_selfadj and all(metrics[k] <= tol_used[k] for k in tol_used)
+            metrics.update(gram_min_eig=gram_min, dual_gram=dual_gram_err, lax_margin=lax_margin)
             cases.append(
-                CaseResult(
-                    case_id=f"kuelbs/p{p}/n{dim}",
-                    inputs_digest=digest(gram),
-                    metrics=metrics,
-                    tolerances=tol_used,
-                    passed=ok,
-                )
+                _case(cfg, f"kuelbs/p{p}/n{dim}", gram, metrics, limits, gram_min > 0.0, lax_selfadj)
             )
     return cases
 
@@ -442,55 +415,53 @@ def _suite_kuelbs(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
 # adjoint: defining contract, involution, axioms
 
 
+def adjoint_metrics(pair: AdjointPair, rng: Rng, tols: Tolerances) -> dict[str, float]:
+    """Contract, involution and axiom metrics of one metric adjoint pair.
+
+    Draws six scaled contract probe pairs from ``rng``, then four probes
+    for the accretive minimum.
+    """
+    a = pair.operator.matrix
+    emb = pair.operator.embedding
+    dim = a.shape[0]
+    contract = 0.0
+    scale_a = float(np.linalg.norm(a))
+    for _ in range(6):
+        u = rng.vector(dim)
+        v = rng.vector(dim)
+        den = 1.0 + scale_a * float(np.linalg.norm(u)) * float(np.linalg.norm(v))
+        contract = max(contract, pair.contract_residual(u, v) / den)
+    second = adjoint(banach_operator(pair.astar, emb))
+    probes = [rng.vector(dim) for _ in range(4)]
+    ax = adjoint_axioms(pair, probes=probes, tols=tols)
+    return {
+        "contract": contract,
+        "involution": _rel(float(np.linalg.norm(second.astar - a)), scale_a),
+        "accretive_min": ax.accretive_min,
+        "natural_selfadjoint": ax.natural_selfadjoint_residual,
+        "inverse_norm": ax.inverse_norm,
+    }
+
+
 def _suite_adjoint(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
     cases: list[CaseResult] = []
+    limits = {
+        "contract": "adjoint.contract",
+        "involution": "adjoint.involution",
+        "natural_selfadjoint": "adjoint.natural",
+    }
     for p in cfg.ps:
         for dim in cfg.dims:
             emb = build_kuelbs(LpSpace(dim=dim, p=p), tols=tols)
             ens = Ensemble("general", dim, cfg.trials, _stream(cfg, f"adjoint/{p}/{dim}"))
-            mats = generate(ens)
-
-            def run_one(item, _dim=dim, _p=p, _emb=emb, _seed=ens.seed):
-                idx, a = item
-                rng = Rng(substream(_seed, 20_000 + idx))
-                op = banach_operator(a, _emb)
-                pair = adjoint(op)
-                contract = 0.0
-                scale_a = float(np.linalg.norm(a))
-                for _ in range(6):
-                    u = rng.vector(_dim)
-                    v = rng.vector(_dim)
-                    den = 1.0 + scale_a * float(np.linalg.norm(u)) * float(np.linalg.norm(v))
-                    contract = max(contract, pair.contract_residual(u, v) / den)
-                second = adjoint(banach_operator(pair.astar, _emb))
-                involution = _rel(float(np.linalg.norm(second.astar - a)), scale_a)
-                probes = [rng.vector(_dim) for _ in range(4)]
-                ax = adjoint_axioms(pair, probes=probes, tols=tols)
-
-                metrics = {
-                    "contract": contract,
-                    "involution": involution,
-                    "accretive_min": ax.accretive_min,
-                    "natural_selfadjoint": ax.natural_selfadjoint_residual,
-                    "inverse_norm": ax.inverse_norm,
-                }
-                tol_used = {
-                    "contract": cfg.tolerance("adjoint.contract"),
-                    "involution": cfg.tolerance("adjoint.involution"),
-                    "natural_selfadjoint": cfg.tolerance("adjoint.natural"),
-                }
-                ok = all(metrics[k] <= tol_used[k] for k in tol_used)
-                ok = ok and ax.accretive_min >= -cfg.tolerance("adjoint.accretive")
-                ok = ok and ax.inverse_norm <= 1.0 + cfg.tolerance("adjoint.inverse")
-                return CaseResult(
-                    case_id=f"adjoint/p{_p}/n{_dim}/t{idx}",
-                    inputs_digest=digest(a),
-                    metrics=metrics,
-                    tolerances=tol_used,
-                    passed=ok,
-                )
-
-            cases.extend(_map_ordered(run_one, list(enumerate(mats)), cfg.jobs))
+            for idx, a in enumerate(generate(ens)):
+                rng = Rng(substream(ens.seed, 20_000 + idx))
+                metrics = adjoint_metrics(adjoint(banach_operator(a, emb)), rng, tols)
+                cases.append(_case(
+                    cfg, f"adjoint/p{p}/n{dim}/t{idx}", a, metrics, limits,
+                    metrics["accretive_min"] >= -cfg.tolerance("adjoint.accretive"),
+                    metrics["inverse_norm"] <= 1.0 + cfg.tolerance("adjoint.inverse"),
+                ))
     return cases
 
 
@@ -500,23 +471,21 @@ def _suite_adjoint(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
 
 def _suite_baire(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
     cases: list[CaseResult] = []
+    limits = {"identity": "baire.identity", "intertwine": "baire.intertwine"}
     lams = tuple(sorted(cfg.lambdas))
     for p in cfg.ps:
         for dim in cfg.dims:
             emb = build_kuelbs(LpSpace(dim=dim, p=p), tols=tols)
+            m = emb.metric
             ens = Ensemble("general", dim, cfg.trials, _stream(cfg, f"baire/{p}/{dim}"))
-            mats = generate(ens)
-
-            def run_one(item, _dim=dim, _p=p, _emb=emb, _seed=ens.seed):
-                idx, a = item
-                rng = Rng(substream(_seed, 30_000 + idx))
-                op = banach_operator(a, _emb)
+            for idx, a in enumerate(generate(ens)):
+                rng = Rng(substream(ens.seed, 30_000 + idx))
+                op = banach_operator(a, emb)
                 gp = h_polar(op, tols=tols)
-                m = _emb.metric
                 t_h_norm = float(np.linalg.norm(m.chol_h @ gp.T @ m.frame_inv, 2))
                 sigma = np.linalg.svd(a, compute_uv=False)
                 full_rank = sigma.size and sigma[-1] > 1e-6 * sigma[0]
-                phis = [rng.vector(_dim) for _ in range(4)]
+                phis = [rng.vector(dim) for _ in range(4)]
 
                 bound_excess = -math.inf
                 identity_worst = 0.0
@@ -528,8 +497,8 @@ def _suite_baire(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
                     intertwine_worst = max(intertwine_worst, intertwining_residual(op, probe))
                     err_lam = 0.0
                     for phi in phis:
-                        err = _emb.h_norm(probe.a_lambda @ phi - a @ phi)
-                        bnd = _emb.h_norm(gp.Tbar @ (a @ phi)) / lam
+                        err = emb.h_norm(probe.a_lambda @ phi - a @ phi)
+                        bnd = emb.h_norm(gp.Tbar @ (a @ phi)) / lam
                         err_lam = max(err_lam, err)
                         bound_excess = max(bound_excess, err - bnd * (1.0 + cfg.tolerance("baire.bound_slack")))
                     errors.append(err_lam)
@@ -555,21 +524,9 @@ def _suite_baire(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
                     "rate_min": rate_min if math.isfinite(rate_min) else 0.0,
                     "rate_max": rate_max if math.isfinite(rate_max) else 0.0,
                 }
-                tol_used = {
-                    "identity": cfg.tolerance("baire.identity"),
-                    "intertwine": cfg.tolerance("baire.intertwine"),
-                }
-                ok = bound_excess <= 0.0 and rate_ok
-                ok = ok and all(metrics[k] <= tol_used[k] for k in tol_used)
-                return CaseResult(
-                    case_id=f"baire/p{_p}/n{_dim}/t{idx}",
-                    inputs_digest=digest(a),
-                    metrics=metrics,
-                    tolerances=tol_used,
-                    passed=ok,
+                cases.append(
+                    _case(cfg, f"baire/p{p}/n{dim}/t{idx}", a, metrics, limits, bound_excess <= 0.0, rate_ok)
                 )
-
-            cases.extend(_map_ordered(run_one, list(enumerate(mats)), cfg.jobs))
     return cases
 
 
@@ -579,24 +536,21 @@ def _suite_baire(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
 
 def _suite_banach_spectral(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
     cases: list[CaseResult] = []
+    limits = {"reconstruction_lp": "banach.reconstruction", "funcalc_identity": "banach.funcalc"}
     for p in cfg.ps:
         for dim in (d for d in cfg.dims if d <= BANACH_MAX_DIM):
             emb = build_kuelbs(LpSpace(dim=dim, p=p), tols=tols)
             ens = Ensemble("general", dim, cfg.trials, _stream(cfg, f"banach-spectral/{p}/{dim}"))
-            mats = generate(ens)
-
-            def run_one(item, _dim=dim, _p=p, _emb=emb, _seed=ens.seed):
-                idx, a = item
-                rng = Rng(substream(_seed, 40_000 + idx))
-                op = banach_operator(a, _emb)
-                res = banach_deformed_spectral(op, tols=tols)
+            for idx, a in enumerate(generate(ens)):
+                rng = Rng(substream(ens.seed, 40_000 + idx))
+                res = banach_deformed_spectral(banach_operator(a, emb), tols=tols)
                 recon_mat = res.measure.reconstruct()
                 recon = 0.0
-                probes = [np.eye(_dim, dtype=np.complex128)[:, k] for k in range(_dim)]
-                probes += [rng.vector(_dim) for _ in range(3)]
+                probes = [np.eye(dim, dtype=np.complex128)[:, k] for k in range(dim)]
+                probes += [rng.vector(dim) for _ in range(3)]
                 for phi in probes:
-                    num = vnorm(recon_mat @ phi - a @ phi, _p)
-                    den = 1.0 + vnorm(a @ phi, _p)
+                    num = vnorm(recon_mat @ phi - a @ phi, p)
+                    den = 1.0 + vnorm(a @ phi, p)
                     recon = max(recon, num / den)
 
                 ast = parse_g("lambda^2")
@@ -606,20 +560,7 @@ def _suite_banach_spectral(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResul
                 fun = _rel(float(np.linalg.norm(lhs - rhs)), float(np.linalg.norm(rhs)))
 
                 metrics = {"reconstruction_lp": recon, "funcalc_identity": fun}
-                tol_used = {
-                    "reconstruction_lp": cfg.tolerance("banach.reconstruction"),
-                    "funcalc_identity": cfg.tolerance("banach.funcalc"),
-                }
-                ok = all(metrics[k] <= tol_used[k] for k in tol_used)
-                return CaseResult(
-                    case_id=f"banach-spectral/p{_p}/n{_dim}/t{idx}",
-                    inputs_digest=digest(a),
-                    metrics=metrics,
-                    tolerances=tol_used,
-                    passed=ok,
-                )
-
-            cases.extend(_map_ordered(run_one, list(enumerate(mats)), cfg.jobs))
+                cases.append(_case(cfg, f"banach-spectral/p{p}/n{dim}/t{idx}", a, metrics, limits))
     return cases
 
 
@@ -629,6 +570,11 @@ def _suite_banach_spectral(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResul
 
 def _suite_laplacian(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
     cases: list[CaseResult] = []
+    limits = {
+        "contract": "laplacian.contract",
+        "involution": "laplacian.involution",
+        "natural_selfadjoint": "laplacian.natural",
+    }
     for n in cfg.laplacian_ns:
         rng = Rng(_stream(cfg, f"laplacian/{n}"))
         shift = np.zeros((n, n), dtype=np.complex128)
@@ -649,23 +595,11 @@ def _suite_laplacian(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
                 "natural_selfadjoint": rep.natural_selfadjoint_residual,
                 "inverse_norm": rep.inverse_norm,
             }
-            tol_used = {
-                "contract": cfg.tolerance("laplacian.contract"),
-                "involution": cfg.tolerance("laplacian.involution"),
-                "natural_selfadjoint": cfg.tolerance("laplacian.natural"),
-            }
-            ok = all(metrics[k] <= tol_used[k] for k in tol_used)
-            ok = ok and rep.accretive_min >= -cfg.tolerance("laplacian.accretive")
-            ok = ok and rep.inverse_norm <= 1.0 + cfg.tolerance("laplacian.inverse")
-            cases.append(
-                CaseResult(
-                    case_id=f"laplacian/n{n}/{name}",
-                    inputs_digest=digest(a),
-                    metrics=metrics,
-                    tolerances=tol_used,
-                    passed=ok,
-                )
-            )
+            cases.append(_case(
+                cfg, f"laplacian/n{n}/{name}", a, metrics, limits,
+                rep.accretive_min >= -cfg.tolerance("laplacian.accretive"),
+                rep.inverse_norm <= 1.0 + cfg.tolerance("laplacian.inverse"),
+            ))
     return cases
 
 

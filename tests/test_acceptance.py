@@ -8,7 +8,6 @@ bit. Run with::
     pytest tests/test_acceptance.py -v -s
 """
 
-import math
 import subprocess
 import sys
 import time
@@ -32,6 +31,7 @@ from dst.linalg import herm, hermitian_eigen, vnorm
 from dst.polar import polar_decompose
 from dst.rng import Rng, substream
 from dst.spectral import deformed_of, integrate, spectral_measure, variation
+from dst.suites import _support_match
 
 SEED = 42
 G_CORPUS = ("lambda", "lambda^2", "exp(-lambda)", "sin(lambda)", "sqrt(lambda)")
@@ -39,21 +39,6 @@ G_CORPUS = ("lambda", "lambda^2", "exp(-lambda)", "sin(lambda)", "sqrt(lambda)")
 
 def announce(num, text):
     print(f"PASS criterion {num:2d}: {text}")
-
-
-def support_distance(support, values):
-    sup = np.asarray(support, dtype=float)
-    vals = np.asarray(values, dtype=float)
-    if sup.size == 0 and vals.size == 0:
-        return 0.0
-    if sup.size == 0 or vals.size == 0:
-        return math.inf
-    worst = 0.0
-    for v in vals:
-        worst = max(worst, float(np.min(np.abs(sup - v))))
-    for s in sup:
-        worst = max(worst, float(np.min(np.abs(vals - s))))
-    return worst
 
 
 def test_01_deformed_reconstruction():
@@ -80,7 +65,7 @@ def test_02_representation_distinctness():
             assert all(-r_a - 1e-10 <= lam < 0.0 for lam in classical.lambdas)
             f = deformed_of(a)
             assert all(0.0 < lam <= r_a + 1e-10 for lam in f.support)
-            assert support_distance(f.support, np.abs(es.values)) <= 1e-10
+            assert _support_match(f.support, np.abs(es.values)) <= 1e-10
             checked += 1
     assert checked == 50
     announce(2, "negative-definite inputs: classical atoms in [-r,0), deformed in (0,r]")
@@ -96,7 +81,7 @@ def test_03_support_identity():
             f = deformed_of(a)
             sigma = np.linalg.svd(a, compute_uv=False)
             nonzero = sigma[sigma > f.support_tol]
-            assert support_distance(f.support, nonzero) <= 1e-10
+            assert _support_match(f.support, nonzero) <= 1e-10
     announce(3, "deformed support equals the nonzero singular values")
 
 
