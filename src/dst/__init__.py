@@ -25,7 +25,6 @@ from .kuelbs import (
 from .linalg import EigenSystem, SvdResult, hermitian_eigen, norm, svd, vnorm
 from .polar import PolarDecomposition, intertwining_check, polar_decompose
 from .spectral import (
-    DeformedSpectralMeasure,
     SpectralMeasure,
     deform,
     deformed_of,
@@ -53,7 +52,6 @@ __all__ = [
     "polar_decompose",
     "intertwining_check",
     "SpectralMeasure",
-    "DeformedSpectralMeasure",
     "spectral_measure",
     "deform",
     "deformed_of",

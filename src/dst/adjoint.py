@@ -29,7 +29,7 @@ A* = J0 A^H inv(J0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -39,7 +39,7 @@ from .errors import BadGrid, DimensionMismatch
 from .kuelbs import GramMetric, KuelbsEmbedding, LpSpace, SteadmanFunctional, steadman
 from .linalg import as_matrix, as_vector, herm, vnorm
 from .polar import polar_decompose
-from .spectral import DeformedSpectralMeasure, SpectralMeasure, deform, spectral_measure
+from .spectral import SpectralMeasure, deform, spectral_measure
 
 __all__ = [
     "BanachOperator",
@@ -297,7 +297,7 @@ def baire_convergence_study(
 
 @dataclass(frozen=True)
 class BanachDeformedResult:
-    measure: DeformedSpectralMeasure
+    measure: SpectralMeasure
     polar: GramPolar
     reconstruction_residual: float
 
@@ -308,13 +308,13 @@ def banach_deformed_spectral(op: BanachOperator, tol: float | None = None, *, to
     The measure of the positive factor T is computed in the Euclidean
     frame and pulled back, so its projectors are H-orthogonal (idempotent
     and selfadjoint for the Gram inner product, not the Euclidean one).
+    The pull-back transforms the factors once: left by inv(L*), right by L*.
     """
     gp = h_polar(op, tol, tols=tols)
     m = op.embedding.metric
     t_frame = m.chol_h @ gp.T @ m.frame_inv
     e_frame = spectral_measure((t_frame + herm(t_frame)) / 2.0, tols=tols)
-    atoms = tuple((lam, m.frame_inv @ p @ m.chol_h) for lam, p in e_frame.atoms)
-    e_pulled = SpectralMeasure(atoms=atoms, dim=e_frame.dim)
+    e_pulled = replace(e_frame, left=m.frame_inv @ e_frame.left, right=e_frame.right @ m.chol_h)
     measure = deform(gp.U, e_pulled, support_tol=gp.threshold, tols=tols)
     resid = float(np.linalg.norm(measure.reconstruct() - op.matrix)) / (
         1.0 + float(np.linalg.norm(op.matrix))
@@ -326,10 +326,8 @@ def steadman_form_report(op: BanachOperator, result: BanachDeformedResult, phi) 
     """Atom-wise lambda^2 (dF phi, S_phi) pairings (complex, as measured)."""
     phi = as_vector(phi)
     s_phi: SteadmanFunctional = steadman(op.embedding, phi)
-    out = []
-    for lam, df in result.measure.atoms:
-        out.append((lam, (lam**2) * complex(s_phi(df @ phi))))
-    return out
+    f = result.measure
+    return [(lam, (lam**2) * complex(s_phi(v))) for lam, v in zip(f.lambdas, f.atom_vectors(phi))]
 
 
 def dirichlet_laplacian(n: int) -> np.ndarray:

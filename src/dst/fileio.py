@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ParseError
 from .linalg import as_matrix
-from .spectral import DeformedSpectralMeasure
+from .spectral import SpectralMeasure
 
 __all__ = [
     "matrix_to_obj",
@@ -159,7 +159,7 @@ def save_matrix(m, path: str) -> None:
         fh.write(dump_json(matrix_to_obj(m)))
 
 
-def measure_to_obj(f: DeformedSpectralMeasure) -> dict:
+def measure_to_obj(f: SpectralMeasure) -> dict:
     return {
         "dim": f.dim,
         "support": list(f.support),
@@ -178,8 +178,7 @@ def digest(m) -> str:
     m = as_matrix(m)
     h = hashlib.sha256()
     h.update(struct.pack("<qq", m.shape[0], m.shape[1]))
-    for z in m.ravel(order="C"):
-        h.update(struct.pack("<dd", float(z.real), float(z.imag)))
+    h.update(np.ascontiguousarray(m, dtype="<c16").tobytes())
     return h.hexdigest()[:16]
 
 

@@ -13,8 +13,12 @@ is the calculus these measures implement. Note this is *not* the
 holomorphic calculus: for A = diag(-2, -1), g(lambda) = lambda^2 yields
 U T^2 = diag(-4, -1), not A^2.
 
-Summations run in ascending-atom order so results are reproducible
-bit for bit.
+Every measure is stored factored, as an eigenbasis split into clusters:
+with H = V diag(lambda) V*, E keeps (V, V*) and F keeps (U V, V*), so a
+sum against a measure is one (left * w) @ right contraction, O(n^3) time
+and O(n^2) memory (the eigendecomposition route to f(A), Higham,
+*Functions of Matrices*, ch. 4). Dense per-atom matrices are formed only
+when ``atoms`` is read.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .polar import polar_decompose
 
 __all__ = [
     "SpectralMeasure",
-    "DeformedSpectralMeasure",
     "QuadraticFormResult",
     "spectral_measure",
     "deform",
@@ -43,81 +46,78 @@ __all__ = [
     "variation",
 ]
 
-Atom = tuple[float, np.ndarray]
-
 
 @dataclass(frozen=True)
 class SpectralMeasure:
-    """Atoms (lambda_i, P_i), lambdas strictly increasing.
+    """Atoms (lambda_i, M_i), lambdas strictly increasing, stored factored.
 
-    For the Euclidean metric the P_i are Hermitian orthogonal projectors
-    summing to the identity; measures produced in a Gram metric satisfy
-    the same identities with the Gram-adjoint in place of the Euclidean
-    one (they are still idempotent and still sum to the identity).
+    Columns ``bounds[i]:bounds[i+1]`` of ``left`` (and the same rows of
+    ``right``) belong to atom i, so M_i = left[:, c_i] @ right[c_i, :].
+
+    A plain measure has left = V and right = V*: the M_i are Hermitian
+    orthogonal projectors P_i summing to the identity. Measures produced
+    in a Gram metric satisfy the same identities with the Gram-adjoint in
+    place of the Euclidean one (they are still idempotent and still sum
+    to the identity).
+
+    A deformed measure F = U E has left = U E.left, the same ``right``,
+    lambda_i >= 0, and carries ``U`` and its ``source`` E. All atoms of
+    the source are kept, including a numerically-zero cluster when A is
+    rank deficient; ``support`` excludes atoms at or below ``support_tol``
+    because U annihilates ker(T) and those atoms carry no mass. The
+    measure makes no uniqueness claim beyond this canonical construction.
     """
 
-    atoms: tuple[Atom, ...]
-    dim: int
+    lambdas: tuple[float, ...]
+    bounds: tuple[int, ...]
+    left: np.ndarray
+    right: np.ndarray
+    support_tol: float = 0.0
+    U: np.ndarray | None = None
+    source: SpectralMeasure | None = None
 
     def __post_init__(self):
-        for _, p in self.atoms:
-            p.setflags(write=False)
-
-    @property
-    def lambdas(self) -> tuple[float, ...]:
-        return tuple(lam for lam, _ in self.atoms)
-
-    def reconstruct(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for lam, p in self.atoms:
-            out += lam * p
-        return out
-
-    def projector_sum(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for _, p in self.atoms:
-            out += p
-        return out
-
-
-@dataclass(frozen=True)
-class DeformedSpectralMeasure:
-    """Atoms (lambda_i, dF_i = U P_i) with lambda_i >= 0.
-
-    All atoms of the source measure are kept, including a numerically-zero
-    cluster when A is rank deficient; ``support`` excludes atoms at or
-    below ``support_tol`` because U annihilates ker(T) and those atoms
-    carry no mass. The measure makes no uniqueness claim beyond this
-    canonical construction.
-    """
-
-    atoms: tuple[Atom, ...]
-    U: np.ndarray
-    source: SpectralMeasure
-    support_tol: float
-
-    def __post_init__(self):
-        self.U.setflags(write=False)
-        for _, p in self.atoms:
-            p.setflags(write=False)
-
-    @property
-    def lambdas(self) -> tuple[float, ...]:
-        return tuple(lam for lam, _ in self.atoms)
-
-    @property
-    def support(self) -> tuple[float, ...]:
-        return tuple(lam for lam, _ in self.atoms if lam > self.support_tol)
+        for a in (self.left, self.right, self.U):
+            if a is not None:
+                a.setflags(write=False)
 
     @property
     def dim(self) -> int:
-        return self.source.dim
+        return self.left.shape[0]
+
+    @property
+    def support(self) -> tuple[float, ...]:
+        return tuple(lam for lam in self.lambdas if lam > self.support_tol)
+
+    @property
+    def atoms(self) -> tuple[tuple[float, np.ndarray], ...]:
+        """(lambda_i, M_i) with every M_i a new dense matrix.
+
+        This costs O(n^3) memory; sums against the measure should go
+        through ``integrate`` or ``reconstruct`` instead.
+        """
+        return tuple((lam, self.left[:, c] @ self.right[c]) for lam, c in zip(self.lambdas, self._clusters()))
+
+    def _clusters(self) -> list[slice]:
+        return [slice(lo, hi) for lo, hi in zip(self.bounds, self.bounds[1:])]
+
+    def _contract(self, values, phi=None) -> np.ndarray:
+        """Sum_i values[i] M_i, or that sum applied to the vector phi."""
+        w = np.repeat(values, np.diff(self.bounds))
+        if phi is None:
+            return (self.left * w) @ self.right
+        return self.left @ (w * (self.right @ phi))
+
+    def atom_vectors(self, phi) -> list[np.ndarray]:
+        """M_i phi for every atom, without forming any M_i."""
+        y = self.right @ phi
+        return [self.left[:, c] @ y[c] for c in self._clusters()]
 
     def reconstruct(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for lam, df in self.atoms:
-            out += lam * df
-        return out
+        return self._contract(self.lambdas)
+
+    def projector_sum(self) -> np.ndarray:
+        return self.left @ self.right
 
 
 def spectral_measure(h, cluster_tol: float | None = None, *, tols: Tolerances = DEFAULT) -> SpectralMeasure:
@@ -134,24 +134,19 @@ def spectral_measure(h, cluster_tol: float | None = None, *, tols: Tolerances = 
     """
     es = hermitian_eigen(h, tols=tols)
     rel = tols.cluster_tol() if cluster_tol is None else cluster_tol
-    n = es.values.shape[0]
-    clusters: list[list[int]] = [[0]]
+    vals = es.values
+    n = vals.shape[0]
+    bounds = [0]
     for i in range(1, n):
-        gap_limit = rel * (1.0 + max(abs(es.values[i - 1]), abs(es.values[i])))
-        if es.values[i] - es.values[i - 1] <= gap_limit:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    atoms: list[Atom] = []
-    for idx in clusters:
-        vecs = es.vectors[:, idx]
-        proj = vecs @ herm(vecs)
-        proj = (proj + herm(proj)) / 2.0
-        atoms.append((float(np.mean(es.values[idx])), proj))
-    return SpectralMeasure(atoms=tuple(atoms), dim=n)
+        gap_limit = rel * (1.0 + max(abs(vals[i - 1]), abs(vals[i])))
+        if vals[i] - vals[i - 1] > gap_limit:
+            bounds.append(i)
+    bounds.append(n)
+    lambdas = tuple(float(np.mean(vals[lo:hi])) for lo, hi in zip(bounds, bounds[1:]))
+    return SpectralMeasure(lambdas=lambdas, bounds=tuple(bounds), left=es.vectors, right=herm(es.vectors))
 
 
-def deform(u, e: SpectralMeasure, *, support_tol: float = 0.0, tols: Tolerances = DEFAULT) -> DeformedSpectralMeasure:
+def deform(u, e: SpectralMeasure, *, support_tol: float = 0.0, tols: Tolerances = DEFAULT) -> SpectralMeasure:
     """Push a nonnegative measure through a partial isometry: F = U E.
 
     ``e`` must be supported in [0, inf) up to roundoff (it normally comes
@@ -161,17 +156,21 @@ def deform(u, e: SpectralMeasure, *, support_tol: float = 0.0, tols: Tolerances 
     u = as_matrix(u, square=True)
     if u.shape[0] != e.dim:
         raise DimensionMismatch(f"U is {u.shape[0]}x{u.shape[1]}, measure dim is {e.dim}")
-    lam_max = max((abs(lam) for lam, _ in e.atoms), default=0.0)
-    floor = -tols.support_tol() * (1.0 + lam_max)
-    atoms: list[Atom] = []
-    for lam, p in e.atoms:
-        if lam < floor:
-            raise NegativeSupport(f"atom at lambda = {lam:.6e} is below zero")
-        atoms.append((max(lam, 0.0), u @ p))
-    return DeformedSpectralMeasure(atoms=tuple(atoms), U=u, source=e, support_tol=support_tol)
+    lam_min = e.lambdas[0]  # lambdas ascend
+    if lam_min < -tols.support_tol() * (1.0 + max(abs(lam_min), abs(e.lambdas[-1]))):
+        raise NegativeSupport(f"atom at lambda = {lam_min:.6e} is below zero")
+    return SpectralMeasure(
+        lambdas=tuple(max(lam, 0.0) for lam in e.lambdas),
+        bounds=e.bounds,
+        left=u @ e.left,
+        right=e.right,
+        support_tol=support_tol,
+        U=u,
+        source=e,
+    )
 
 
-def deformed_of(a, tol: float | None = None, *, tols: Tolerances = DEFAULT) -> DeformedSpectralMeasure:
+def deformed_of(a, tol: float | None = None, *, tols: Tolerances = DEFAULT) -> SpectralMeasure:
     """Canonical deformed measure of an arbitrary square matrix.
 
     Pipeline: polar decomposition of A, spectral measure of the positive
@@ -184,10 +183,9 @@ def deformed_of(a, tol: float | None = None, *, tols: Tolerances = DEFAULT) -> D
     """
     p = polar_decompose(a, tol, tols=tols)
     e = spectral_measure(p.T, tols=tols)
-    cut, seen = p.threshold, 0
-    for lam, proj in e.atoms:  # ascending; stop at the first atom with range outside ker(T)
-        seen += round(float(np.trace(proj).real))
-        if seen > e.dim - p.rank:
+    cut = p.threshold
+    for lam, end in zip(e.lambdas, e.bounds[1:]):  # ascending; stop at the first atom with range outside ker(T)
+        if end > e.dim - p.rank:
             break
         cut = max(cut, lam)
     return deform(p.U, e, support_tol=cut, tols=tols)
@@ -204,7 +202,14 @@ def _as_scalar_function(g) -> Callable[[float], complex]:
     raise TypeError(f"g must be text, a parsed expression, or a callable; got {type(g)!r}")
 
 
-def integrate(g, measure, phi=None):
+def _phi_for(measure: SpectralMeasure, phi) -> np.ndarray:
+    phi = as_vector(phi)
+    if phi.shape[0] != measure.dim:
+        raise DimensionMismatch(f"phi has dim {phi.shape[0]}, measure dim is {measure.dim}")
+    return phi
+
+
+def integrate(g, measure: SpectralMeasure, phi=None):
     """Sum g against a measure: Sum_i g(lambda_i) dM_i (optionally applied to phi).
 
     Works on plain and deformed measures. On a deformed measure this
@@ -212,20 +217,8 @@ def integrate(g, measure, phi=None):
     example log at lambda = 0 on a singular input).
     """
     fn = _as_scalar_function(g)
-    atoms = measure.atoms
-    dim = measure.dim
-    if phi is not None:
-        phi = as_vector(phi)
-        if phi.shape[0] != dim:
-            raise DimensionMismatch(f"phi has dim {phi.shape[0]}, measure dim is {dim}")
-        out_v = np.zeros(dim, dtype=np.complex128)
-        for lam, dm in atoms:
-            out_v += fn(lam) * (dm @ phi)
-        return out_v
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for lam, dm in atoms:
-        out += fn(lam) * dm
-    return out
+    values = np.array([fn(lam) for lam in measure.lambdas], dtype=np.complex128)
+    return measure._contract(values, None if phi is None else _phi_for(measure, phi))
 
 
 @dataclass(frozen=True)
@@ -242,7 +235,7 @@ class QuadraticFormResult:
 
 
 def quadratic_form(
-    measure,
+    measure: SpectralMeasure,
     phi,
     pairing: str = "standard",
     *,
@@ -255,9 +248,7 @@ def quadratic_form(
     inner product, "gram" against phi in the inner product (x, y) = y* G x,
     and "steadman" applies the supplied duality functional to dM_i phi.
     """
-    phi = as_vector(phi)
-    if phi.shape[0] != measure.dim:
-        raise DimensionMismatch(f"phi has dim {phi.shape[0]}, measure dim is {measure.dim}")
+    phi = _phi_for(measure, phi)
     if pairing == "standard":
         pair = lambda x: complex(np.vdot(phi, x))
     elif pairing == "gram":
@@ -273,17 +264,10 @@ def quadratic_form(
         pair = lambda x: complex(functional(x))
     else:
         raise ValueError(f"unknown pairing {pairing!r}")
-    lambdas: list[float] = []
-    terms: list[complex] = []
-    for lam, dm in measure.atoms:
-        lambdas.append(lam)
-        terms.append((lam**2) * pair(dm @ phi))
-    return QuadraticFormResult(lambdas=tuple(lambdas), terms=tuple(terms), total=complex(sum(terms)))
+    terms = tuple((lam**2) * pair(v) for lam, v in zip(measure.lambdas, measure.atom_vectors(phi)))
+    return QuadraticFormResult(lambdas=measure.lambdas, terms=terms, total=complex(sum(terms)))
 
 
-def variation(measure, phi) -> float:
+def variation(measure: SpectralMeasure, phi) -> float:
     """Total variation Sum_i ||dM_i phi||_2 of the atomized vector measure."""
-    phi = as_vector(phi)
-    if phi.shape[0] != measure.dim:
-        raise DimensionMismatch(f"phi has dim {phi.shape[0]}, measure dim is {measure.dim}")
-    return float(sum(np.linalg.norm(dm @ phi) for _, dm in measure.atoms))
+    return float(sum(np.linalg.norm(v) for v in measure.atom_vectors(_phi_for(measure, phi))))

@@ -154,22 +154,28 @@ class Report:
 
     def to_obj(self) -> dict:
         max_metrics: dict[str, float] = {}
+        nonfinite: list[str] = []
         for c in self.cases:
             for k, v in c.metrics.items():
                 if math.isfinite(v):
                     max_metrics[k] = max(max_metrics.get(k, -math.inf), v)
+                else:
+                    nonfinite.append(f"{c.case_id}:{k}")
+        summary = {
+            "total": len(self.cases),
+            "passed": sum(1 for c in self.cases if c.passed),
+            "all_pass": self.passed,
+            "max_metrics": {k: max_metrics[k] for k in sorted(max_metrics)},
+        }
+        if nonfinite:  # named here because max_metrics leaves them out
+            summary["nonfinite"] = sorted(nonfinite)
         obj = {
             "suite": self.suite,
             "version": __version__,
             "seed": self.seed,
             "config": self.config,
             "cases": [c.to_obj() for c in self.cases],
-            "summary": {
-                "total": len(self.cases),
-                "passed": sum(1 for c in self.cases if c.passed),
-                "all_pass": self.passed,
-                "max_metrics": {k: max_metrics[k] for k in sorted(max_metrics)},
-            },
+            "summary": summary,
         }
         if self.timestamp is not None:
             obj["timestamp"] = self.timestamp

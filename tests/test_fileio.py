@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -104,6 +107,13 @@ def test_digest_stability():
     other = m.copy()
     other[0, 0] += 1e-15
     assert digest(m) != digest(other)
+    # byte layout: shape header, then (re, im) little-endian doubles in row-major order
+    t = Rng(304).matrix(3, 5).T  # Fortran-ordered view
+    t[0, 0], t[1, 2] = complex(-0.0, 5e-324), complex(2.2e-308, -0.0)
+    ref = hashlib.sha256(struct.pack("<qq", *t.shape))
+    for z in t.ravel(order="C"):
+        ref.update(struct.pack("<dd", float(z.real), float(z.imag)))
+    assert digest(t) == ref.hexdigest()[:16]
 
 
 def test_measure_serialization():

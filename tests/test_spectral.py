@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from dst.adjoint import banach_deformed_spectral, banach_operator
 from dst.ensembles import Ensemble, generate
 from dst.errors import DimensionMismatch, EvalError, NegativeSupport, NotHermitian
 from dst.gexpr import evaluate, parse
+from dst.kuelbs import LpSpace, build_kuelbs
 from dst.linalg import herm, hermitian_eigen
 from dst.polar import polar_decompose
 from dst.rng import Rng
@@ -312,3 +316,72 @@ def test_commutation_order_independence():
         lhs = f.U @ integrate("exp(-lambda)", f.source, phi)
         rhs = integrate("exp(-lambda)", f, phi)
         assert np.linalg.norm(lhs - rhs) <= 1e-13 * (1 + np.linalg.norm(lhs))
+
+
+def _dense_sum(measure, values):
+    return sum(v * p for v, (_, p) in zip(values, measure.atoms))
+
+
+def _cross_check(measure, phi):
+    """The factored contractions against the dense sum over ``atoms``."""
+    scale = 1.0 + np.linalg.norm(measure.reconstruct())
+    assert np.linalg.norm(measure.reconstruct() - _dense_sum(measure, measure.lambdas)) <= 1e-13 * scale
+    ones = [1.0] * len(measure.lambdas)
+    assert np.linalg.norm(measure.projector_sum() - _dense_sum(measure, ones)) <= 1e-13 * scale
+    for src in ("exp(-lambda)", "lambda^2", "1"):
+        g = parse(src)
+        ref = _dense_sum(measure, [evaluate(g, lam) for lam in measure.lambdas])
+        assert np.linalg.norm(integrate(g, measure) - ref) <= 1e-13 * (1 + np.linalg.norm(ref))
+        assert np.linalg.norm(integrate(g, measure, phi) - ref @ phi) <= 1e-13 * (1 + np.linalg.norm(ref @ phi))
+    vectors = [p @ phi for _, p in measure.atoms]
+    assert variation(measure, phi) == pytest.approx(sum(np.linalg.norm(v) for v in vectors), rel=1e-13)
+    terms = [lam**2 * complex(np.vdot(phi, v)) for lam, v in zip(measure.lambdas, vectors)]
+    assert np.allclose(quadratic_form(measure, phi).terms, terms, rtol=1e-13, atol=1e-13)
+
+
+def test_factored_contractions_double_eigenvalue():
+    rng = Rng(91)
+    q, _ = np.linalg.qr(rng.matrix(4, 4))
+    h = q @ np.diag([0.5, 2.0, 2.0, 3.0]).astype(complex) @ herm(q)
+    e = spectral_measure((h + herm(h)) / 2.0)
+    assert np.diff(e.bounds).tolist() == [1, 2, 1]
+    phi = rng.vector(4)
+    _cross_check(e, phi)
+    _cross_check(deform(q, e), phi)
+
+
+def test_factored_contractions_rank_deficient_zero_cluster():
+    a = generate(Ensemble("rankdef", 6, 1, 92, rank=3))[0]
+    f = deformed_of(a)
+    # ker(T) is one three-column cluster, kept in the measure but outside the support
+    assert f.bounds[:2] == (0, 3) and f.lambdas[0] <= f.support_tol
+    assert len(f.support) == 3
+    phi = Rng(93).vector(6)
+    _cross_check(f, phi)
+    _cross_check(f.source, phi)
+
+
+def test_factored_contractions_metric_measure():
+    emb = build_kuelbs(LpSpace(5, 3.0))
+    g = emb.gram
+    res = banach_deformed_spectral(banach_operator(Rng(94).matrix(5, 5), emb))
+    _cross_check(res.measure, Rng(95).vector(5))
+    pulled = res.measure.source.atoms
+    assert np.linalg.norm(sum(p for _, p in pulled) - np.eye(5)) <= 1e-10
+    for _, p in pulled:
+        assert np.linalg.norm(p @ p - p) <= 1e-10 * (1 + np.linalg.norm(p))
+        assert np.linalg.norm(g @ p - herm(p) @ g) <= 1e-10 * (1 + np.linalg.norm(g @ p))
+
+
+def test_deformed_calculus_memory_is_quadratic():
+    # at n = 128 one complex matrix is 256 KiB; per-atom projectors would
+    # need one such matrix for each of the ~128 atoms
+    n = 128
+    a = generate(Ensemble("general", n, 1, 96))[0]
+    tracemalloc.start()
+    try:
+        integrate("exp(-lambda)", deformed_of(a))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * n * n * 16

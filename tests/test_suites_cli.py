@@ -8,7 +8,7 @@ from dst.cli import main
 from dst.errors import ConfigError
 from dst.fileio import save_matrix
 from dst.rng import Rng
-from dst.suites import SUITE_NAMES, SuiteConfig, run_suite
+from dst.suites import SUITE_NAMES, CaseResult, Report, SuiteConfig, run_suite
 
 SMALL = SuiteConfig(dims=(2, 4), trials=2, seed=7)
 
@@ -60,7 +60,7 @@ def test_skipped_banach_dims_are_named(tmp_path, capsys):
 # SHA-256 of the default `dst verify --suite all --no-timestamp` report,
 # pinned with Python 3.11, numpy 2.4 and OpenBLAS 0.3.31. Re-pin only with
 # a CHANGES.md entry that gives the largest metric drift.
-GOLDEN_DEFAULT_REPORT = "cf1f81354cadb673e3a2ff6b2e5fd9f6834854bcb78de4bc597c87b01baf608d"
+GOLDEN_DEFAULT_REPORT = "0fbe3b227c97f24c788087f2613dae793b438099af54c0c6e04f40d1bc847bf5"
 
 
 def test_golden_report_digest(tmp_path, capsys):
@@ -68,6 +68,18 @@ def test_golden_report_digest(tmp_path, capsys):
     assert main(["verify", "--suite", "all", "--no-timestamp", "--report", str(path)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_DEFAULT_REPORT
+
+
+def test_summary_names_nonfinite_metrics():
+    cases = (
+        CaseResult("s/n2/t1", "d1", {"a": float("inf"), "b": 1.0}, {}, False),
+        CaseResult("s/n2/t0", "d0", {"a": 0.5, "b": float("nan")}, {}, False),
+    )
+    summary = Report("s", 7, {}, cases).to_obj()["summary"]
+    assert summary["max_metrics"] == {"a": 0.5, "b": 1.0}
+    assert summary["nonfinite"] == ["s/n2/t0:b", "s/n2/t1:a"]
+    finite = Report("s", 7, {}, (CaseResult("s/n2/t2", "d2", {"a": 1.0}, {}, True),))
+    assert "nonfinite" not in finite.to_obj()["summary"]
 
 
 def test_unknown_suite_and_tolerance():
