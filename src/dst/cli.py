@@ -187,8 +187,7 @@ def _cmd_baire(args) -> int:
     dim = a.shape[0]
     emb = build_kuelbs(LpSpace(dim=dim, p=args.p), tols=tols)
     op = banach_operator(a, emb)
-    rng = Rng(substream(args.seed, 3))
-    phis = [rng.vector(dim) for _ in range(4)]
+    phis = list(Rng(substream(args.seed, 3)).matrix(4, dim))
     rows = baire_convergence_study(op, phis, args.lambdas, tols=tols)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
@@ -254,8 +253,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_demo_laplacian(args) -> int:
     tols = _library_tols(args)
-    rng = Rng(substream(args.seed, 4))
-    probes = [rng.vector(args.n) for _ in range(4)]
+    probes = list(Rng(substream(args.seed, 4)).matrix(4, args.n))
     rep = dirichlet_laplacian_demo(args.n, r=args.r, probes=probes, tols=tols)
     obj = {
         "n": rep.n,

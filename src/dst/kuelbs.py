@@ -31,13 +31,14 @@ import numpy as np
 from .config import DEFAULT, EPS, Tolerances
 from .errors import (
     BadWeights,
+    ConvergenceFailure,
     DegenerateSeeds,
     DimensionMismatch,
     InvalidP,
     SingularGram,
     ZeroVector,
 )
-from .linalg import as_matrix, as_vector, herm, vnorm
+from .linalg import abs_norm, as_matrix, as_vector, herm, vnorm
 from .rng import Rng, substream
 
 __all__ = [
@@ -328,7 +329,7 @@ def build_from_config(cfg: EmbeddingConfig, *, tols: Tolerances = DEFAULT) -> Ku
     if cfg.extra_seeds > 0:
         rng = Rng(substream(cfg.seed, 0x5EED))
         basis = [np.eye(cfg.dim, dtype=np.complex128)[:, k] for k in range(cfg.dim)]
-        seeds = basis + [rng.vector(cfg.dim) for _ in range(cfg.extra_seeds)]
+        seeds = basis + list(rng.matrix(cfg.extra_seeds, cfg.dim))
     weights = np.asarray(cfg.weights, dtype=np.float64) if cfg.weights is not None else None
     return build_kuelbs(space, seeds=seeds, weights=weights, tols=tols)
 
@@ -389,16 +390,17 @@ class LpNormEstimate:
     maximizer: np.ndarray
 
 
-def _dual_direction(y: np.ndarray, r: float) -> np.ndarray:
-    """psi_r(y) = y |y|^(r-2) / ||y||_r^(r-1): unit q'-norm, <psi, y> = ||y||_r."""
-    a = np.abs(y)
-    nr = vnorm(y, r)
-    if nr == 0.0:
+def _dual_direction(y: np.ndarray, ay: np.ndarray, ny: float, r: float) -> np.ndarray:
+    """psi_r(y) = y |y|^(r-2) / ||y||_r^(r-1): unit q'-norm, <psi, y> = ||y||_r.
+
+    ``ay`` is |y| and ``ny`` is ||y||_r, both already computed by the caller.
+    """
+    if ny == 0.0:
         return np.zeros_like(y)
     out = np.zeros_like(y)
-    nz = a > 0
-    out[nz] = y[nz] * a[nz] ** (r - 2.0)
-    return out / nr ** (r - 1.0)
+    nz = ay > 0
+    out[nz] = y[nz] * ay[nz] ** (r - 2.0)
+    return out / ny ** (r - 1.0)
 
 
 def lp_operator_norm(
@@ -408,63 +410,62 @@ def lp_operator_norm(
     seed: int = 0x1B5,
     starts: int = 6,
     max_iter: int = 100,
-    sample_count: int = 4096,
 ) -> LpNormEstimate:
     """Estimate (from below) the lp -> lp operator norm of a square matrix.
 
-    p = 2 is exact via the SVD. Otherwise a Boyd-style power iteration
-    runs from canonical, flat, singular-vector and pseudo-random starts;
-    for dim <= 3 a deterministic sphere sampling pass is added. The
-    returned method tag records which route produced the value.
+    p = 2 is exact via the SVD (method "svd"). Otherwise a Boyd-style
+    power iteration runs from canonical, flat, singular-vector and
+    pseudo-random starts (method "power"); ``maximizer`` is the unit
+    vector that attained ``value``. Raises ConvergenceFailure when the
+    iteration's powers of a norm leave the floating-point range, which
+    happens for operators of extreme scale.
     """
     a = as_matrix(a, square=True)
     n = a.shape[0]
+    _, s, vh = np.linalg.svd(a)
     if p == 2.0:
-        w, s, vh = np.linalg.svd(a)
         return LpNormEstimate(value=float(s[0]), method="svd", maximizer=vh[0].conj())
     q = p / (p - 1.0)
-    rng = Rng(substream(seed, n))
-    start_vectors: list[np.ndarray] = []
-    for kk in range(min(n, 3)):
-        start_vectors.append(np.eye(n, dtype=np.complex128)[:, kk])
-    start_vectors.append(np.ones(n, dtype=np.complex128))
-    _, _, vh = np.linalg.svd(a)
-    start_vectors.append(vh[0].conj())
-    for _ in range(starts):
-        start_vectors.append(rng.vector(n))
+    eye = np.eye(n, dtype=np.complex128)
+    start_vectors = [*eye[: min(n, 3)], np.ones(n, dtype=np.complex128), vh[0].conj()]
+    start_vectors.extend(Rng(substream(seed, n)).matrix(starts, n))
 
+    ah = herm(a)
     best = 0.0
     best_x = start_vectors[0]
-    for x0 in start_vectors:
-        nx = vnorm(x0, p)
-        if nx == 0.0:
-            continue
-        x = x0 / nx
-        for _ in range(max_iter):
-            y = a @ x
-            gamma = vnorm(y, p)
-            if gamma > best:
-                best, best_x = gamma, x.copy()
-            if gamma == 0.0:
-                break
-            z = herm(a) @ _dual_direction(y, p)
-            zq = vnorm(z, q)
-            if zq <= np.vdot(z, x).real * (1.0 + 1e-14):
-                break
-            x = _dual_direction(z, q)
-    method = "power"
-    if n <= 3:
-        for _ in range(sample_count):
-            x = rng.vector(n)
-            nx = vnorm(x, p)
-            if nx == 0.0:
-                continue
-            x = x / nx
-            gamma = vnorm(a @ x, p)
-            if gamma > best:
-                best, best_x = gamma, x
-        method = "power+sampling"
-    return LpNormEstimate(value=float(best), method=method, maximizer=best_x)
+    # a norm out of the floating-point range shows as a non-finite gamma or
+    # zq, or as an OverflowError from the Python float power ny ** (r - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for x0 in start_vectors:
+                nx = abs_norm(np.abs(x0), p)
+                if nx == 0.0:
+                    continue
+                x = x0 / nx
+                for _ in range(max_iter):
+                    y = a @ x
+                    ay = np.abs(y)
+                    gamma = abs_norm(ay, p)
+                    if not math.isfinite(gamma):
+                        raise OverflowError("||A x||_p is not finite")
+                    if gamma > best:
+                        best, best_x = gamma, x.copy()
+                    if gamma == 0.0:
+                        break
+                    z = ah @ _dual_direction(y, ay, gamma, p)
+                    az = np.abs(z)
+                    zq = abs_norm(az, q)
+                    if not math.isfinite(zq):
+                        raise OverflowError("||z||_q is not finite")
+                    if zq <= np.vdot(z, x).real * (1.0 + 1e-14):
+                        break
+                    x = _dual_direction(z, az, zq, q)
+        except OverflowError as exc:
+            raise ConvergenceFailure(
+                f"lp norm iteration left the floating-point range ({exc}) at p = {p}"
+                f" for an operator with max |a_ij| = {float(np.abs(a).max()):.3e}"
+            ) from exc
+    return LpNormEstimate(value=float(best), method="power", maximizer=best_x)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ __all__ = [
     "svd",
     "norm",
     "vnorm",
+    "abs_norm",
     "herm",
 ]
 
@@ -146,7 +147,14 @@ def vnorm(v, p: float) -> float:
     x = as_vector(v)
     if p != math.inf and p < 1:
         raise InvalidP(f"p must be >= 1 or inf, got {p}")
-    a = np.abs(x)
+    return abs_norm(np.abs(x), p)
+
+
+def abs_norm(a: np.ndarray, p: float) -> float:
+    """Unchecked kernel of :func:`vnorm`, from the moduli ``a = |x|``.
+
+    A non-finite entry gives a non-finite norm.
+    """
     if p == math.inf:
         return float(a.max())
     if p == 1:

@@ -240,7 +240,6 @@ def _suite_deformed(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
             rank = max(1, dim // 2) if kind == "rankdef" else None
             ens = Ensemble(kind, dim, cfg.trials, _stream(cfg, f"deformed/{kind}/{dim}"), rank=rank)
             for idx, a in enumerate(generate(ens)):
-                rng = Rng(substream(ens.seed, 10_000 + idx))
                 f = deformed_of(a, tols=tols)
                 recon = _rel(float(np.linalg.norm(f.reconstruct() - a)), float(np.linalg.norm(a)))
 
@@ -248,14 +247,13 @@ def _suite_deformed(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
                 cut = tols.rank_threshold_rel(dim) * (float(sigma[0]) if sigma.size else 0.0)
                 support_err = _support_match(f.support, sigma[sigma > cut])
 
+                *var_phis, phi = Rng(substream(ens.seed, 10_000 + idx)).matrix(4, dim)
                 var_excess = 0.0
-                for _ in range(3):
-                    phi = rng.vector(dim)
-                    var_excess = max(var_excess, variation(f, phi) - variation(f.source, phi))
+                for v_phi in var_phis:
+                    var_excess = max(var_excess, variation(f, v_phi) - variation(f.source, v_phi))
 
                 # summation-order independence: U (sum g dE) phi vs sum g d(UE) phi
                 g = parse_g("exp(-lambda)")
-                phi = rng.vector(dim)
                 via_deformed = integrate(g, f, phi)
                 via_source = f.U @ integrate(g, f.source, phi)
                 comm = _rel(float(np.linalg.norm(via_deformed - via_source)), float(np.linalg.norm(via_source)))
@@ -336,8 +334,8 @@ def kuelbs_probe_metrics(emb: KuelbsEmbedding, gram: np.ndarray, rng: Rng, trial
     dual_norm = 0.0
     steadman_rel = 0.0
     consistency = 0.0
-    for _ in range(trials):
-        u = rng.vector(space.dim)
+    draws = rng.matrix(2 * trials, space.dim)
+    for u, v in zip(draws[0::2], draws[1::2]):
         nb = space.norm(u)
         nh = math.sqrt(max(float(np.vdot(u, gram @ u).real), 0.0))
         continuity = max(continuity, nh - nb)
@@ -349,7 +347,6 @@ def kuelbs_probe_metrics(emb: KuelbsEmbedding, gram: np.ndarray, rng: Rng, trial
         su = steadman(emb, u)
         steadman_rel = max(steadman_rel, abs(su(u) - nb**2) / (1.0 + nb**2))
 
-        v = rng.vector(space.dim)
         atomwise = sum(
             w * complex(fc @ u) * complex(fc @ v).conjugate()
             for w, fc in zip(emb.weights, emb.functionals)
@@ -432,14 +429,12 @@ def adjoint_metrics(pair: AdjointPair, rng: Rng, tols: Tolerances) -> dict[str, 
     dim = a.shape[0]
     contract = 0.0
     scale_a = float(np.linalg.norm(a))
-    for _ in range(6):
-        u = rng.vector(dim)
-        v = rng.vector(dim)
+    draws = rng.matrix(16, dim)  # six (u, v) contract pairs, then four probes
+    for u, v in zip(draws[0:12:2], draws[1:12:2]):
         den = 1.0 + scale_a * float(np.linalg.norm(u)) * float(np.linalg.norm(v))
         contract = max(contract, pair.contract_residual(u, v) / den)
     second = adjoint(banach_operator(pair.astar, emb))
-    probes = [rng.vector(dim) for _ in range(4)]
-    ax = adjoint_axioms(pair, probes=probes, tols=tols)
+    ax = adjoint_axioms(pair, probes=list(draws[12:]), tols=tols)
     return {
         "contract": contract,
         "involution": _rel(float(np.linalg.norm(second.astar - a)), scale_a),
@@ -485,13 +480,12 @@ def _suite_baire(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
             m = emb.metric
             ens = Ensemble("general", dim, cfg.trials, _stream(cfg, f"baire/{p}/{dim}"))
             for idx, a in enumerate(generate(ens)):
-                rng = Rng(substream(ens.seed, 30_000 + idx))
                 op = banach_operator(a, emb)
                 gp = h_polar(op, tols=tols)
                 t_h_norm = float(np.linalg.norm(m.chol_h @ gp.T @ m.frame_inv, 2))
                 sigma = np.linalg.svd(a, compute_uv=False)
                 full_rank = sigma.size and sigma[-1] > 1e-6 * sigma[0]
-                phis = [rng.vector(dim) for _ in range(4)]
+                phis = list(Rng(substream(ens.seed, 30_000 + idx)).matrix(4, dim))
 
                 bound_excess = -math.inf
                 identity_worst = 0.0
@@ -548,12 +542,11 @@ def _suite_banach_spectral(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResul
             emb = build_kuelbs(LpSpace(dim=dim, p=p), tols=tols)
             ens = Ensemble("general", dim, cfg.trials, _stream(cfg, f"banach-spectral/{p}/{dim}"))
             for idx, a in enumerate(generate(ens)):
-                rng = Rng(substream(ens.seed, 40_000 + idx))
                 res = banach_deformed_spectral(banach_operator(a, emb), tols=tols)
                 recon_mat = res.measure.reconstruct()
                 recon = 0.0
                 probes = [np.eye(dim, dtype=np.complex128)[:, k] for k in range(dim)]
-                probes += [rng.vector(dim) for _ in range(3)]
+                probes += list(Rng(substream(ens.seed, 40_000 + idx)).matrix(3, dim))
                 for phi in probes:
                     num = vnorm(recon_mat @ phi - a @ phi, p)
                     den = 1.0 + vnorm(a @ phi, p)
@@ -592,7 +585,7 @@ def _suite_laplacian(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
             ("random", rng.matrix(n, n)),
         ]
         for name, a in operators:
-            probes = [rng.vector(n) for _ in range(4)]
+            probes = list(rng.matrix(4, n))
             rep = dirichlet_laplacian_demo(n, r=3.0, a=a, probes=probes, tols=tols)
             metrics = {
                 "contract": rep.contract_residual,

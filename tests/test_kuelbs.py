@@ -1,10 +1,21 @@
 import math
+import warnings
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
-from dst.errors import BadWeights, DegenerateSeeds, DimensionMismatch, InvalidP, SingularGram, ZeroVector
+from dst.ensembles import Ensemble, generate
+from dst.errors import (
+    BadWeights,
+    ConvergenceFailure,
+    DegenerateSeeds,
+    DimensionMismatch,
+    InvalidP,
+    SingularGram,
+    ToolkitError,
+    ZeroVector,
+)
 from dst.kuelbs import (
     EmbeddingConfig,
     GramMetric,
@@ -203,6 +214,42 @@ def test_lp_operator_norm_diagonal_and_identity():
         assert est_i.value == pytest.approx(1.0, rel=1e-9)
     exact = lp_operator_norm(Rng(111).matrix(5, 5), 2.0)
     assert exact.method == "svd"
+
+
+def _lp_norms(rows: np.ndarray, p: float) -> np.ndarray:
+    return (np.abs(rows) ** p).sum(axis=1) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 8.0])
+@pytest.mark.parametrize("n", [2, 3])
+def test_power_iteration_beats_sphere_sampling(n, p):
+    # the sampling pass that once followed the power iteration at n <= 3,
+    # kept here as a reference: it never finds a larger ||a x||_p
+    for k, a in enumerate(generate(Ensemble("general", n, 20, 1000 * n + int(10 * p)))):
+        est = lp_operator_norm(a, p)
+        assert est.method == "power"
+        x = Rng(k).matrix(4096, n)
+        x /= _lp_norms(x, p)[:, None]
+        assert est.value >= _lp_norms(x @ a.T, p).max()
+        best = est.maximizer[None, :]
+        assert _lp_norms(best, p)[0] == pytest.approx(1.0, rel=1e-12)
+        assert _lp_norms(best @ a.T, p)[0] == pytest.approx(est.value, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "a, p",
+    [
+        (np.full((2, 2), 1e308 + 0j), 3.0),
+        (1e31 * Rng(113).matrix(4, 4), 1.1),  # ||z||_q^(q-1) = ||z||^10 overflows
+        (1e-40 * Rng(113).matrix(4, 4), 1.1),  # ... and underflows to 0
+    ],
+)
+def test_lp_operator_norm_out_of_range_raises_toolkit_error(a, p):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceFailure, match="floating-point range") as info:
+            lp_operator_norm(a, p)
+    assert isinstance(info.value, ToolkitError)
 
 
 def test_lax_identity_and_selfadjoint_ensemble():

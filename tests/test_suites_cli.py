@@ -63,11 +63,26 @@ def test_skipped_banach_dims_are_named(tmp_path, capsys):
 GOLDEN_DEFAULT_REPORT = "0fbe3b227c97f24c788087f2613dae793b438099af54c0c6e04f40d1bc847bf5"
 
 
-def test_golden_report_digest(tmp_path, capsys):
+def _report_digest(tmp_path, *args) -> str:
     path = tmp_path / "report.json"
-    assert main(["verify", "--suite", "all", "--no-timestamp", "--report", str(path)]) == 0
+    assert main(["verify", "--suite", "all", *args, "--no-timestamp", "--report", str(path)]) == 0
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_golden_report_digest(tmp_path, capsys):
+    assert _report_digest(tmp_path) == GOLDEN_DEFAULT_REPORT
     capsys.readouterr()
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_DEFAULT_REPORT
+
+
+# The same for the benchmarked run (896 cases), whose kuelbs suite calls
+# lp_operator_norm at dims 2 through 16.
+GOLDEN_BENCH_REPORT = "de9ae48753ccde4e59a4ed1e7d009833d2d30ba590687bd83f11a2c41cb02714"
+
+
+def test_golden_bench_report_digest(tmp_path, capsys):
+    digest = _report_digest(tmp_path, "--dims", "2,4,8,16", "--trials", "20", "--seed", "42")
+    assert digest == GOLDEN_BENCH_REPORT
+    capsys.readouterr()
 
 
 def test_summary_names_nonfinite_metrics():
