@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .config import DEFAULT, Tolerances
 from .errors import ToolkitError
-from .gexpr import evaluate, parse, to_source
+from .gexpr import evaluate, parse
 from .kuelbs import (
     DualityFunctional,
     KuelbsEmbedding,
@@ -22,7 +22,7 @@ from .kuelbs import (
     lp_operator_norm,
     steadman,
 )
-from .linalg import EigenSystem, SvdResult, hermitian_eigen, norm, svd, vnorm
+from .linalg import EigenSystem, SvdResult, hermitian_eigen, svd, vnorm
 from .polar import PolarDecomposition, intertwining_check, polar_decompose
 from .spectral import (
     SpectralMeasure,
@@ -41,12 +41,10 @@ __all__ = [
     "ToolkitError",
     "parse",
     "evaluate",
-    "to_source",
     "EigenSystem",
     "SvdResult",
     "hermitian_eigen",
     "svd",
-    "norm",
     "vnorm",
     "PolarDecomposition",
     "polar_decompose",

@@ -36,7 +36,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import BadGrid, DimensionMismatch
-from .kuelbs import GramMetric, KuelbsEmbedding, LpSpace, SteadmanFunctional, steadman
+from .kuelbs import GramMetric, KuelbsEmbedding, LpSpace
 from .linalg import as_matrix, as_vector, herm, vnorm
 from .polar import polar_decompose
 from .spectral import SpectralMeasure, deform, spectral_measure
@@ -153,7 +153,7 @@ def _axioms_for_gram(astar_a: np.ndarray, metric: GramMetric, probes: Sequence[n
     )
 
 
-def adjoint_axioms(pair: AdjointPair, *, probes: Sequence[np.ndarray] = (), tols: Tolerances = DEFAULT) -> AdjointAxioms:
+def adjoint_axioms(pair: AdjointPair, *, probes: Sequence[np.ndarray] = ()) -> AdjointAxioms:
     """Check accretivity, natural selfadjointness, and the inverse bound.
 
     The accretive minimum sweeps an H-orthonormal basis (the columns of
@@ -182,10 +182,10 @@ class GramPolar:
             a.setflags(write=False)
 
 
-def h_polar(op: BanachOperator, tol: float | None = None, *, tols: Tolerances = DEFAULT) -> GramPolar:
+def h_polar(op: BanachOperator, *, tols: Tolerances = DEFAULT) -> GramPolar:
     """Polar-decompose in the embedded metric via the Cholesky frame."""
     m = op.embedding.metric
-    p = polar_decompose(m.chol_h @ op.matrix @ m.frame_inv, tol, tols=tols)
+    p = polar_decompose(m.chol_h @ op.matrix @ m.frame_inv, tols=tols)
     pull = lambda x: m.frame_inv @ x @ m.chol_h
     return GramPolar(
         U=pull(p.U),
@@ -257,8 +257,6 @@ def baire_convergence_study(
     op: BanachOperator,
     phis: Sequence[np.ndarray],
     lambdas: Sequence[float],
-    *,
-    tols: Tolerances = DEFAULT,
 ) -> list[ConvergenceRow]:
     """Error table of the approximant against A over a lambda schedule.
 
@@ -266,6 +264,8 @@ def baire_convergence_study(
     (1/lam) ||Tbar A phi||_H scaled by the H -> lp equivalence constant
     of the Gram factorization, so every row satisfies error <= bound.
     Rows come back in schedule order regardless of evaluation order.
+    The rows depend on T and Tbar alone, which no threshold cuts, so the
+    study takes no tolerances.
     """
     lams = [float(x) for x in lambdas]
     if not all(x > 0 for x in lams):  # also rejects NaN
@@ -276,14 +276,14 @@ def baire_convergence_study(
         # beyond this the subtraction lam*U - lam^2*U*R floors at eps*lam
         raise ValueError("lambda schedule capped at 1e8")
     k = op.embedding
-    gp = h_polar(op, tols=tols)
+    gp = h_polar(op)
     n = k.space.dim
     # ||x||_p <= n^max(0, 1/p - 1/2) ||x||_2 and ||x||_2 <= ||x||_H / sqrt(min eig G)
     h_to_b = n ** max(0.0, 1.0 / k.space.p - 0.5) / math.sqrt(k.metric.eig_min)
     phi_list = [as_vector(phi) for phi in phis]
     rows = []
     for lam in lams:
-        probe = baire_approximant(op, lam, gp=gp, tols=tols)
+        probe = baire_approximant(op, lam, gp=gp)
         worst_err = 0.0
         worst_bound = 0.0
         for phi in phi_list:
@@ -302,7 +302,7 @@ class BanachDeformedResult:
     reconstruction_residual: float
 
 
-def banach_deformed_spectral(op: BanachOperator, tol: float | None = None, *, tols: Tolerances = DEFAULT) -> BanachDeformedResult:
+def banach_deformed_spectral(op: BanachOperator, *, tols: Tolerances = DEFAULT) -> BanachDeformedResult:
     """Deformed spectral measure of an operator in the embedded metric.
 
     The measure of the positive factor T is computed in the Euclidean
@@ -310,7 +310,7 @@ def banach_deformed_spectral(op: BanachOperator, tol: float | None = None, *, to
     and selfadjoint for the Gram inner product, not the Euclidean one).
     The pull-back transforms the factors once: left by inv(L*), right by L*.
     """
-    gp = h_polar(op, tol, tols=tols)
+    gp = h_polar(op, tols=tols)
     m = op.embedding.metric
     t_frame = m.chol_h @ gp.T @ m.frame_inv
     e_frame = spectral_measure((t_frame + herm(t_frame)) / 2.0, tols=tols)
@@ -320,14 +320,6 @@ def banach_deformed_spectral(op: BanachOperator, tol: float | None = None, *, to
         1.0 + float(np.linalg.norm(op.matrix))
     )
     return BanachDeformedResult(measure=measure, polar=gp, reconstruction_residual=resid)
-
-
-def steadman_form_report(op: BanachOperator, result: BanachDeformedResult, phi) -> list[tuple[float, complex]]:
-    """Atom-wise lambda^2 (dF phi, S_phi) pairings (complex, as measured)."""
-    phi = as_vector(phi)
-    s_phi: SteadmanFunctional = steadman(op.embedding, phi)
-    f = result.measure
-    return [(lam, (lam**2) * complex(s_phi(v))) for lam, v in zip(f.lambdas, f.atom_vectors(phi))]
 
 
 def dirichlet_laplacian(n: int) -> np.ndarray:
@@ -366,7 +358,6 @@ def dirichlet_laplacian_demo(
     a=None,
     *,
     probes: Sequence[np.ndarray] = (),
-    tols: Tolerances = DEFAULT,
 ) -> LaplacianDemoReport:
     """Adjoint demo on the discrete Dirichlet Laplacian J0.
 

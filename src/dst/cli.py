@@ -4,15 +4,20 @@ Subcommands mirror the library: polar / deformed / funcalc on a matrix
 file, kuelbs / adjoint / baire for the embedded-metric machinery,
 ``verify`` for the suite harness, and ``demo laplacian``. All output is
 canonical JSON (sorted keys) on stdout or to ``--out``; ``verify`` exits 0
-iff every assertion passed. The DST_TOL_SCALE environment variable
-multiplies every tolerance, both the library thresholds and the suite
-pass/fail limits.
+iff every assertion passed. ``deformed`` and ``funcalc`` take ``--tol
+rank=/cluster=/support=`` for the library thresholds and ``polar`` takes
+``--tol rank=``, the one threshold it reaches; ``verify``
+takes ``--tol KEY=VALUE`` for its pass/fail limits; ``kuelbs``,
+``adjoint``, ``baire`` and ``demo laplacian`` reach no threshold and take
+no ``--tol``. The DST_TOL_SCALE environment variable multiplies every
+tolerance, both the library thresholds and the suite pass/fail limits.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -23,7 +28,7 @@ from .config import Tolerances, from_env
 from .errors import ConfigError, ToolkitError
 from .fileio import dump_json, load_matrix, matrix_to_obj, measure_to_obj, save_report
 from .kuelbs import LpSpace, build_kuelbs
-from .linalg import herm, norm
+from .linalg import herm
 from .polar import intertwining_check, polar_decompose
 from .rng import Rng, substream
 from .spectral import deformed_of, integrate
@@ -59,25 +64,24 @@ def _parse_tol_items(items) -> dict[str, float]:
     return table
 
 
+# hermitian_rel is not settable here: the only matrix a command diagonalizes
+# is the polar factor T, Hermitian to the last bit, so that check never fires
 _LIBRARY_TOL_FIELDS = {
     "rank": "rank_rel",
     "cluster": "cluster_rel",
-    "hermitian": "hermitian_rel",
     "support": "support_rel",
 }
 
 
-def _library_tols(args) -> Tolerances:
+def _library_tols(args, keys=tuple(_LIBRARY_TOL_FIELDS)) -> Tolerances:
+    """The environment's tolerances with ``--tol`` overrides of ``keys``,
+    the thresholds the command actually reaches."""
     tols = from_env()
-    table = _parse_tol_items(getattr(args, "tol", None))
-    unknown = sorted(set(table) - set(_LIBRARY_TOL_FIELDS))
+    table = _parse_tol_items(args.tol)
+    unknown = sorted(set(table) - set(keys))
     if unknown:
-        raise ConfigError(
-            f"unknown tolerance keys {unknown}; valid: {sorted(_LIBRARY_TOL_FIELDS)}"
-        )
+        raise ConfigError(f"tolerance keys {unknown} do not apply here; valid: {sorted(keys)}")
     if table:
-        from dataclasses import replace
-
         tols = replace(tols, **{_LIBRARY_TOL_FIELDS[k]: v for k, v in table.items()})
     return tols
 
@@ -100,15 +104,16 @@ def _ints_csv(text: str) -> tuple[int, ...]:
 
 
 def _cmd_polar(args) -> int:
-    tols = _library_tols(args)
+    tols = _library_tols(args, keys=("rank",))
     a = load_matrix(args.input)
     p = polar_decompose(a, tols=tols)
+    scale = 1.0 + float(np.linalg.norm(a))
     obj = {
         "rank": p.rank,
         "tol": p.tol,
         "threshold": p.threshold,
-        "residual_ut": norm(a - p.U @ p.T) / (1.0 + norm(a)),
-        "residual_tbaru": norm(a - p.Tbar @ p.U) / (1.0 + norm(a)),
+        "residual_ut": float(np.linalg.norm(a - p.U @ p.T)) / scale,
+        "residual_tbaru": float(np.linalg.norm(a - p.Tbar @ p.U)) / scale,
         "projector_trace": float(np.trace(herm(p.U) @ p.U).real),
         "intertwining": intertwining_check(p, a),
         "u": matrix_to_obj(p.U),
@@ -123,7 +128,7 @@ def _cmd_deformed(args) -> int:
     tols = _library_tols(args)
     a = load_matrix(args.input)
     f = deformed_of(a, tols=tols)
-    recon = norm(f.reconstruct() - a) / (1.0 + norm(a))
+    recon = float(np.linalg.norm(f.reconstruct() - a)) / (1.0 + float(np.linalg.norm(a)))
     obj = measure_to_obj(f)
     obj["reconstruction_residual"] = recon
     _emit(obj, args.out)
@@ -145,8 +150,7 @@ def _cmd_funcalc(args) -> int:
 
 
 def _cmd_kuelbs(args) -> int:
-    tols = _library_tols(args)
-    emb = build_kuelbs(LpSpace(dim=args.dim, p=args.p), tols=tols)
+    emb = build_kuelbs(LpSpace(dim=args.dim, p=args.p))
     probes = kuelbs_probe_metrics(emb, emb.gram, Rng(substream(args.seed, 1)), args.trials)
     obj = {
         "p": args.p,
@@ -162,11 +166,10 @@ def _cmd_kuelbs(args) -> int:
 
 
 def _cmd_adjoint(args) -> int:
-    tols = _library_tols(args)
     a = load_matrix(args.input)
-    emb = build_kuelbs(LpSpace(dim=args.dim, p=args.p), tols=tols)
+    emb = build_kuelbs(LpSpace(dim=args.dim, p=args.p))
     pair = adjoint(banach_operator(a, emb))
-    m = adjoint_metrics(pair, Rng(substream(args.seed, 2)), tols)
+    m = adjoint_metrics(pair, Rng(substream(args.seed, 2)))
     obj = {
         "p": args.p,
         "dim": args.dim,
@@ -182,13 +185,12 @@ def _cmd_adjoint(args) -> int:
 
 
 def _cmd_baire(args) -> int:
-    tols = _library_tols(args)
     a = load_matrix(args.input)
     dim = a.shape[0]
-    emb = build_kuelbs(LpSpace(dim=dim, p=args.p), tols=tols)
+    emb = build_kuelbs(LpSpace(dim=dim, p=args.p))
     op = banach_operator(a, emb)
     phis = list(Rng(substream(args.seed, 3)).matrix(4, dim))
-    rows = baire_convergence_study(op, phis, args.lambdas, tols=tols)
+    rows = baire_convergence_study(op, phis, args.lambdas)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("lambda,max_error,bound\n")
@@ -207,7 +209,8 @@ def _cmd_baire(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    scale = from_env().scale
+    tols = from_env()
+    scale = tols.scale
     overrides = _parse_tol_items(args.tol)
     # widen the rate window under scaling instead of shifting it one-sided
     table = {
@@ -228,7 +231,6 @@ def _cmd_verify(args) -> int:
         tol=table,
         corrupt_gram=args.corrupt_gram,
     )
-    tols = from_env()
     stamp = None if args.no_timestamp else datetime.now(timezone.utc).isoformat()
     report = run_suite(args.suite, cfg, tols=tols, timestamp=stamp)
     if args.report:
@@ -252,9 +254,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_demo_laplacian(args) -> int:
-    tols = _library_tols(args)
     probes = list(Rng(substream(args.seed, 4)).matrix(4, args.n))
-    rep = dirichlet_laplacian_demo(args.n, r=args.r, probes=probes, tols=tols)
+    rep = dirichlet_laplacian_demo(args.n, r=args.r, probes=probes)
     obj = {
         "n": rep.n,
         "r": rep.r,
@@ -277,11 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"dst {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, input_file=True):
+    def add_common(sp, input_file=True, tol=True):
         if input_file:
             sp.add_argument("--input", required=True, help="matrix file (JSON or Matrix Market)")
         sp.add_argument("--out", default=None, help="write JSON here instead of stdout")
-        sp.add_argument("--tol", action="append", metavar="KEY=VAL", help="tolerance override")
+        if tol:  # only where a library threshold is reached
+            sp.add_argument("--tol", action="append", metavar="KEY=VAL", help="library tolerance override")
 
     sp = sub.add_parser("polar", help="polar decomposition report")
     add_common(sp)
@@ -297,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_funcalc)
 
     sp = sub.add_parser("kuelbs", help="embedded inner-product diagnostics")
-    add_common(sp, input_file=False)
+    add_common(sp, input_file=False, tol=False)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--dim", type=int, required=True)
     sp.add_argument("--seed", type=int, default=7)
@@ -305,14 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_kuelbs)
 
     sp = sub.add_parser("adjoint", help="metric adjoint of a matrix on lp")
-    add_common(sp)
+    add_common(sp, tol=False)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--dim", type=int, required=True)
     sp.add_argument("--seed", type=int, default=7)
     sp.set_defaults(func=_cmd_adjoint)
 
     sp = sub.add_parser("baire", help="resolvent approximant convergence study")
-    add_common(sp)
+    add_common(sp, tol=False)
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--lambdas", type=_floats_csv, default=(1e1, 1e2, 1e3, 1e4, 1e5, 1e6))
     sp.add_argument("--csv", default=None, help="also write lambda,max_error,bound rows here")
@@ -344,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     dl.add_argument("--r", type=float, default=3.0)
     dl.add_argument("--seed", type=int, default=7)
     dl.add_argument("--out", default=None)
-    dl.add_argument("--tol", action="append", metavar="KEY=VAL")
     dl.set_defaults(func=_cmd_demo_laplacian)
 
     return parser

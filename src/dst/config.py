@@ -1,7 +1,8 @@
 """Tolerance configuration threaded through every entry point.
 
-A single frozen record holds the numerical thresholds; functions accept an
-optional ``tols`` argument and fall back to :data:`DEFAULT`. Thresholds that
+A single frozen record holds the numerical thresholds; every library
+function that cuts, clusters or checks takes them from its ``tols`` argument
+(default :data:`DEFAULT`), never from a per-call override. Thresholds that
 depend on the problem size default to dimension-scaled machine epsilon. The
 ``scale`` field multiplies everything and is wired to the ``DST_TOL_SCALE``
 environment variable by the CLI (useful on hardware with unusual rounding).
@@ -48,9 +49,8 @@ class Tolerances:
 DEFAULT = Tolerances()
 
 
-def from_env(base: Tolerances | None = None) -> Tolerances:
-    """Apply the DST_TOL_SCALE environment multiplier, if set."""
-    tols = base if base is not None else DEFAULT
+def from_env() -> Tolerances:
+    """The defaults with the DST_TOL_SCALE environment multiplier, if set."""
     raw = os.environ.get("DST_TOL_SCALE")
     if raw:
         try:
@@ -59,5 +59,5 @@ def from_env(base: Tolerances | None = None) -> Tolerances:
             raise ConfigError(f"DST_TOL_SCALE is not a number: {raw!r}") from exc
         if factor <= 0.0:
             raise ConfigError(f"DST_TOL_SCALE must be positive, got {raw!r}")
-        tols = replace(tols, scale=tols.scale * factor)
-    return tols
+        return replace(DEFAULT, scale=factor)
+    return DEFAULT

@@ -2,10 +2,10 @@
 report serialization.
 
 The matrix JSON schema is ``{"rows": n, "cols": m, "entries": [[re, im],
-...]}`` with entries row-major. Matrix Market support covers the real
+...]}`` with entries row-major. Matrix Market input covers the real
 ``array`` and ``coordinate`` formats with ``general`` symmetry, enough
-for interchange with external tooling; complex matrices round-trip
-through JSON only. Report JSON is written with sorted keys and a fixed
+to read matrices from external tooling; complex matrices are read from
+JSON only. Report JSON is written with sorted keys and a fixed
 layout so identical runs produce identical bytes.
 """
 
@@ -26,7 +26,6 @@ __all__ = [
     "matrix_to_obj",
     "matrix_from_obj",
     "load_matrix",
-    "save_matrix",
     "measure_to_obj",
     "digest",
     "dump_json",
@@ -139,24 +138,6 @@ def load_matrix(path: str) -> np.ndarray:
             raise ParseError(f"malformed JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
         return matrix_from_obj(obj)
     raise ParseError("unrecognized matrix file format", line=1)
-
-
-def save_matrix(m, path: str) -> None:
-    """Write a matrix: '.mtx' paths get Matrix Market array, else JSON."""
-    m = as_matrix(m)
-    if str(path).endswith(".mtx"):
-        if np.any(m.imag != 0.0):
-            raise ParseError("Matrix Market output supports real matrices only")
-        rows, cols = m.shape
-        lines = ["%%MatrixMarket matrix array real general", f"{rows} {cols}"]
-        for j in range(cols):
-            for i in range(rows):
-                lines.append(repr(float(m[i, j].real)))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(matrix_to_obj(m)))
 
 
 def measure_to_obj(f: SpectralMeasure) -> dict:

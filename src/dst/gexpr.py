@@ -26,7 +26,7 @@ from typing import Callable, Union
 
 from .errors import EvalError, ExprSyntaxError, UnknownFunction, UnknownIdentifier
 
-__all__ = ["GExpr", "Number", "Var", "Neg", "BinOp", "Call", "parse", "evaluate", "to_source"]
+__all__ = ["GExpr", "Number", "Var", "Neg", "BinOp", "Call", "parse", "evaluate"]
 
 
 @dataclass(frozen=True)
@@ -221,41 +221,3 @@ def evaluate(e: GExpr, lam: complex) -> complex:
             raise EvalError(f"arithmetic failure in {e.op!r}: {exc}") from exc
     raise TypeError(f"not a GExpr node: {e!r}")
 
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-_NEG_PREC = 3
-
-
-def _fmt_number(value: complex) -> str:
-    if value == 1j:
-        return "i"
-    if value.imag == 0.0:
-        r = value.real
-        return repr(int(r)) if r == int(r) and abs(r) < 1e15 else repr(r)
-    # not producible by parse(); printed unambiguously anyway
-    return f"({value.real!r}+{value.imag!r}*i)"
-
-
-def _fmt(e: GExpr, ctx: int) -> str:
-    if isinstance(e, Number):
-        return _fmt_number(e.value)
-    if isinstance(e, Var):
-        return "lambda"
-    if isinstance(e, Call):
-        return f"{e.name}({_fmt(e.arg, 0)})"
-    if isinstance(e, Neg):
-        s = "-" + _fmt(e.operand, _NEG_PREC)
-        return f"({s})" if ctx > _NEG_PREC else s
-    if isinstance(e, BinOp):
-        p = _PREC[e.op]
-        if e.op == "^":  # right associative
-            s = _fmt(e.left, p + 1) + e.op + _fmt(e.right, p)
-        else:
-            s = _fmt(e.left, p) + e.op + _fmt(e.right, p + 1)
-        return f"({s})" if p < ctx else s
-    raise TypeError(f"not a GExpr node: {e!r}")
-
-
-def to_source(e: GExpr) -> str:
-    """Render an AST back to text; ``parse(to_source(t))`` equals ``t``."""
-    return _fmt(e, 0)

@@ -47,12 +47,10 @@ __all__ = [
     "GramMetric",
     "KuelbsEmbedding",
     "SteadmanFunctional",
-    "EmbeddingConfig",
     "LpNormEstimate",
     "LaxDiagnostic",
     "canonical_duality_map",
     "build_kuelbs",
-    "build_from_config",
     "steadman",
     "lp_operator_norm",
     "lax_diagnostic",
@@ -212,11 +210,6 @@ class KuelbsEmbedding:
         g = as_vector(g_coeffs)
         return complex(np.vdot(g, self.dual_gram @ f))
 
-    def j_map(self, u) -> np.ndarray:
-        """Coefficients of J(u) = (., u)_H, the Gram-induced map into the dual."""
-        u = as_vector(u)
-        return (self.gram @ u).conj()
-
 
 def _default_weights(count: int) -> np.ndarray:
     # geometric decay capped at 2^-19: below 20 seeds this is plain 2^-k;
@@ -225,13 +218,7 @@ def _default_weights(count: int) -> np.ndarray:
     return w / w.sum()
 
 
-def build_kuelbs(
-    space: LpSpace,
-    seeds=None,
-    weights=None,
-    *,
-    tols: Tolerances = DEFAULT,
-) -> KuelbsEmbedding:
+def build_kuelbs(space: LpSpace, seeds=None, weights=None) -> KuelbsEmbedding:
     """Assemble the embedding from seed vectors and weights.
 
     Defaults: seeds are the canonical basis (spanning, and yielding a
@@ -287,54 +274,6 @@ def build_kuelbs(
 
 
 @dataclass(frozen=True)
-class EmbeddingConfig:
-    """Serializable recipe for an embedding.
-
-    Seeds are the canonical basis plus ``extra_seeds`` pseudo-random
-    vectors drawn from the stated seed (useful for exercising
-    non-diagonal Grams); ``weights = None`` selects the default of
-    ``build_kuelbs``, 2^-min(k, 19) renormalized.
-    """
-
-    dim: int
-    p: float
-    weights: tuple[float, ...] | None = None
-    extra_seeds: int = 0
-    seed: int = 0
-
-    def to_obj(self) -> dict:
-        return {
-            "dim": self.dim,
-            "p": self.p,
-            "weights": list(self.weights) if self.weights is not None else None,
-            "extra_seeds": self.extra_seeds,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "EmbeddingConfig":
-        weights = obj.get("weights")
-        return cls(
-            dim=int(obj["dim"]),
-            p=float(obj["p"]),
-            weights=tuple(float(w) for w in weights) if weights is not None else None,
-            extra_seeds=int(obj.get("extra_seeds", 0)),
-            seed=int(obj.get("seed", 0)),
-        )
-
-
-def build_from_config(cfg: EmbeddingConfig, *, tols: Tolerances = DEFAULT) -> KuelbsEmbedding:
-    space = LpSpace(dim=cfg.dim, p=cfg.p)
-    seeds = None
-    if cfg.extra_seeds > 0:
-        rng = Rng(substream(cfg.seed, 0x5EED))
-        basis = [np.eye(cfg.dim, dtype=np.complex128)[:, k] for k in range(cfg.dim)]
-        seeds = basis + list(rng.matrix(cfg.extra_seeds, cfg.dim))
-    weights = np.asarray(cfg.weights, dtype=np.float64) if cfg.weights is not None else None
-    return build_kuelbs(space, seeds=seeds, weights=weights, tols=tols)
-
-
-@dataclass(frozen=True)
 class SteadmanFunctional:
     """Duality functional S_u(v) = (||u||_B^2 / ||u||_H^2) (v, u)_H.
 
@@ -362,24 +301,16 @@ class SteadmanFunctional:
         return self.space.dual_norm(self.coeffs)
 
 
-def steadman(k: KuelbsEmbedding, u, *, euclidean: bool = False) -> SteadmanFunctional:
-    """Steadman duality functional of u for the embedding's inner product.
-
-    ``euclidean=True`` swaps the constructed inner product for the raw
-    Euclidean one (the alternative reading; kept for comparison).
-    """
+def steadman(k: KuelbsEmbedding, u) -> SteadmanFunctional:
+    """Steadman duality functional of u for the embedding's inner product."""
     u = as_vector(u)
     if u.shape[0] != k.space.dim:
         raise DimensionMismatch("vector dimension does not match the embedding")
     nb = k.space.norm(u)
     if nb == 0.0:
         raise ZeroVector("the Steadman map is undefined at 0")
-    if euclidean:
-        h2 = float(np.vdot(u, u).real)
-        coeffs = (nb**2 / h2) * u.conj()
-    else:
-        h2 = k.h_norm(u) ** 2
-        coeffs = (nb**2 / h2) * (k.gram @ u).conj()
+    h2 = k.h_norm(u) ** 2
+    coeffs = (nb**2 / h2) * (k.gram @ u).conj()
     return SteadmanFunctional(u=u.copy(), coeffs=coeffs, space=k.space)
 
 
@@ -403,14 +334,13 @@ def _dual_direction(y: np.ndarray, ay: np.ndarray, ny: float, r: float) -> np.nd
     return out / ny ** (r - 1.0)
 
 
-def lp_operator_norm(
-    a,
-    p: float,
-    *,
-    seed: int = 0x1B5,
-    starts: int = 6,
-    max_iter: int = 100,
-) -> LpNormEstimate:
+# the power iteration's pseudo-random starts and its iteration cap per start
+_LP_NORM_SEED = 0x1B5
+_LP_NORM_STARTS = 6
+_LP_NORM_MAX_ITER = 100
+
+
+def lp_operator_norm(a, p: float) -> LpNormEstimate:
     """Estimate (from below) the lp -> lp operator norm of a square matrix.
 
     p = 2 is exact via the SVD (method "svd"). Otherwise a Boyd-style
@@ -428,7 +358,7 @@ def lp_operator_norm(
     q = p / (p - 1.0)
     eye = np.eye(n, dtype=np.complex128)
     start_vectors = [*eye[: min(n, 3)], np.ones(n, dtype=np.complex128), vh[0].conj()]
-    start_vectors.extend(Rng(substream(seed, n)).matrix(starts, n))
+    start_vectors.extend(Rng(substream(_LP_NORM_SEED, n)).matrix(_LP_NORM_STARTS, n))
 
     ah = herm(a)
     best = 0.0
@@ -442,7 +372,7 @@ def lp_operator_norm(
                 if nx == 0.0:
                     continue
                 x = x0 / nx
-                for _ in range(max_iter):
+                for _ in range(_LP_NORM_MAX_ITER):
                     y = a @ x
                     ay = np.abs(y)
                     gamma = abs_norm(ay, p)

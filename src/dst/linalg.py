@@ -31,7 +31,6 @@ __all__ = [
     "as_vector",
     "hermitian_eigen",
     "svd",
-    "norm",
     "vnorm",
     "abs_norm",
     "herm",
@@ -101,17 +100,17 @@ class SvdResult:
         return (self.left * self.sigma) @ herm(self.right)
 
 
-def hermitian_eigen(m, tol: float | None = None, *, tols: Tolerances = DEFAULT) -> EigenSystem:
+def hermitian_eigen(m, *, tols: Tolerances = DEFAULT) -> EigenSystem:
     """Diagonalize a Hermitian matrix.
 
-    ``tol`` bounds the accepted relative Hermiticity defect
-    ``||M - M*||_F <= tol * ||M||_F`` (default from ``tols``); the
-    symmetrized matrix ``(M + M*)/2`` is what gets diagonalized.
+    The accepted relative Hermiticity defect is
+    ``||M - M*||_F <= tols.hermitian_tol() * ||M||_F``; the symmetrized
+    matrix ``(M + M*)/2`` is what gets diagonalized.
 
     Raises NotSquare / NotHermitian.
     """
     m = as_matrix(m, square=True)
-    limit = tols.hermitian_tol() if tol is None else tol
+    limit = tols.hermitian_tol()
     scale = np.linalg.norm(m)
     defect = np.linalg.norm(m - herm(m))
     if defect > limit * max(scale, 1e-300):
@@ -130,16 +129,6 @@ def svd(m) -> SvdResult:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
     return SvdResult(left=w, sigma=np.asarray(s, dtype=np.float64), right=herm(vh))
-
-
-def norm(m, kind: str = "frobenius") -> float:
-    """Matrix norm: 'frobenius' or 'operator2' (largest singular value)."""
-    m = as_matrix(m)
-    if kind == "frobenius":
-        return float(np.linalg.norm(m))
-    if kind == "operator2":
-        return float(np.linalg.norm(m, 2))
-    raise ValueError(f"unknown norm kind {kind!r}")
 
 
 def vnorm(v, p: float) -> float:

@@ -8,7 +8,8 @@ decomposition unique for a fixed threshold and what the deformed spectral
 measure downstream relies on.
 
 Near an exact rank boundary (sigma ~ threshold) the computed ``U`` is
-tolerance-dependent; callers that care should pass an explicit ``tol``.
+tolerance-dependent; callers that care should pass
+``tols=Tolerances(rank_rel=...)``.
 """
 
 from __future__ import annotations
@@ -52,16 +53,17 @@ class PolarDecomposition:
             a.setflags(write=False)
 
 
-def polar_decompose(a, tol: float | None = None, *, tols: Tolerances = DEFAULT) -> PolarDecomposition:
+def polar_decompose(a, *, tols: Tolerances = DEFAULT) -> PolarDecomposition:
     """Polar-decompose a square matrix via its SVD.
 
     With A = W S V*: T = V S V*, Tbar = W S W*, and U = W P_r V* where
-    P_r zeroes singular values sigma_i <= tol * sigma_max. ``tol`` defaults
-    to n*eps (scaled by the configuration record).
+    P_r zeroes singular values sigma_i <= tol * sigma_max. The relative
+    cutoff ``tol`` is ``tols.rank_threshold_rel(n)``: ``rank_rel``, or
+    n*eps when that is None, times ``scale``.
     """
     a = as_matrix(a, square=True)
     n = a.shape[0]
-    rel = tols.rank_threshold_rel(n) if tol is None else tol
+    rel = tols.rank_threshold_rel(n)
     dec = svd(a)
     sigma_max = float(dec.sigma[0]) if n else 0.0
     threshold = rel * sigma_max

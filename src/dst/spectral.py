@@ -116,24 +116,21 @@ class SpectralMeasure:
     def reconstruct(self) -> np.ndarray:
         return self._contract(self.lambdas)
 
-    def projector_sum(self) -> np.ndarray:
-        return self.left @ self.right
 
-
-def spectral_measure(h, cluster_tol: float | None = None, *, tols: Tolerances = DEFAULT) -> SpectralMeasure:
+def spectral_measure(h, *, tols: Tolerances = DEFAULT) -> SpectralMeasure:
     """Atomic spectral measure of a Hermitian matrix.
 
-    Adjacent eigenvalues within ``cluster_tol * (1 + |lambda|)`` of each
-    other merge into a single projector whose atom is their mean. The
+    Adjacent eigenvalues within ``tols.cluster_tol() * (1 + |lambda|)`` of
+    each other merge into a single projector whose atom is their mean. The
     default keeps each projector well conditioned (the eigenvector basis
     inside a merged cluster is arbitrary); the price is that genuinely
     distinct eigenvalues closer than the tolerance are represented by one
     atom, so reconstruction degrades to the cluster width on such
-    spectra. Pass a smaller ``cluster_tol`` when eigenvalue gaps below
-    1e-8 are meaningful.
+    spectra. Pass ``tols=Tolerances(cluster_rel=...)`` with a smaller
+    value when eigenvalue gaps below 1e-8 are meaningful.
     """
     es = hermitian_eigen(h, tols=tols)
-    rel = tols.cluster_tol() if cluster_tol is None else cluster_tol
+    rel = tols.cluster_tol()
     vals = es.values
     n = vals.shape[0]
     bounds = [0]
@@ -170,7 +167,7 @@ def deform(u, e: SpectralMeasure, *, support_tol: float = 0.0, tols: Tolerances 
     )
 
 
-def deformed_of(a, tol: float | None = None, *, tols: Tolerances = DEFAULT) -> SpectralMeasure:
+def deformed_of(a, *, tols: Tolerances = DEFAULT) -> SpectralMeasure:
     """Canonical deformed measure of an arbitrary square matrix.
 
     Pipeline: polar decomposition of A, spectral measure of the positive
@@ -181,7 +178,7 @@ def deformed_of(a, tol: float | None = None, *, tols: Tolerances = DEFAULT) -> S
     keeps its zero cluster in ``source`` but reports only the nonzero
     spectrum of T as support.
     """
-    p = polar_decompose(a, tol, tols=tols)
+    p = polar_decompose(a, tols=tols)
     e = spectral_measure(p.T, tols=tols)
     cut = p.threshold
     for lam, end in zip(e.lambdas, e.bounds[1:]):  # ascending; stop at the first atom with range outside ker(T)

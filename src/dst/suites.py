@@ -34,7 +34,7 @@ from .adjoint import (
     h_polar,
     intertwining_residual,
 )
-from .config import Tolerances
+from .config import DEFAULT, Tolerances
 from .ensembles import Ensemble, generate
 from .errors import ConfigError
 from .fileio import digest
@@ -374,7 +374,7 @@ def _suite_kuelbs(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
     }
     for p in cfg.ps:
         for dim in cfg.dims:
-            emb = build_kuelbs(LpSpace(dim=dim, p=p), tols=tols)
+            emb = build_kuelbs(LpSpace(dim=dim, p=p))
             gram, gram_min = emb.gram, emb.metric.eig_min
             if cfg.corrupt_gram:
                 gram = gram.copy()
@@ -418,7 +418,7 @@ def _suite_kuelbs(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
 # adjoint: defining contract, involution, axioms
 
 
-def adjoint_metrics(pair: AdjointPair, rng: Rng, tols: Tolerances) -> dict[str, float]:
+def adjoint_metrics(pair: AdjointPair, rng: Rng) -> dict[str, float]:
     """Contract, involution and axiom metrics of one metric adjoint pair.
 
     Draws six scaled contract probe pairs from ``rng``, then four probes
@@ -434,7 +434,7 @@ def adjoint_metrics(pair: AdjointPair, rng: Rng, tols: Tolerances) -> dict[str, 
         den = 1.0 + scale_a * float(np.linalg.norm(u)) * float(np.linalg.norm(v))
         contract = max(contract, pair.contract_residual(u, v) / den)
     second = adjoint(banach_operator(pair.astar, emb))
-    ax = adjoint_axioms(pair, probes=list(draws[12:]), tols=tols)
+    ax = adjoint_axioms(pair, probes=list(draws[12:]))
     return {
         "contract": contract,
         "involution": _rel(float(np.linalg.norm(second.astar - a)), scale_a),
@@ -453,11 +453,11 @@ def _suite_adjoint(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
     }
     for p in cfg.ps:
         for dim in cfg.dims:
-            emb = build_kuelbs(LpSpace(dim=dim, p=p), tols=tols)
+            emb = build_kuelbs(LpSpace(dim=dim, p=p))
             ens = Ensemble("general", dim, cfg.trials, _stream(cfg, f"adjoint/{p}/{dim}"))
             for idx, a in enumerate(generate(ens)):
                 rng = Rng(substream(ens.seed, 20_000 + idx))
-                metrics = adjoint_metrics(adjoint(banach_operator(a, emb)), rng, tols)
+                metrics = adjoint_metrics(adjoint(banach_operator(a, emb)), rng)
                 cases.append(_case(
                     cfg, f"adjoint/p{p}/n{dim}/t{idx}", a, metrics, limits,
                     metrics["accretive_min"] >= -cfg.tolerance("adjoint.accretive"),
@@ -476,7 +476,7 @@ def _suite_baire(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
     lams = tuple(sorted(cfg.lambdas))
     for p in cfg.ps:
         for dim in cfg.dims:
-            emb = build_kuelbs(LpSpace(dim=dim, p=p), tols=tols)
+            emb = build_kuelbs(LpSpace(dim=dim, p=p))
             m = emb.metric
             ens = Ensemble("general", dim, cfg.trials, _stream(cfg, f"baire/{p}/{dim}"))
             for idx, a in enumerate(generate(ens)):
@@ -539,7 +539,7 @@ def _suite_banach_spectral(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResul
     limits = {"reconstruction_lp": "banach.reconstruction", "funcalc_identity": "banach.funcalc"}
     for p in cfg.ps:
         for dim in (d for d in cfg.dims if d <= BANACH_MAX_DIM):
-            emb = build_kuelbs(LpSpace(dim=dim, p=p), tols=tols)
+            emb = build_kuelbs(LpSpace(dim=dim, p=p))
             ens = Ensemble("general", dim, cfg.trials, _stream(cfg, f"banach-spectral/{p}/{dim}"))
             for idx, a in enumerate(generate(ens)):
                 res = banach_deformed_spectral(banach_operator(a, emb), tols=tols)
@@ -586,7 +586,7 @@ def _suite_laplacian(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
         ]
         for name, a in operators:
             probes = list(rng.matrix(4, n))
-            rep = dirichlet_laplacian_demo(n, r=3.0, a=a, probes=probes, tols=tols)
+            rep = dirichlet_laplacian_demo(n, r=3.0, a=a, probes=probes)
             metrics = {
                 "contract": rep.contract_residual,
                 "involution": rep.involution_residual,
@@ -602,6 +602,7 @@ def _suite_laplacian(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
     return cases
 
 
+# every suite takes (cfg, tols); adjoint and laplacian reach no library threshold
 _SUITE_FNS = {
     "deformed": _suite_deformed,
     "funcalc": _suite_funcalc,
@@ -617,11 +618,10 @@ def run_suite(
     name: str,
     cfg: SuiteConfig,
     *,
-    tols: Tolerances | None = None,
+    tols: Tolerances = DEFAULT,
     timestamp: str | None = None,
 ) -> Report:
     """Run one suite (or "all") and assemble its report."""
-    tols = tols if tols is not None else Tolerances()
     if name == "all":
         cases: list[CaseResult] = []
         for suite in SUITE_NAMES:

@@ -15,7 +15,6 @@ from dst.adjoint import (
     dirichlet_laplacian_demo,
     h_polar,
     intertwining_residual,
-    steadman_form_report,
 )
 from dst.errors import BadGrid, DimensionMismatch, SingularGram
 from dst.kuelbs import KuelbsEmbedding, LpSpace, build_kuelbs
@@ -272,16 +271,6 @@ def test_banach_deformed_calculus_identity():
     lhs = integrate("lambda^2", res.measure)
     rhs = res.polar.U @ res.polar.T @ res.polar.T
     assert np.linalg.norm(lhs - rhs) <= 1e-9 * (1 + np.linalg.norm(rhs))
-
-
-def test_steadman_form_report_runs():
-    emb = build_kuelbs(LpSpace(3, 3.0))
-    a = Rng(214).matrix(3, 3)
-    op = banach_operator(a, emb)
-    res = banach_deformed_spectral(op)
-    rows = steadman_form_report(op, res, Rng(215).vector(3))
-    assert len(rows) == len(res.measure.atoms)
-    assert all(isinstance(t, complex) for _, t in rows)
 
 
 def test_laplacian_matrix():

@@ -12,7 +12,6 @@ from dst.fileio import (
     matrix_from_obj,
     matrix_to_obj,
     measure_to_obj,
-    save_matrix,
 )
 from dst.rng import Rng
 from dst.spectral import deformed_of
@@ -21,7 +20,7 @@ from dst.spectral import deformed_of
 def test_json_roundtrip(tmp_path):
     m = Rng(301).matrix(8, 8)
     path = tmp_path / "a.json"
-    save_matrix(m, str(path))
+    path.write_text(dump_json(matrix_to_obj(m)))
     back = load_matrix(str(path))
     assert np.array_equal(m, back)
 
@@ -64,18 +63,6 @@ def test_matrix_market_coordinate(tmp_path):
     expect[0, 1] = 5.0
     expect[2, 0] = -1.5
     assert np.array_equal(m.real, expect)
-
-
-def test_matrix_market_write_roundtrip(tmp_path):
-    m = np.array([[1.0, -2.0], [0.5, 3.0]], dtype=complex)
-    path = tmp_path / "w.mtx"
-    save_matrix(m, str(path))
-    assert np.array_equal(load_matrix(str(path)), m)
-
-
-def test_matrix_market_rejects_complex(tmp_path):
-    with pytest.raises(ParseError):
-        save_matrix(np.array([[1j]]), str(tmp_path / "c.mtx"))
 
 
 def test_parse_errors(tmp_path):

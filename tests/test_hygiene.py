@@ -1,0 +1,57 @@
+"""Static checks of the package source and the README.
+
+Every name a module exports resolves, no module imports a name it never
+uses (a deletion that leaves its imports behind fails here), and the
+README's library tour runs as written.
+"""
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+import dst
+
+SRC = Path(dst.__file__).parent
+MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _module(stem):
+    return dst if stem == "__init__" else importlib.import_module(f"dst.{stem}")
+
+
+def _exports(stem):
+    # importing __main__ would run the CLI; it exports nothing
+    return () if stem == "__main__" else getattr(_module(stem), "__all__", ())
+
+
+@pytest.mark.parametrize("stem", MODULES)
+def test_every_all_entry_resolves(stem):
+    missing = [name for name in _exports(stem) if not hasattr(_module(stem), name)]
+    assert not missing, f"dst/{stem}.py exports undefined names {missing}"
+
+
+@pytest.mark.parametrize("stem", MODULES)
+def test_no_unused_imports(stem):
+    tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= set(_exports(stem))  # re-exports
+    unused = sorted(imported - used)
+    assert not unused, f"dst/{stem}.py imports {unused} and never uses them"
+
+
+def test_readme_library_tour_runs():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library tour", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S)
+    assert block is not None, "README has no python block under 'Library tour'"
+    exec(compile(block.group(1), "README.md:Library tour", "exec"), {})

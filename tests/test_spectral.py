@@ -58,7 +58,7 @@ def test_measure_partition_of_identity():
     h = Rng(52).matrix(8, 8)
     h = (h + herm(h)) / 2.0
     e = spectral_measure(h)
-    assert np.linalg.norm(e.projector_sum() - np.eye(8)) <= 1e-11 * 8
+    assert np.linalg.norm(integrate(lambda _: 1, e) - np.eye(8)) <= 1e-11 * 8
     for i, (_, p) in enumerate(e.atoms):
         assert np.linalg.norm(p @ p - p) <= 1e-11
         assert np.linalg.norm(p - herm(p)) <= 1e-11
@@ -327,7 +327,7 @@ def _cross_check(measure, phi):
     scale = 1.0 + np.linalg.norm(measure.reconstruct())
     assert np.linalg.norm(measure.reconstruct() - _dense_sum(measure, measure.lambdas)) <= 1e-13 * scale
     ones = [1.0] * len(measure.lambdas)
-    assert np.linalg.norm(measure.projector_sum() - _dense_sum(measure, ones)) <= 1e-13 * scale
+    assert np.linalg.norm(integrate(lambda _: 1, measure) - _dense_sum(measure, ones)) <= 1e-13 * scale
     for src in ("exp(-lambda)", "lambda^2", "1"):
         g = parse(src)
         ref = _dense_sum(measure, [evaluate(g, lam) for lam in measure.lambdas])

@@ -6,7 +6,8 @@ import pytest
 
 from dst.cli import main
 from dst.errors import ConfigError
-from dst.fileio import save_matrix
+from dst.fileio import dump_json, matrix_to_obj
+from dst.polar import polar_decompose
 from dst.rng import Rng
 from dst.suites import SUITE_NAMES, CaseResult, Report, SuiteConfig, run_suite
 
@@ -109,7 +110,7 @@ def test_unknown_suite_and_tolerance():
 
 def write_matrix(tmp_path, m, name="a.json"):
     path = tmp_path / name
-    save_matrix(m, str(path))
+    path.write_text(dump_json(matrix_to_obj(m)))
     return str(path)
 
 
@@ -222,6 +223,53 @@ def test_cli_baire_lambda_cap(tmp_path, capsys):
     path = write_matrix(tmp_path, Rng(403).matrix(3, 3))
     assert main(["baire", "--input", path, "--lambdas", "1e1,1e9"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+# commands that reach no library threshold take no --tol: a flag that
+# could change nothing is refused instead of silently ignored
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kuelbs", "--p", "3", "--dim", "4", "--trials", "3", "--tol", "rank=0.5"],
+        ["adjoint", "--input", "A", "--p", "3", "--dim", "4", "--tol", "rank=0.9"],
+        ["baire", "--input", "A", "--p", "3", "--tol", "rank=0.9"],
+        ["demo", "laplacian", "--tol", "rank=0.5"],
+    ],
+    ids=["kuelbs", "adjoint", "baire", "demo-laplacian"],
+)
+def test_tol_refused_where_no_threshold_is_reached(argv, tmp_path, capsys):
+    path = write_matrix(tmp_path, Rng(404).matrix(4, 4))
+    with pytest.raises(SystemExit) as exc:
+        main([path if arg == "A" else arg for arg in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+def test_polar_tol_takes_only_the_rank_key(tmp_path, capsys):
+    path = write_matrix(tmp_path, np.diag([1.0, 1e-3]).astype(complex))
+    assert main(["polar", "--input", path]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == 2
+    assert main(["polar", "--input", path, "--tol", "rank=1e-2"]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == 1
+    for key in ("cluster", "hermitian", "support"):
+        assert main(["polar", "--input", path, "--tol", f"{key}=1e-6"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"tolerance keys ['{key}'] do not apply here; valid: ['rank']" in captured.err
+
+
+def test_hermitian_tol_reaches_no_command(tmp_path, capsys):
+    # the polar factor T is Hermitian to the last bit, so the Hermiticity
+    # check behind the hermitian key cannot fire on any command's path
+    a = Rng(405).matrix(4, 4)
+    t = polar_decompose(a).T
+    assert np.array_equal(t, t.conj().T)
+    path = write_matrix(tmp_path, a)
+    for argv in (["deformed"], ["funcalc", "--g", "lambda"]):
+        assert main([*argv, "--input", path, "--tol", "hermitian=1e-6"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance keys ['hermitian'] do not apply here" in captured.err
 
 
 def test_cli_mtx_input(tmp_path, capsys):
