@@ -37,7 +37,7 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import BadGrid, DimensionMismatch
 from .kuelbs import GramMetric, KuelbsEmbedding, LpSpace
-from .linalg import as_matrix, as_vector, herm, vnorm
+from .linalg import abs_norm, as_matrix, as_vector, gram_inner_rows, gram_norm_rows, herm, vnorm
 from .polar import polar_decompose
 from .spectral import SpectralMeasure, deform, spectral_measure
 
@@ -129,17 +129,12 @@ def _axioms_for_gram(astar_a: np.ndarray, metric: GramMetric, probes: Sequence[n
     gram = metric.gram
     basis = metric.frame_inv  # columns are H-orthonormal
 
-    def inner(x, y):
-        return complex(np.vdot(y, gram @ x))
-
-    vals = []
-    probe_list = [basis[:, j] for j in range(n)] + [as_vector(u) for u in probes]
-    for u in probe_list:
-        den = inner(u, u).real
-        if den <= 0.0:
-            continue
-        vals.append(inner(astar_a @ u, u).real / den)
-    accretive_min = min(vals) if vals else 0.0
+    # one block: the basis columns, then the probes, as rows
+    us = np.vstack([basis.T, as_matrix(probes)]) if len(probes) else basis.T
+    den = gram_inner_rows(gram, us, us).real
+    num = gram_inner_rows(gram, us @ astar_a.T, us).real
+    pos = den > 0.0
+    accretive_min = float((num[pos] / den[pos]).min()) if pos.any() else 0.0
 
     second = np.linalg.solve(gram, herm(astar_a) @ gram)
     ns_resid = float(np.linalg.norm(second - astar_a)) / (1.0 + float(np.linalg.norm(astar_a)))
@@ -147,7 +142,7 @@ def _axioms_for_gram(astar_a: np.ndarray, metric: GramMetric, probes: Sequence[n
     inv_op = np.linalg.solve(np.eye(n) + astar_a, np.eye(n, dtype=np.complex128))
     inverse_norm = float(np.linalg.norm(metric.chol_h @ inv_op @ basis, 2))
     return AdjointAxioms(
-        accretive_min=float(accretive_min),
+        accretive_min=accretive_min,
         natural_selfadjoint_residual=ns_resid,
         inverse_norm=inverse_norm,
     )
@@ -157,7 +152,7 @@ def adjoint_axioms(pair: AdjointPair, *, probes: Sequence[np.ndarray] = ()) -> A
     """Check accretivity, natural selfadjointness, and the inverse bound.
 
     The accretive minimum sweeps an H-orthonormal basis (the columns of
-    inv(L*)) plus any supplied probe vectors.
+    inv(L*)) plus any supplied probe vectors, as one block.
     """
     return _axioms_for_gram(pair.astar @ pair.operator.matrix, pair.operator.embedding.metric, probes)
 
@@ -263,9 +258,10 @@ def baire_convergence_study(
     Errors are lp norms; the bound column is the H-metric estimate
     (1/lam) ||Tbar A phi||_H scaled by the H -> lp equivalence constant
     of the Gram factorization, so every row satisfies error <= bound.
-    Rows come back in schedule order regardless of evaluation order.
-    The rows depend on T and Tbar alone, which no threshold cuts, so the
-    study takes no tolerances.
+    Rows come back in schedule order. The phis (at least one) are the
+    rows of one block, so each lambda costs one matrix product. The rows
+    depend on T and Tbar alone, which no threshold cuts, so the study
+    takes no tolerances.
     """
     lams = [float(x) for x in lambdas]
     if not all(x > 0 for x in lams):  # also rejects NaN
@@ -280,18 +276,14 @@ def baire_convergence_study(
     n = k.space.dim
     # ||x||_p <= n^max(0, 1/p - 1/2) ||x||_2 and ||x||_2 <= ||x||_H / sqrt(min eig G)
     h_to_b = n ** max(0.0, 1.0 / k.space.p - 0.5) / math.sqrt(k.metric.eig_min)
-    phi_list = [as_vector(phi) for phi in phis]
+    phi_block = as_matrix(phis)  # rows are the phi
+    a_phi = phi_block @ op.matrix.T
+    bound = float((h_to_b * gram_norm_rows(k.gram, a_phi @ gp.Tbar.T)).max())  # times 1/lam
     rows = []
     for lam in lams:
         probe = baire_approximant(op, lam, gp=gp)
-        worst_err = 0.0
-        worst_bound = 0.0
-        for phi in phi_list:
-            err = vnorm(probe.a_lambda @ phi - op.matrix @ phi, k.space.p)
-            bnd = h_to_b * k.h_norm(gp.Tbar @ (op.matrix @ phi)) / lam
-            worst_err = max(worst_err, err)
-            worst_bound = max(worst_bound, bnd)
-        rows.append(ConvergenceRow(lam=lam, max_error=worst_err, bound=worst_bound))
+        err = abs_norm(np.abs(phi_block @ probe.a_lambda.T - a_phi), k.space.p)
+        rows.append(ConvergenceRow(lam=lam, max_error=float(err.max()), bound=bound / lam))
     return rows
 
 
@@ -380,15 +372,19 @@ def dirichlet_laplacian_demo(
 
     astar = j0 @ herm(a) @ j0_inv  # closed form of the metric adjoint
 
-    def g_inner(x, y):
-        return complex(np.vdot(y, metric.gram @ x))
-
-    worst = 0.0
+    # contract pairs as two row blocks: basis pairs (e_i, e_j), i, j < 6,
+    # then each probe against the next (the last against e_0)
+    basis = eye[: min(n, 6)]
+    us = np.repeat(basis, len(basis), axis=0)
+    vs = np.tile(basis, (len(basis), 1))
+    if len(probes):
+        block = as_matrix(probes)
+        us = np.vstack([us, block])
+        vs = np.vstack([vs, block[1:], eye[:1]])
     scale = 1.0 + float(np.linalg.norm(a))
-    pairs = [(eye[:, i], eye[:, j]) for i in range(min(n, 6)) for j in range(min(n, 6))]
-    pairs += [(u, v) for u, v in zip(probes, list(probes[1:]) + [eye[:, 0]])]
-    for u, v in pairs:
-        worst = max(worst, abs(g_inner(a @ u, v) - g_inner(u, astar @ v)) / scale)
+    gram = metric.gram
+    defect = np.abs(gram_inner_rows(gram, us @ a.T, vs) - gram_inner_rows(gram, us, vs @ astar.T))
+    worst = float(defect.max()) / scale
 
     astar2 = j0 @ herm(astar) @ j0_inv
     involution = float(np.linalg.norm(astar2 - a)) / scale

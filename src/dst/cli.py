@@ -16,6 +16,7 @@ tolerance, both the library thresholds and the suite pass/fail limits.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -58,9 +59,12 @@ def _parse_tol_items(items) -> dict[str, float]:
             raise ConfigError(f"--tol expects KEY=VALUE, got {item!r}")
         key, _, val = item.partition("=")
         try:
-            table[key.strip()] = float(val)
+            value = float(val)
         except ValueError as exc:
             raise ConfigError(f"--tol {key}: not a number: {val!r}") from exc
+        if math.isnan(value):
+            raise ConfigError(f"--tol {key}: not a number: {val!r}")
+        table[key.strip()] = value
     return table
 
 
@@ -189,8 +193,7 @@ def _cmd_baire(args) -> int:
     dim = a.shape[0]
     emb = build_kuelbs(LpSpace(dim=dim, p=args.p))
     op = banach_operator(a, emb)
-    phis = list(Rng(substream(args.seed, 3)).matrix(4, dim))
-    rows = baire_convergence_study(op, phis, args.lambdas)
+    rows = baire_convergence_study(op, Rng(substream(args.seed, 3)).matrix(4, dim), args.lambdas)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("lambda,max_error,bound\n")
@@ -254,8 +257,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_demo_laplacian(args) -> int:
-    probes = list(Rng(substream(args.seed, 4)).matrix(4, args.n))
-    rep = dirichlet_laplacian_demo(args.n, r=args.r, probes=probes)
+    rep = dirichlet_laplacian_demo(args.n, r=args.r, probes=Rng(substream(args.seed, 4)).matrix(4, args.n))
     obj = {
         "n": rep.n,
         "r": rep.r,

@@ -33,6 +33,8 @@ __all__ = [
     "svd",
     "vnorm",
     "abs_norm",
+    "gram_inner_rows",
+    "gram_norm_rows",
     "herm",
 ]
 
@@ -139,20 +141,37 @@ def vnorm(v, p: float) -> float:
     return abs_norm(np.abs(x), p)
 
 
-def abs_norm(a: np.ndarray, p: float) -> float:
+def abs_norm(a: np.ndarray, p: float) -> float | np.ndarray:
     """Unchecked kernel of :func:`vnorm`, from the moduli ``a = |x|``.
 
-    A non-finite entry gives a non-finite norm.
+    Reduces over the last axis: a vector of moduli gives a float, a k×n
+    block one norm per row (as an array), each equal bit for bit to the
+    norm of that row alone. A non-finite entry gives a non-finite norm.
     """
     if p == math.inf:
-        return float(a.max())
-    if p == 1:
-        return float(a.sum())
-    # rescale so powers neither overflow nor underflow
-    top = float(a.max())
-    if top == 0.0:
-        return 0.0
-    b = a / top
-    if p == 2:
-        return float(top * math.sqrt(float((b * b).sum())))
-    return float(top * (((b**p).sum()) ** (1.0 / p)))
+        out = a.max(axis=-1)
+    elif p == 1:
+        out = a.sum(axis=-1)
+    else:
+        # rescale so powers neither overflow nor underflow; zero rows stay 0
+        top = a.max(axis=-1)
+        b = a / np.where(top == 0.0, 1.0, top)[..., None]
+        if p == 2:
+            out = top * np.sqrt((b * b).sum(axis=-1))
+        else:
+            # the root per row as a scalar power: the array power can round
+            # differently in the last bit
+            sums = (b**p).sum(axis=-1)
+            root = sums ** (1.0 / p) if sums.ndim == 0 else np.array([s ** (1.0 / p) for s in sums.tolist()])
+            out = top * root
+    return float(out) if out.ndim == 0 else out
+
+
+def gram_inner_rows(gram: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Unchecked ``v_i* G u_i`` for each row pair of two k×n blocks."""
+    return (vs.conj() * (us @ gram.T)).sum(axis=-1)
+
+
+def gram_norm_rows(gram: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """Unchecked ``sqrt(max(Re u_i* G u_i, 0))`` for each row of a k×n block."""
+    return np.sqrt(np.maximum(gram_inner_rows(gram, us, us).real, 0.0))

@@ -4,6 +4,8 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dst.ensembles import Ensemble, generate
 from dst.errors import (
@@ -25,8 +27,8 @@ from dst.kuelbs import (
     lp_operator_norm,
     steadman,
 )
-from dst.linalg import herm, vnorm
-from dst.rng import Rng
+from dst.linalg import abs_norm, herm, vnorm
+from dst.rng import Rng, substream
 
 P_GRID = (1.5, 2.0, 3.0, 4.0)
 DIM_GRID = (2, 4, 8, 16)
@@ -221,9 +223,7 @@ def test_power_iteration_beats_sphere_sampling(n, p):
 @pytest.mark.parametrize(
     "a, p",
     [
-        (np.full((2, 2), 1e308 + 0j), 3.0),
-        (1e31 * Rng(113).matrix(4, 4), 1.1),  # ||z||_q^(q-1) = ||z||^10 overflows
-        (1e-40 * Rng(113).matrix(4, 4), 1.1),  # ... and underflows to 0
+        (np.full((2, 2), 1e308 + 0j), 3.0),  # the true norm, 2e308, overflows
     ],
 )
 def test_lp_operator_norm_out_of_range_raises_toolkit_error(a, p):
@@ -232,6 +232,76 @@ def test_lp_operator_norm_out_of_range_raises_toolkit_error(a, p):
         with pytest.raises(ConvergenceFailure, match="floating-point range") as info:
             lp_operator_norm(a, p)
     assert isinstance(info.value, ToolkitError)
+
+
+@pytest.mark.parametrize("scale", [1e31, 1e-40])
+def test_lp_operator_norm_has_no_scale_limit(scale):
+    # q - 1 = 10 here, so a dual map that divides by ||z||_q^(q-1) would
+    # overflow at 1e31 and underflow to 0 at 1e-40
+    a = Rng(113).matrix(4, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = lp_operator_norm(scale * a, 1.1).value
+    assert value == pytest.approx(scale * lp_operator_norm(a, 1.1).value, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.sampled_from([1.1, 1.5, 3.0, 8.0]),
+    st.integers(-900, 900),
+    st.integers(0, 2**32 - 1),
+)
+def test_lp_operator_norm_is_scale_invariant(n, p, k, seed):
+    a = Rng(seed).matrix(n, n)
+    scaled = lp_operator_norm(2.0**k * a, p).value
+    assert scaled == pytest.approx(2.0**k * lp_operator_norm(a, p).value, rel=1e-12)
+
+
+def _per_vector_dual_direction(y, ay, ny, r):
+    if ny == 0.0:
+        return np.zeros_like(y)
+    out = np.zeros_like(y)
+    nz = ay > 0
+    out[nz] = y[nz] * ay[nz] ** (r - 2.0)
+    return out / ny ** (r - 1.0)
+
+
+def _per_start_lp_norm(a, p):
+    """The power iteration one start at a time, as an oracle for the block."""
+    n = a.shape[0]
+    q = p / (p - 1.0)
+    _, _, vh = np.linalg.svd(a)
+    starts = [*np.eye(n, dtype=complex)[: min(n, 3)], np.ones(n, dtype=complex), vh[0].conj()]
+    starts.extend(Rng(substream(0x1B5, n)).matrix(6, n))
+    ah = herm(a)
+    best = 0.0
+    for x0 in starts:
+        x = x0 / abs_norm(np.abs(x0), p)
+        for _ in range(100):
+            y = a @ x
+            ay = np.abs(y)
+            gamma = abs_norm(ay, p)
+            best = max(best, gamma)
+            if gamma == 0.0:
+                break
+            z = ah @ _per_vector_dual_direction(y, ay, gamma, p)
+            az = np.abs(z)
+            zq = abs_norm(az, q)
+            if zq <= np.vdot(z, x).real * (1.0 + 1e-14):
+                break
+            x = _per_vector_dual_direction(z, az, zq, q)
+    return best
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 8.0])
+@pytest.mark.parametrize("n", [2, 3, 8, 16, 64])
+def test_block_power_iteration_matches_per_start_loop(n, p):
+    for a in generate(Ensemble("general", n, 20, 7000 + 100 * n + int(10 * p))):
+        est = lp_operator_norm(a, p)
+        assert est.value == pytest.approx(_per_start_lp_norm(a, p), rel=1e-12)
+        assert vnorm(est.maximizer, p) == pytest.approx(1.0, rel=1e-12)
+        assert vnorm(a @ est.maximizer, p) == pytest.approx(est.value, rel=1e-12)
 
 
 def test_lax_identity_and_selfadjoint_ensemble():

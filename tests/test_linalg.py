@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dst.errors import InvalidP, NotHermitian, NotSquare
-from dst.linalg import herm, hermitian_eigen, svd, vnorm
+from dst.linalg import abs_norm, gram_inner_rows, gram_norm_rows, herm, hermitian_eigen, svd, vnorm
 from dst.rng import Rng
 
 
@@ -98,3 +98,46 @@ def test_vnorm_axioms(xs, ys, p):
     assert vnorm(2.5 * x, p) == pytest.approx(2.5 * nx, rel=1e-12, abs=1e-12)
     if nx == 0.0:
         assert np.all(x == 0)
+
+
+def _per_vector_abs_norm(a, p):
+    """The one-vector form of abs_norm, kept as an oracle for the block form."""
+    if p == math.inf:
+        return float(a.max())
+    if p == 1:
+        return float(a.sum())
+    top = float(a.max())
+    if top == 0.0:
+        return 0.0
+    b = a / top
+    if p == 2:
+        return float(top * math.sqrt(float((b * b).sum())))
+    return float(top * (((b**p).sum()) ** (1.0 / p)))
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3, math.inf])
+@pytest.mark.parametrize("n", [1, 2, 9, 200])
+def test_abs_norm_block_matches_each_row_bit_for_bit(n, p):
+    block = np.abs(Rng(1000 + n).matrix(12, n))
+    block[3] = 0.0  # a zero row
+    block[5, : (n + 1) // 2] = 0.0
+    block[7] *= 1e300
+    block[8] *= 1e-300
+    rows = abs_norm(block, p)
+    assert rows.shape == (12,)
+    for row, got in zip(block, rows):
+        want = _per_vector_abs_norm(row, p)
+        assert float(got).hex() == want.hex()
+        assert abs_norm(row, p).hex() == want.hex()
+
+
+def test_gram_rows_match_per_vector_forms():
+    rng = Rng(21)
+    r = rng.matrix(5, 5)
+    gram = r @ herm(r) + np.eye(5)
+    us, vs = rng.matrix(4, 5), rng.matrix(4, 5)
+    inner = gram_inner_rows(gram, us, vs)
+    norms = gram_norm_rows(gram, us)
+    for u, v, got, nrm in zip(us, vs, inner, norms):
+        assert got == pytest.approx(np.vdot(v, gram @ u), rel=1e-14)
+        assert nrm == pytest.approx(math.sqrt(np.vdot(u, gram @ u).real), rel=1e-14)

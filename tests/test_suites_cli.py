@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dst.cli import main
+from dst.config import Tolerances
 from dst.errors import ConfigError
 from dst.fileio import dump_json, matrix_to_obj
 from dst.polar import polar_decompose
@@ -61,7 +62,7 @@ def test_skipped_banach_dims_are_named(tmp_path, capsys):
 # SHA-256 of the default `dst verify --suite all --no-timestamp` report,
 # pinned with Python 3.11, numpy 2.4 and OpenBLAS 0.3.31. Re-pin only with
 # a CHANGES.md entry that gives the largest metric drift.
-GOLDEN_DEFAULT_REPORT = "0fbe3b227c97f24c788087f2613dae793b438099af54c0c6e04f40d1bc847bf5"
+GOLDEN_DEFAULT_REPORT = "57996d7ce0940f5fffd15e1b967e4de57dc1bf31a99e316e20d4d696495607cb"
 
 
 def _report_digest(tmp_path, *args) -> str:
@@ -77,7 +78,7 @@ def test_golden_report_digest(tmp_path, capsys):
 
 # The same for the benchmarked run (896 cases), whose kuelbs suite calls
 # lp_operator_norm at dims 2 through 16.
-GOLDEN_BENCH_REPORT = "de9ae48753ccde4e59a4ed1e7d009833d2d30ba590687bd83f11a2c41cb02714"
+GOLDEN_BENCH_REPORT = "8edaff5abc0f33fab22aeece11118889274ab0f19e4f3d22ca0680c020f0c4b6"
 
 
 def test_golden_bench_report_digest(tmp_path, capsys):
@@ -278,3 +279,46 @@ def test_cli_mtx_input(tmp_path, capsys):
     assert main(["polar", "--input", str(path)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["rank"] == 2
+
+
+# a threshold that is NaN, infinite or out of range is refused with the
+# key named, instead of producing output computed with it
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_polar_refuses_bad_rank_threshold(value, tmp_path, capsys):
+    path = write_matrix(tmp_path, Rng(406).matrix(4, 4))
+    assert main(["polar", "--input", path, "--tol", f"rank={value}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "rank" in captured.err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_bad_tol_scale_is_refused(value, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DST_TOL_SCALE", value)
+    path = write_matrix(tmp_path, Rng(407).matrix(4, 4))
+    assert main(["deformed", "--input", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "DST_TOL_SCALE" in captured.err
+
+
+def test_verify_refuses_nan_suite_tolerance(tmp_path, capsys):
+    argv = ["verify", "--suite", "deformed", "--dims", "2", "--trials", "1",
+            "--tol", "deformed.reconstruction=nan", "--report", str(tmp_path / "r.json")]
+    assert main(argv) == 1
+    assert "deformed.reconstruction" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("scale", float("nan")), ("scale", float("inf")), ("scale", 0.0),
+        ("hermitian_rel", -1e-8), ("cluster_rel", float("inf")), ("support_rel", float("nan")),
+        ("rank_rel", 0.0), ("rank_rel", 1.0), ("rank_rel", float("nan")),
+    ],
+)
+def test_tolerances_refuse_bad_thresholds(field, value):
+    with pytest.raises(ConfigError, match=field):
+        Tolerances(**{field: value})
+    assert Tolerances(rank_rel=0.5).rank_rel == 0.5
