@@ -29,7 +29,7 @@ A* = J0 A^H inv(J0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -54,6 +54,7 @@ __all__ = [
     "adjoint_axioms",
     "h_polar",
     "baire_approximant",
+    "lambda_schedule",
     "baire_convergence_study",
     "banach_deformed_spectral",
     "dirichlet_laplacian",
@@ -63,10 +64,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BanachOperator:
-    """A coordinate operator on the lp space of an embedding."""
+    """A coordinate operator on the lp space of an embedding.
+
+    The operator holds its H-polar per tolerance set once
+    :func:`h_polar` has computed it; matrix and embedding are frozen,
+    so the stored result never goes stale.
+    """
 
     matrix: np.ndarray
     embedding: KuelbsEmbedding
+    _polars: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = self.matrix
@@ -178,18 +185,42 @@ class GramPolar:
 
 
 def h_polar(op: BanachOperator, *, tols: Tolerances = DEFAULT) -> GramPolar:
-    """Polar-decompose in the embedded metric via the Cholesky frame."""
-    m = op.embedding.metric
-    p = polar_decompose(m.chol_h @ op.matrix @ m.frame_inv, tols=tols)
-    pull = lambda x: m.frame_inv @ x @ m.chol_h
-    return GramPolar(
-        U=pull(p.U),
-        T=pull(p.T),
-        Tbar=pull(p.Tbar),
-        rank=p.rank,
-        tol=p.tol,
-        threshold=p.threshold,
-    )
+    """Polar-decompose in the embedded metric via the Cholesky frame.
+
+    Computed once per operator and tolerance set: later calls with equal
+    ``tols`` return the same read-only :class:`GramPolar`, which every
+    caller (the Baire study and approximant, the banach spectral measure)
+    shares.
+    """
+    gp = op._polars.get(tols)
+    if gp is None:
+        m = op.embedding.metric
+        p = polar_decompose(m.chol_h @ op.matrix @ m.frame_inv, tols=tols)
+        pull = lambda x: m.frame_inv @ x @ m.chol_h
+        gp = op._polars[tols] = GramPolar(
+            U=pull(p.U),
+            T=pull(p.T),
+            Tbar=pull(p.Tbar),
+            rank=p.rank,
+            tol=p.tol,
+            threshold=p.threshold,
+        )
+    return gp
+
+
+def lambda_schedule(lambdas: Sequence[float]) -> tuple[float, ...]:
+    """The resolvent parameters as floats, refused (ValueError) unless the
+    schedule is non-empty and every lam is positive and finite with a
+    finite 1/lam: an empty schedule checks nothing, and a lam whose 1/lam
+    overflows turns the 1/lam error bound into inf, which anything meets.
+    """
+    lams = tuple(float(x) for x in lambdas)
+    if not lams:
+        raise ValueError("lambda schedule is empty, so it would check nothing")
+    for lam in lams:
+        if not (0.0 < lam < math.inf and math.isfinite(1.0 / lam)):  # also rejects NaN
+            raise ValueError(f"lambda must be positive and finite with a finite 1/lambda, got {lam!r}")
+    return lams
 
 
 @dataclass(frozen=True)
@@ -214,18 +245,11 @@ class ResolventProbe:
         return float(np.linalg.norm(self.a_lambda - algebraic)) / scale
 
 
-def baire_approximant(
-    op: BanachOperator,
-    lam: float,
-    *,
-    gp: GramPolar | None = None,
-    tols: Tolerances = DEFAULT,
-) -> ResolventProbe:
-    """Bounded approximant of A at a finite resolvent parameter lam > 0."""
-    if not 0.0 < lam < math.inf:
-        raise ValueError(f"lambda must be positive and finite, got {lam}")
-    if gp is None:
-        gp = h_polar(op, tols=tols)
+def baire_approximant(op: BanachOperator, lam: float, *, tols: Tolerances = DEFAULT) -> ResolventProbe:
+    """Bounded approximant of A at a resolvent parameter lam that
+    :func:`lambda_schedule` accepts (positive, lam and 1/lam finite)."""
+    (lam,) = lambda_schedule((lam,))
+    gp = h_polar(op, tols=tols)
     n = op.space.dim
     resolvent = np.linalg.solve(lam * np.eye(n) + gp.T, np.eye(n, dtype=np.complex128))
     a_lambda = lam * (op.matrix @ resolvent)
@@ -258,18 +282,20 @@ def baire_convergence_study(
     Errors are lp norms; the bound column is the H-metric estimate
     (1/lam) ||Tbar A phi||_H scaled by the H -> lp equivalence constant
     of the Gram factorization, so every row satisfies error <= bound.
-    Rows come back in schedule order. The phis (at least one) are the
-    rows of one block, so each lambda costs one matrix product. The rows
+    Rows come back in schedule order, which must be ascending, non-empty
+    and valid for :func:`lambda_schedule`. Each lambda costs one LU of
+    lam I + T, solved against the phi columns only (at least one phi),
+    and one product with A; no n x n resolvent is formed. The rows
     depend on T and Tbar alone, which no threshold cuts, so the study
-    takes no tolerances.
+    takes no tolerances and shares the operator's default H-polar. A
+    bound that overflows at the smallest lambda is refused (ValueError),
+    since an infinite bound holds for any error.
     """
-    lams = [float(x) for x in lambdas]
-    if not all(x > 0 for x in lams):  # also rejects NaN
-        raise ValueError("lambda schedule must be positive")
-    if sorted(lams) != lams:
+    lams = lambda_schedule(lambdas)
+    if sorted(lams) != list(lams):
         raise ValueError("lambda schedule must be ascending")
-    if lams and lams[-1] > 1e8:
-        # beyond this the subtraction lam*U - lam^2*U*R floors at eps*lam
+    if lams[-1] > 1e8:
+        # beyond this the subtraction lam*A*R*phi - A*phi floors at eps*lam
         raise ValueError("lambda schedule capped at 1e8")
     k = op.embedding
     gp = h_polar(op)
@@ -279,10 +305,12 @@ def baire_convergence_study(
     phi_block = as_matrix(phis)  # rows are the phi
     a_phi = phi_block @ op.matrix.T
     bound = float((h_to_b * gram_norm_rows(k.gram, a_phi @ gp.Tbar.T)).max())  # times 1/lam
+    if not math.isfinite(bound / lams[0]):  # an infinite bound holds for any error
+        raise ValueError(f"error bound {bound!r} / lambda overflows at lambda {lams[0]!r}")
     rows = []
     for lam in lams:
-        probe = baire_approximant(op, lam, gp=gp)
-        err = abs_norm(np.abs(phi_block @ probe.a_lambda.T - a_phi), k.space.p)
+        r_phi = np.linalg.solve(lam * np.eye(n) + gp.T, phi_block.T)  # columns are R phi
+        err = abs_norm(np.abs(lam * (op.matrix @ r_phi).T - a_phi), k.space.p)
         rows.append(ConvergenceRow(lam=lam, max_error=float(err.max()), bound=bound / lam))
     return rows
 

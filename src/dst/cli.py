@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .adjoint import adjoint, baire_convergence_study, banach_operator, dirichlet_laplacian_demo
+from .adjoint import adjoint, baire_convergence_study, banach_operator, dirichlet_laplacian_demo, lambda_schedule
 from .config import Tolerances, from_env
 from .errors import ConfigError, ToolkitError
 from .fileio import dump_json, load_matrix, matrix_to_obj, measure_to_obj, save_report
@@ -95,6 +95,13 @@ def _floats_csv(text: str) -> tuple[float, ...]:
         return tuple(float(x) for x in text.split(",") if x.strip())
     except ValueError as exc:
         raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
+
+
+def _lambdas_csv(text: str) -> tuple[float, ...]:
+    try:
+        return lambda_schedule(_floats_csv(text))
+    except ValueError as exc:
+        raise ConfigError(f"--lambdas {text!r}: {exc}") from exc
 
 
 def _ints_csv(text: str) -> tuple[int, ...]:
@@ -318,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("baire", help="resolvent approximant convergence study")
     add_common(sp, tol=False)
     sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--lambdas", type=_floats_csv, default=(1e1, 1e2, 1e3, 1e4, 1e5, 1e6))
+    sp.add_argument("--lambdas", type=_lambdas_csv, default=(1e1, 1e2, 1e3, 1e4, 1e5, 1e6))
     sp.add_argument("--csv", default=None, help="also write lambda,max_error,bound rows here")
     sp.add_argument("--seed", type=int, default=7)
     sp.set_defaults(func=_cmd_baire)
@@ -329,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=5)
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--p", type=_floats_csv, default=(1.5, 3.0))
-    sp.add_argument("--lambdas", type=_floats_csv, default=(1e1, 1e2, 1e3, 1e4))
+    sp.add_argument("--lambdas", type=_lambdas_csv, default=(1e1, 1e2, 1e3, 1e4))
     sp.add_argument("--laplacian-ns", type=_ints_csv, default=(8, 32))
     sp.add_argument("--report", default=None, help="write the JSON report here")
     sp.add_argument("--tol", action="append", metavar="KEY=VAL", help="suite tolerance override")
@@ -355,8 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # the list types (--dims, --lambdas, ...) raise ConfigError while parsing
+        args = parser.parse_args(argv)
         return args.func(args)
     except (ToolkitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,6 +33,7 @@ from .adjoint import (
     dirichlet_laplacian_demo,
     h_polar,
     intertwining_residual,
+    lambda_schedule,
 )
 from .config import DEFAULT, Tolerances
 from .ensembles import Ensemble, generate
@@ -102,6 +103,9 @@ class SuiteConfig:
     laplacian_ns: tuple[int, ...] = (8, 32)
     tol: dict[str, float] = field(default_factory=dict)
     corrupt_gram: bool = False  # negative-control hook: invalidates the kuelbs suite
+
+    def __post_init__(self):
+        lambda_schedule(self.lambdas)  # refused before any suite runs
 
     def tolerance(self, key: str) -> float:
         if key in self.tol:
@@ -478,13 +482,17 @@ def _suite_baire(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
                 a_phi = phis @ a.T
                 bnd = gram_norm_rows(emb.gram, a_phi @ gp.Tbar.T)  # times 1/lam
                 slack = 1.0 + cfg.tolerance("baire.bound_slack")
+                if not math.isfinite(float(bnd.max()) / lams[0] * slack):  # an infinite bound holds for any error
+                    raise ValueError(
+                        f"baire/p{p}/n{dim}/t{idx}: error bound / lambda overflows at lambda {lams[0]!r}"
+                    )
 
                 bound_excess = -math.inf
                 identity_worst = 0.0
                 intertwine_worst = 0.0
                 errors = []
                 for lam in lams:
-                    probe = baire_approximant(op, lam, gp=gp, tols=tols)
+                    probe = baire_approximant(op, lam, tols=tols)
                     identity_worst = max(identity_worst, probe.identity_residual())
                     intertwine_worst = max(intertwine_worst, intertwining_residual(op, probe))
                     err = gram_norm_rows(emb.gram, phis @ probe.a_lambda.T - a_phi)

@@ -185,7 +185,7 @@ def test_09_baire_approximation():
                 phis = [rng.vector(dim) for _ in range(3)]
                 errors = []
                 for lam in lams:
-                    probe = baire_approximant(op, lam, gp=gp)
+                    probe = baire_approximant(op, lam)
                     assert probe.identity_residual() <= 1e-10
                     worst = 0.0
                     for phi in phis:

@@ -1,6 +1,8 @@
 import math
 from dataclasses import replace
 
+import dst.adjoint
+
 import numpy as np
 import pytest
 
@@ -15,13 +17,18 @@ from dst.adjoint import (
     dirichlet_laplacian_demo,
     h_polar,
     intertwining_residual,
+    lambda_schedule,
 )
+from dst.config import Tolerances
 from dst.errors import BadGrid, DimensionMismatch, SingularGram
 from dst.kuelbs import KuelbsEmbedding, LpSpace, build_kuelbs
-from dst.linalg import herm, vnorm
+from dst.linalg import abs_norm, gram_norm_rows, herm, vnorm
 from dst.polar import polar_decompose
 from dst.rng import Rng
 from dst.spectral import deformed_of, integrate
+
+
+EPS = float(np.finfo(np.float64).eps)
 
 
 def hilbert_embedding(n):
@@ -197,7 +204,7 @@ def test_baire_resolvent_contraction_and_error_bound():
         op = banach_operator(a, emb)
         gp = h_polar(op)
         for lam in (1e1, 1e2, 1e3, 1e4):
-            probe = baire_approximant(op, lam, gp=gp)
+            probe = baire_approximant(op, lam)
             # ||lam R||_H <= 1
             ell = np.linalg.cholesky(emb.gram)
             frame = herm(ell) @ (lam * probe.resolvent) @ np.linalg.inv(herm(ell))
@@ -237,11 +244,126 @@ def test_baire_convergence_study():
         baire_convergence_study(op, phis, (math.nan, 1e1))
 
 
+def test_h_polar_is_computed_once_per_tolerance_set():
+    # frame of the uniform l2 embedding is the identity up to scale, so the
+    # H-singular values are those of the diagonal
+    op = banach_operator(np.diag([1.0, 1e-3, 1e-6, 0.0]).astype(complex), hilbert_embedding(4))
+    gp = h_polar(op)
+    assert h_polar(op) is gp
+    assert gp.rank == 3
+    cut = h_polar(op, tols=Tolerances(rank_rel=1e-2))
+    assert cut is not gp and cut.rank == 1
+    assert h_polar(op, tols=Tolerances(rank_rel=1e-2)) is cut  # equal tolerances, one entry
+    assert h_polar(op) is gp
+    # a new operator over the same matrix computes its own
+    assert h_polar(banach_operator(op.matrix, op.embedding)) is not gp
+
+
+def test_shared_h_polar_is_read_only():
+    gp = h_polar(banach_operator(Rng(214).matrix(4, 4), build_kuelbs(LpSpace(4, 3.0))))
+    for a in (gp.U, gp.T, gp.Tbar):
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+
+
+def test_study_and_spectral_measure_reuse_the_operator_polar(monkeypatch):
+    calls = []
+
+    def counting(a, **kw):
+        calls.append(a.shape)
+        return polar_decompose(a, **kw)
+
+    monkeypatch.setattr(dst.adjoint, "polar_decompose", counting)
+    emb = build_kuelbs(LpSpace(5, 3.0))
+    op = banach_operator(Rng(215).matrix(5, 5), emb)
+    gp = h_polar(op)
+    baire_convergence_study(op, Rng(216).matrix(2, 5), (1e1, 1e2))
+    baire_approximant(op, 1e3)
+    res = banach_deformed_spectral(op)
+    assert res.polar is gp
+    assert calls == [(5, 5)]
+
+
+def _full_resolvent_study(op, phis, lambdas):
+    """The study as it was before the narrow solves: one n x n resolvent
+    and one n x n product with A per lambda, applied to the phi block."""
+    k = op.embedding
+    gp = h_polar(op)
+    n = k.space.dim
+    h_to_b = n ** max(0.0, 1.0 / k.space.p - 0.5) / math.sqrt(k.metric.eig_min)
+    a_phi = phis @ op.matrix.T
+    bound = float((h_to_b * gram_norm_rows(k.gram, a_phi @ gp.Tbar.T)).max())
+    rows = []
+    for lam in lambdas:
+        resolvent = np.linalg.solve(lam * np.eye(n) + gp.T, np.eye(n, dtype=np.complex128))
+        a_lambda = lam * (op.matrix @ resolvent)
+        err = abs_norm(np.abs(phis @ a_lambda.T - a_phi), k.space.p)
+        rows.append((lam, float(err.max()), bound / lam))
+    return rows
+
+
+@pytest.mark.parametrize("n", [2, 8, 64])
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_study_matches_full_resolvent_form(n, p):
+    emb = build_kuelbs(LpSpace(n, p))
+    rng = Rng(217 + n)
+    lams = (1e1, 1e2, 1e3, 1e4)
+    for _ in range(3):
+        op = banach_operator(rng.matrix(n, n), emb)
+        phis = rng.matrix(4, n)
+        # both forms subtract lam A R phi from A phi, terms of size ||A phi||_p,
+        # so each carries a rounding floor of a few eps ||A phi||_p; at
+        # lam = 1e4 that floor exceeds 1e-12 of the error itself
+        floor = EPS * float(abs_norm(np.abs(phis @ op.matrix.T), p).max())
+        rows = baire_convergence_study(op, phis, lams)
+        for row, (lam, err, bound) in zip(rows, _full_resolvent_study(op, phis, lams), strict=True):
+            assert row.lam == lam
+            assert row.bound == bound  # bit for bit
+            assert abs(row.max_error - err) <= 1e-12 * err + 4.0 * floor
+        for row in baire_convergence_study(op, phis, (1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8)):
+            assert row.max_error <= row.bound
+
+
+@pytest.mark.parametrize("lambdas", [(), (1e-320,), (0.0, 1e1), (1e1, math.inf), (5e-324,)])
+def test_study_refuses_a_schedule_that_checks_nothing(lambdas):
+    op = banach_operator(Rng(218).matrix(3, 3), build_kuelbs(LpSpace(3, 3.0)))
+    with pytest.raises(ValueError):
+        baire_convergence_study(op, Rng(219).matrix(2, 3), lambdas)
+    with pytest.raises(ValueError):
+        lambda_schedule(lambdas)
+
+
+def test_study_refuses_a_bound_that_overflows():
+    # 1/lambda is finite at 1e-308, but the bound ||Tbar A phi|| / lambda is not
+    op = banach_operator(Rng(218).matrix(3, 3), build_kuelbs(LpSpace(3, 3.0)))
+    phis = Rng(219).matrix(2, 3)
+    assert baire_convergence_study(op, phis, (1.0,))[0].bound > 2.0
+    with pytest.raises(ValueError, match="1e-308"):
+        baire_convergence_study(op, phis, (1e-308, 1e1))
+
+
+def test_lambda_schedule_names_the_refused_value():
+    with pytest.raises(ValueError, match="empty"):
+        lambda_schedule([])
+    with pytest.raises(ValueError, match="1e-320"):
+        lambda_schedule([1e1, 1e-320])
+    assert lambda_schedule([1e1, 1e-300]) == (10.0, 1e-300)
+
+
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_baire_approximant_rejects_bad_lambda(lam):
     op = banach_operator(Rng(213).matrix(3, 3), hilbert_embedding(3))
     with pytest.raises(ValueError):
         baire_approximant(op, lam)
+
+
+def test_baire_approximant_refuses_a_lambda_whose_inverse_overflows():
+    # on a singular T, lam I + T at lam = 1e-320 inverts to inf and the
+    # residuals of the probe come out NaN
+    op = banach_operator(np.diag([1.0, 0.5, 0.0]).astype(complex), build_kuelbs(LpSpace(3, 3.0)))
+    with pytest.raises(ValueError, match="1e-320"):
+        baire_approximant(op, 1e-320)
+    assert baire_approximant(op, 1e-300).identity_residual() == 0.0
 
 
 def test_banach_deformed_hilbert_specialization():

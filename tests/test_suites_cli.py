@@ -226,6 +226,50 @@ def test_cli_baire_lambda_cap(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# a schedule that checks nothing (empty, or a lambda whose 1/lambda
+# overflows the error bound to inf) is refused, naming the value
+@pytest.mark.parametrize("lambdas", ["", "1e-320", "1e1,0", "1e1,inf"])
+def test_cli_refuses_a_schedule_that_checks_nothing(lambdas, tmp_path, capsys):
+    path = write_matrix(tmp_path, Rng(408).matrix(4, 4))
+    report = tmp_path / "r.json"
+    for argv in (
+        ["baire", "--input", path, "--lambdas", lambdas],
+        ["verify", "--suite", "baire", "--dims", "4", "--trials", "1", "--lambdas", lambdas,
+         "--report", str(report)],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--lambdas {lambdas!r}" in captured.err
+    assert not report.exists()
+
+
+def test_cli_refuses_a_bound_that_overflows(tmp_path, capsys):
+    # 1/lambda is finite at 1e-308, but the error bound / lambda is not
+    path = write_matrix(tmp_path, Rng(408).matrix(4, 4))
+    report = tmp_path / "r.json"
+    for argv in (
+        ["baire", "--input", path, "--p", "3", "--lambdas", "1e-308,1e1"],
+        ["verify", "--suite", "baire", "--dims", "4", "--trials", "1", "--lambdas", "1e-308,1e1",
+         "--report", str(report)],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflows at lambda 1e-308" in captured.err
+    assert not report.exists()
+
+
+def test_suite_config_refuses_an_empty_schedule():
+    with pytest.raises(ValueError, match="empty"):
+        SuiteConfig(dims=(4,), trials=1, lambdas=())
+
+
+def test_cli_list_parse_error_is_a_message(capsys):
+    assert main(["verify", "--dims", "2,x"]) == 1
+    assert "error: expected comma-separated integers, got '2,x'" in capsys.readouterr().err
+
+
 # commands that reach no library threshold take no --tol: a flag that
 # could change nothing is refused instead of silently ignored
 @pytest.mark.parametrize(
