@@ -37,9 +37,11 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import BadGrid, DimensionMismatch
 from .kuelbs import GramMetric, KuelbsEmbedding, LpSpace
-from .linalg import abs_norm, as_matrix, as_vector, gram_inner_rows, gram_norm_rows, herm, vnorm
-from .polar import polar_decompose
-from .spectral import SpectralMeasure, deform, spectral_measure
+from .linalg import (
+    SvdResult, abs_norm, as_matrix, as_vector, gram_inner_rows, gram_norm_rows, herm, svd, vnorm,
+)
+from .polar import PolarDecomposition, polar_from_svd
+from .spectral import SpectralMeasure, deform, measure_from_svd
 
 __all__ = [
     "BanachOperator",
@@ -184,6 +186,29 @@ class GramPolar:
             a.setflags(write=False)
 
 
+def _frame_svd(op: BanachOperator) -> SvdResult:
+    """SVD of the frame matrix L* A inv(L*), whose Euclidean geometry is
+    the embedded metric's."""
+    m = op.embedding.metric
+    return svd(m.chol_h @ op.matrix @ m.frame_inv)
+
+
+def _store_h_polar(op: BanachOperator, p: PolarDecomposition, tols: Tolerances) -> GramPolar:
+    """Pull the frame polar ``p`` back to the lp coordinates and store it
+    on the operator as its H-polar for ``tols``."""
+    m = op.embedding.metric
+    pull = lambda x: m.frame_inv @ x @ m.chol_h
+    gp = op._polars[tols] = GramPolar(
+        U=pull(p.U),
+        T=pull(p.T),
+        Tbar=pull(p.Tbar),
+        rank=p.rank,
+        tol=p.tol,
+        threshold=p.threshold,
+    )
+    return gp
+
+
 def h_polar(op: BanachOperator, *, tols: Tolerances = DEFAULT) -> GramPolar:
     """Polar-decompose in the embedded metric via the Cholesky frame.
 
@@ -193,26 +218,15 @@ def h_polar(op: BanachOperator, *, tols: Tolerances = DEFAULT) -> GramPolar:
     shares.
     """
     gp = op._polars.get(tols)
-    if gp is None:
-        m = op.embedding.metric
-        p = polar_decompose(m.chol_h @ op.matrix @ m.frame_inv, tols=tols)
-        pull = lambda x: m.frame_inv @ x @ m.chol_h
-        gp = op._polars[tols] = GramPolar(
-            U=pull(p.U),
-            T=pull(p.T),
-            Tbar=pull(p.Tbar),
-            rank=p.rank,
-            tol=p.tol,
-            threshold=p.threshold,
-        )
-    return gp
+    return gp if gp is not None else _store_h_polar(op, polar_from_svd(_frame_svd(op), tols=tols), tols)
 
 
 def lambda_schedule(lambdas: Sequence[float]) -> tuple[float, ...]:
     """The resolvent parameters as floats, refused (ValueError) unless the
-    schedule is non-empty and every lam is positive and finite with a
-    finite 1/lam: an empty schedule checks nothing, and a lam whose 1/lam
-    overflows turns the 1/lam error bound into inf, which anything meets.
+    schedule is non-empty, ascending, and every lam is positive and finite
+    with a finite 1/lam: an empty schedule checks nothing, a lam whose
+    1/lam overflows turns the 1/lam error bound into inf, which anything
+    meets, and the rate checks read the rows in schedule order.
     """
     lams = tuple(float(x) for x in lambdas)
     if not lams:
@@ -220,6 +234,8 @@ def lambda_schedule(lambdas: Sequence[float]) -> tuple[float, ...]:
     for lam in lams:
         if not (0.0 < lam < math.inf and math.isfinite(1.0 / lam)):  # also rejects NaN
             raise ValueError(f"lambda must be positive and finite with a finite 1/lambda, got {lam!r}")
+    if sorted(lams) != list(lams):
+        raise ValueError("lambda schedule must be ascending")
     return lams
 
 
@@ -259,9 +275,8 @@ def baire_approximant(op: BanachOperator, lam: float, *, tols: Tolerances = DEFA
 def intertwining_residual(op: BanachOperator, probe: ResolventProbe) -> float:
     """Scaled residual of A inv(lam I + T) = inv(lam I + Tbar) A."""
     n = op.space.dim
-    r_bar = np.linalg.solve(probe.lam * np.eye(n) + probe.polar.Tbar, np.eye(n, dtype=np.complex128))
     lhs = op.matrix @ probe.resolvent
-    rhs = r_bar @ op.matrix
+    rhs = np.linalg.solve(probe.lam * np.eye(n) + probe.polar.Tbar, op.matrix)
     return float(np.linalg.norm(lhs - rhs)) / (1.0 + float(np.linalg.norm(lhs)))
 
 
@@ -282,18 +297,16 @@ def baire_convergence_study(
     Errors are lp norms; the bound column is the H-metric estimate
     (1/lam) ||Tbar A phi||_H scaled by the H -> lp equivalence constant
     of the Gram factorization, so every row satisfies error <= bound.
-    Rows come back in schedule order, which must be ascending, non-empty
-    and valid for :func:`lambda_schedule`. Each lambda costs one LU of
-    lam I + T, solved against the phi columns only (at least one phi),
-    and one product with A; no n x n resolvent is formed. The rows
+    Rows come back in schedule order, which must be valid for
+    :func:`lambda_schedule` (non-empty and ascending). Each lambda costs
+    one LU of lam I + T, solved against the phi columns only (at least
+    one phi), and one product with A; no n x n resolvent is formed. The rows
     depend on T and Tbar alone, which no threshold cuts, so the study
     takes no tolerances and shares the operator's default H-polar. A
     bound that overflows at the smallest lambda is refused (ValueError),
     since an infinite bound holds for any error.
     """
     lams = lambda_schedule(lambdas)
-    if sorted(lams) != list(lams):
-        raise ValueError("lambda schedule must be ascending")
     if lams[-1] > 1e8:
         # beyond this the subtraction lam*A*R*phi - A*phi floors at eps*lam
         raise ValueError("lambda schedule capped at 1e8")
@@ -325,15 +338,24 @@ class BanachDeformedResult:
 def banach_deformed_spectral(op: BanachOperator, *, tols: Tolerances = DEFAULT) -> BanachDeformedResult:
     """Deformed spectral measure of an operator in the embedded metric.
 
-    The measure of the positive factor T is computed in the Euclidean
-    frame and pulled back, so its projectors are H-orthogonal (idempotent
-    and selfadjoint for the Gram inner product, not the Euclidean one).
-    The pull-back transforms the factors once: left by inv(L*), right by L*.
+    The measure of the positive factor T is read off the SVD of the frame
+    matrix L* A inv(L*) and pulled back, so its projectors are
+    H-orthogonal (idempotent and selfadjoint for the Gram inner product,
+    not the Euclidean one). The pull-back transforms the factors once:
+    left by inv(L*), right by L*. The frame SVD is taken once: it also
+    seeds the operator's :func:`h_polar` when none is stored for ``tols``,
+    and an H-polar already stored is reused as it is.
     """
-    gp = h_polar(op, tols=tols)
+    dec = _frame_svd(op)
+    gp = op._polars.get(tols)
+    p = polar_from_svd(dec, tols=tols) if gp is None else None
+    rank = gp.rank if p is None else p.rank
+    e_frame = measure_from_svd(dec.sigma, dec.right, rank, tols=tols)
+    del dec  # released before the pull-back products
+    if p is not None:
+        gp = _store_h_polar(op, p, tols)
+        del p
     m = op.embedding.metric
-    t_frame = m.chol_h @ gp.T @ m.frame_inv
-    e_frame = spectral_measure((t_frame + herm(t_frame)) / 2.0, tols=tols)
     e_pulled = replace(e_frame, left=m.frame_inv @ e_frame.left, right=e_frame.right @ m.chol_h)
     measure = deform(gp.U, e_pulled, support_tol=gp.threshold, tols=tols)
     resid = float(np.linalg.norm(measure.reconstruct() - op.matrix)) / (

@@ -68,8 +68,8 @@ def _parse_tol_items(items) -> dict[str, float]:
     return table
 
 
-# hermitian_rel is not settable here: the only matrix a command diagonalizes
-# is the polar factor T, Hermitian to the last bit, so that check never fires
+# hermitian_rel is not settable here: no command diagonalizes a matrix (the
+# measure of T is read off the polar SVD), so that check never runs
 _LIBRARY_TOL_FIELDS = {
     "rank": "rank_rel",
     "cluster": "cluster_rel",

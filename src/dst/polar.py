@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import DimensionMismatch
-from .linalg import as_matrix, herm, svd
+from .errors import DimensionMismatch, NotSquare
+from .linalg import SvdResult, as_matrix, herm, svd
 
-__all__ = ["PolarDecomposition", "polar_decompose", "intertwining_check"]
+__all__ = ["PolarDecomposition", "polar_decompose", "polar_from_svd", "intertwining_check"]
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
@@ -54,17 +54,23 @@ class PolarDecomposition:
 
 
 def polar_decompose(a, *, tols: Tolerances = DEFAULT) -> PolarDecomposition:
-    """Polar-decompose a square matrix via its SVD.
+    """Polar-decompose a square matrix via its SVD (see :func:`polar_from_svd`)."""
+    return polar_from_svd(svd(as_matrix(a, square=True)), tols=tols)
 
-    With A = W S V*: T = V S V*, Tbar = W S W*, and U = W P_r V* where
-    P_r zeroes singular values sigma_i <= tol * sigma_max. The relative
-    cutoff ``tol`` is ``tols.rank_threshold_rel(n)``: ``rank_rel``, or
-    n*eps when that is None, times ``scale``.
+
+def polar_from_svd(dec: SvdResult, *, tols: Tolerances = DEFAULT) -> PolarDecomposition:
+    """Polar factors of a square matrix from its SVD A = W S V*.
+
+    T = V S V*, Tbar = W S W*, and U = W P_r V* where P_r zeroes singular
+    values sigma_i <= tol * sigma_max. The relative cutoff ``tol`` is
+    ``tols.rank_threshold_rel(n)``: ``rank_rel``, or n*eps when that is
+    None, times ``scale``. The result does not keep ``dec``; callers that
+    also want the spectral resolution of T read it off ``dec`` itself.
     """
-    a = as_matrix(a, square=True)
-    n = a.shape[0]
+    if dec.left.shape != dec.right.shape:
+        raise NotSquare(f"SVD of a non-square matrix: W is {dec.left.shape}, V is {dec.right.shape}")
+    n = dec.sigma.shape[0]
     rel = tols.rank_threshold_rel(n)
-    dec = svd(a)
     sigma_max = float(dec.sigma[0]) if n else 0.0
     threshold = rel * sigma_max
     keep = dec.sigma > threshold

@@ -13,12 +13,17 @@ is the calculus these measures implement. Note this is *not* the
 holomorphic calculus: for A = diag(-2, -1), g(lambda) = lambda^2 yields
 U T^2 = diag(-4, -1), not A^2.
 
-Every measure is stored factored, as an eigenbasis split into clusters:
-with H = V diag(lambda) V*, E keeps (V, V*) and F keeps (U V, V*), so a
-sum against a measure is one (left * w) @ right contraction, O(n^3) time
-and O(n^2) memory (the eigendecomposition route to f(A), Higham,
-*Functions of Matrices*, ch. 4). Dense per-atom matrices are formed only
-when ``atoms`` is read.
+Every measure is stored factored, as an orthonormal basis split into
+clusters: with H = V diag(lambda) V*, E keeps (V, V*) and F keeps
+(U V, V*), so a sum against a measure is one (left * w) @ right
+contraction, O(n^3) time and O(n^2) memory (the eigendecomposition route
+to f(A), Higham, *Functions of Matrices*, ch. 4). Dense per-atom matrices
+are formed only when ``atoms`` is read.
+
+The measure of T needs no eigensolver: the SVD A = W S V* behind the polar
+decomposition already is its spectral resolution T = V S V*.
+``deformed_of`` reads it off that one SVD (``measure_from_svd``);
+``spectral_measure`` diagonalizes a general Hermitian matrix.
 """
 
 from __future__ import annotations
@@ -32,13 +37,14 @@ from .config import DEFAULT, Tolerances
 from .errors import DimensionMismatch, NegativeSupport
 from .gexpr import GExpr, evaluate
 from .gexpr import parse as parse_g
-from .linalg import as_matrix, as_vector, herm, hermitian_eigen
-from .polar import polar_decompose
+from .linalg import as_matrix, as_vector, herm, hermitian_eigen, svd
+from .polar import polar_from_svd
 
 __all__ = [
     "SpectralMeasure",
     "QuadraticFormResult",
     "spectral_measure",
+    "measure_from_svd",
     "deform",
     "deformed_of",
     "integrate",
@@ -96,10 +102,10 @@ class SpectralMeasure:
         This costs O(n^3) memory; sums against the measure should go
         through ``integrate`` or ``reconstruct`` instead.
         """
-        return tuple((lam, self.left[:, c] @ self.right[c]) for lam, c in zip(self.lambdas, self._clusters()))
-
-    def _clusters(self) -> list[slice]:
-        return [slice(lo, hi) for lo, hi in zip(self.bounds, self.bounds[1:])]
+        b = self.bounds
+        return tuple(
+            (lam, self.left[:, lo:hi] @ self.right[lo:hi]) for lam, lo, hi in zip(self.lambdas, b, b[1:])
+        )
 
     def _contract(self, values, phi=None) -> np.ndarray:
         """Sum_i values[i] M_i, or that sum applied to the vector phi."""
@@ -108,13 +114,27 @@ class SpectralMeasure:
             return (self.left * w) @ self.right
         return self.left @ (w * (self.right @ phi))
 
-    def atom_vectors(self, phi) -> list[np.ndarray]:
-        """M_i phi for every atom, without forming any M_i."""
-        y = self.right @ phi
-        return [self.left[:, c] @ y[c] for c in self._clusters()]
+    def atom_vectors(self, phi) -> np.ndarray:
+        """Rows M_i phi, one per atom, without forming any M_i."""
+        return np.add.reduceat(self.left * (self.right @ phi), self.bounds[:-1], axis=1).T
 
     def reconstruct(self) -> np.ndarray:
         return self._contract(self.lambdas)
+
+
+def _cluster(vals: np.ndarray, rel: float, cut: int = 0) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """Cluster bounds and atoms of ascending values.
+
+    Neighbours within ``rel * (1 + |lambda|)`` of each other merge into
+    one cluster whose atom is their mean; ``0 < cut < n`` forces a bound
+    before index ``cut``.
+    """
+    n = vals.shape[0]
+    split = np.diff(vals) > rel * (1.0 + np.maximum(np.abs(vals[:-1]), np.abs(vals[1:])))
+    if 0 < cut < n:
+        split[cut - 1] = True
+    bounds = (0, *(np.flatnonzero(split) + 1).tolist(), n)
+    return bounds, tuple(float(np.mean(vals[lo:hi])) for lo, hi in zip(bounds, bounds[1:]))
 
 
 def spectral_measure(h, *, tols: Tolerances = DEFAULT) -> SpectralMeasure:
@@ -130,17 +150,25 @@ def spectral_measure(h, *, tols: Tolerances = DEFAULT) -> SpectralMeasure:
     value when eigenvalue gaps below 1e-8 are meaningful.
     """
     es = hermitian_eigen(h, tols=tols)
-    rel = tols.cluster_tol()
-    vals = es.values
-    n = vals.shape[0]
-    bounds = [0]
-    for i in range(1, n):
-        gap_limit = rel * (1.0 + max(abs(vals[i - 1]), abs(vals[i])))
-        if vals[i] - vals[i - 1] > gap_limit:
-            bounds.append(i)
-    bounds.append(n)
-    lambdas = tuple(float(np.mean(vals[lo:hi])) for lo, hi in zip(bounds, bounds[1:]))
-    return SpectralMeasure(lambdas=lambdas, bounds=tuple(bounds), left=es.vectors, right=herm(es.vectors))
+    bounds, lambdas = _cluster(es.values, tols.cluster_tol())
+    return SpectralMeasure(lambdas=lambdas, bounds=bounds, left=es.vectors, right=herm(es.vectors))
+
+
+def measure_from_svd(
+    sigma: np.ndarray, v: np.ndarray, rank: int, *, tols: Tolerances = DEFAULT
+) -> SpectralMeasure:
+    """Spectral measure of T = V diag(sigma) V*, read off an SVD.
+
+    ``sigma`` descends, as an SVD returns it, and the columns of ``v``
+    past the first ``rank`` span ker(T). The measure ascends and clusters
+    by the rule of :func:`spectral_measure`, except that a cluster bound
+    is forced at the rank cut: ker(T) is its own atom (or atoms), and no
+    atom straddles it.
+    """
+    n = sigma.shape[0]
+    vecs = np.ascontiguousarray(v[:, ::-1])
+    bounds, lambdas = _cluster(sigma[::-1], tols.cluster_tol(), cut=n - rank)
+    return SpectralMeasure(lambdas=lambdas, bounds=bounds, left=vecs, right=herm(vecs))
 
 
 def deform(u, e: SpectralMeasure, *, support_tol: float = 0.0, tols: Tolerances = DEFAULT) -> SpectralMeasure:
@@ -170,22 +198,18 @@ def deform(u, e: SpectralMeasure, *, support_tol: float = 0.0, tols: Tolerances 
 def deformed_of(a, *, tols: Tolerances = DEFAULT) -> SpectralMeasure:
     """Canonical deformed measure of an arbitrary square matrix.
 
-    Pipeline: polar decomposition of A, spectral measure of the positive
-    factor T, deformation by the partial isometry U. The support threshold
-    is the polar rank cutoff, raised where needed over the atoms of the
-    lowest n - rank eigen-directions of T: those span ker(T), whose
-    eigenvalues can round to just above the cutoff. A singular A thus
-    keeps its zero cluster in ``source`` but reports only the nonzero
-    spectrum of T as support.
+    One SVD A = W S V* gives both polar factors (``polar_from_svd``) and
+    the spectral measure E of the positive factor T = V S V*
+    (``measure_from_svd``); the result is ``deform(U, E)``, with no
+    eigensolver on the way. The support threshold is the polar rank
+    cutoff, and the singular directions at or below it, which span
+    ker(T), form their own atoms: a singular A keeps its zero cluster in
+    ``source`` but reports only the nonzero spectrum of T as support.
     """
-    p = polar_decompose(a, tols=tols)
-    e = spectral_measure(p.T, tols=tols)
-    cut = p.threshold
-    for lam, end in zip(e.lambdas, e.bounds[1:]):  # ascending; stop at the first atom with range outside ker(T)
-        if end > e.dim - p.rank:
-            break
-        cut = max(cut, lam)
-    return deform(p.U, e, support_tol=cut, tols=tols)
+    dec = svd(as_matrix(a, square=True))
+    p = polar_from_svd(dec, tols=tols)
+    e = measure_from_svd(dec.sigma, dec.right, p.rank, tols=tols)
+    return deform(p.U, e, support_tol=p.threshold, tols=tols)
 
 
 def _as_scalar_function(g) -> Callable[[float], complex]:
@@ -267,4 +291,4 @@ def quadratic_form(
 
 def variation(measure: SpectralMeasure, phi) -> float:
     """Total variation Sum_i ||dM_i phi||_2 of the atomized vector measure."""
-    return float(sum(np.linalg.norm(v) for v in measure.atom_vectors(_phi_for(measure, phi))))
+    return float(np.linalg.norm(measure.atom_vectors(_phi_for(measure, phi)), axis=1).sum())

@@ -466,7 +466,7 @@ def _suite_adjoint(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
 def _suite_baire(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
     cases: list[CaseResult] = []
     limits = {"identity": "baire.identity", "intertwine": "baire.intertwine"}
-    lams = tuple(sorted(cfg.lambdas))
+    lams = lambda_schedule(cfg.lambdas)  # ascending, as for `dst baire`
     for p in cfg.ps:
         for dim in cfg.dims:
             emb = build_kuelbs(LpSpace(dim=dim, p=p))

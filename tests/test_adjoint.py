@@ -1,8 +1,6 @@
 import math
 from dataclasses import replace
 
-import dst.adjoint
-
 import numpy as np
 import pytest
 
@@ -266,22 +264,36 @@ def test_shared_h_polar_is_read_only():
             a[0, 0] = 1.0
 
 
-def test_study_and_spectral_measure_reuse_the_operator_polar(monkeypatch):
-    calls = []
-
-    def counting(a, **kw):
-        calls.append(a.shape)
-        return polar_decompose(a, **kw)
-
-    monkeypatch.setattr(dst.adjoint, "polar_decompose", counting)
+def test_study_and_spectral_measure_reuse_the_operator_polar(lapack_calls):
+    # the spectral measure seeds the memo from its frame SVD, and every
+    # later caller reads the stored polar: one SVD in all
     emb = build_kuelbs(LpSpace(5, 3.0))
     op = banach_operator(Rng(215).matrix(5, 5), emb)
+    lapack_calls.clear()
+    res = banach_deformed_spectral(op)
     gp = h_polar(op)
     baire_convergence_study(op, Rng(216).matrix(2, 5), (1e1, 1e2))
     baire_approximant(op, 1e3)
-    res = banach_deformed_spectral(op)
     assert res.polar is gp
-    assert calls == [(5, 5)]
+    assert lapack_calls == {"svd": 1}
+
+
+def test_banach_deformed_spectral_takes_one_svd_over_a_stored_polar(lapack_calls):
+    emb = build_kuelbs(LpSpace(5, 3.0))
+    a = Rng(219).matrix(5, 5)
+    op = banach_operator(a, emb)
+    gp = h_polar(op)
+    lapack_calls.clear()
+    res = banach_deformed_spectral(op)
+    assert lapack_calls == {"svd": 1}
+    assert res.polar is gp
+    # the seeded and the reused path build the same measure from the same SVD
+    fresh = banach_deformed_spectral(banach_operator(a, emb))
+    np.testing.assert_array_equal(res.measure.left, fresh.measure.left)
+    np.testing.assert_array_equal(res.measure.right, fresh.measure.right)
+    assert res.measure.lambdas == fresh.measure.lambdas
+    t = res.measure.source.reconstruct()
+    assert np.linalg.norm(t - gp.T) <= 1e-12 * (1 + np.linalg.norm(gp.T))
 
 
 def _full_resolvent_study(op, phis, lambdas):
@@ -347,7 +359,9 @@ def test_lambda_schedule_names_the_refused_value():
         lambda_schedule([])
     with pytest.raises(ValueError, match="1e-320"):
         lambda_schedule([1e1, 1e-320])
-    assert lambda_schedule([1e1, 1e-300]) == (10.0, 1e-300)
+    assert lambda_schedule([1e-300, 1e1]) == (1e-300, 10.0)
+    with pytest.raises(ValueError, match="ascending"):
+        lambda_schedule([1e1, 1e-300])
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 0.0, -1.0])

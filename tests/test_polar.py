@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from dst.errors import DimensionMismatch, NotSquare
-from dst.linalg import herm, hermitian_eigen
-from dst.polar import intertwining_check, polar_decompose
+from dst.linalg import herm, hermitian_eigen, svd
+from dst.polar import intertwining_check, polar_decompose, polar_from_svd
 from dst.rng import Rng
 
 
@@ -97,6 +97,8 @@ def test_intertwining():
 def test_errors():
     with pytest.raises(NotSquare):
         polar_decompose(np.ones((2, 3), dtype=complex))
+    with pytest.raises(NotSquare):
+        polar_from_svd(svd(np.ones((2, 3), dtype=complex)))
     p = polar_decompose(np.eye(2, dtype=complex))
     with pytest.raises(DimensionMismatch):
         intertwining_check(p, np.eye(3, dtype=complex))

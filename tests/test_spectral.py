@@ -125,14 +125,102 @@ def test_deformed_of_identity_and_nilpotent():
 
 @pytest.mark.parametrize("seed, idx", [(105, 5), (306, 17)])
 def test_deformed_support_excludes_kernel_at_rank_boundary(seed, idx):
-    # verify case deformed/rankdef/n2/t{idx}: eigh(T) rounds the kernel
-    # eigenvalue of T to just above the polar rank cut
+    # verify cases deformed/rankdef/n2/t{idx}, where an eigensolver on T
+    # rounded the kernel eigenvalue to just above the polar rank cut: read
+    # off the SVD, ker(T) is its own atom, at or below the cut
     stream = _stream(SuiteConfig(seed=seed), "deformed/rankdef/2")
     a = generate(Ensemble("rankdef", 2, 20, stream, rank=1))[idx]
     f = deformed_of(a)
     p = polar_decompose(a)
-    assert f.source.lambdas[0] > p.threshold
+    assert f.bounds == (0, 1, 2)
+    assert f.source.lambdas[0] <= p.threshold < f.source.lambdas[1]
     assert len(f.support) == p.rank == 1
+
+
+def _with_singular_values(s, seed):
+    rng = Rng(seed)
+    n = len(s)
+    q1, _ = np.linalg.qr(rng.matrix(n, n))
+    q2, _ = np.linalg.qr(rng.matrix(n, n))
+    return (q1 * np.asarray(s, dtype=float)) @ herm(q2)
+
+
+def _assert_projector_measure(e, a):
+    """``e`` is a measure of T = (A*A)^(1/2) whose atoms are orthogonal
+    projectors summing to the identity."""
+    n = a.shape[0]
+    assert np.linalg.norm(e.reconstruct() - polar_decompose(a).T) <= 1e-12 * (1 + np.linalg.norm(a))
+    assert np.linalg.norm(integrate(lambda _: 1, e) - np.eye(n)) <= 1e-12 * n
+    for (lo, hi), (_, p) in zip(zip(e.bounds, e.bounds[1:]), e.atoms):
+        assert np.linalg.norm(p @ p - p) <= 1e-12 * n
+        assert np.linalg.norm(p - herm(p)) <= 1e-12 * n
+        assert np.trace(p).real == pytest.approx(hi - lo, abs=1e-12 * n)
+
+
+def test_svd_measure_clusters_repeated_and_close_singular_values():
+    # kernel of dimension 2, a simple 1, a pair 1e-12 apart, a triple 3
+    s = [3.0, 3.0, 3.0, 2.0, 2.0 * (1.0 - 1e-12), 1.0, 0.0, 0.0]
+    a = _with_singular_values(s, 101)
+    f = deformed_of(a)
+    assert np.diff(f.bounds).tolist() == [2, 1, 2, 3]
+    assert f.lambdas == pytest.approx((0.0, 1.0, 2.0 - 1e-12, 3.0), rel=1e-14, abs=1e-14)
+    assert len(f.support) == 3
+    assert np.linalg.norm(f.reconstruct() - a) <= 1e-12 * (1 + np.linalg.norm(a))
+    _assert_projector_measure(f.source, a)
+
+
+def test_svd_measure_splits_a_cluster_at_the_rank_cut():
+    # 1e-10 is above the rank cut 4 eps but within the cluster window of the
+    # kernel: the forced bound keeps ker(T) out of the atom at 1e-10
+    s = [1.0, 0.5, 1e-10, 0.0]
+    a = _with_singular_values(s, 102)
+    p = polar_decompose(a)
+    assert p.rank == 3
+    f = deformed_of(a)
+    assert f.bounds == (0, 1, 2, 3, 4)
+    assert f.lambdas[0] <= p.threshold < f.lambdas[1]
+    assert f.lambdas[1] == pytest.approx(1e-10, rel=1e-4)
+    assert len(f.support) == p.rank
+    assert np.linalg.norm(f.reconstruct() - a) <= 1e-14 * (1 + np.linalg.norm(a))
+    _assert_projector_measure(f.source, a)
+
+
+def test_svd_measure_of_a_rank_13_matrix_has_13_support_atoms():
+    a = generate(Ensemble("rankdef", 16, 1, 103, rank=13))[0]
+    f = deformed_of(a)
+    assert len(f.support) == polar_decompose(a).rank == 13
+    assert f.bounds[:2] == (0, 3) and f.lambdas[0] <= f.support_tol
+    assert np.linalg.norm(f.reconstruct() - a) <= 1e-12 * (1 + np.linalg.norm(a))
+    _assert_projector_measure(f.source, a)
+
+
+@pytest.mark.parametrize("kind", ["general", "rankdef"])
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_svd_measure_matches_an_eigendecomposition_of_t(n, kind):
+    # the oracle diagonalizes T on its own; the measure never does
+    a = generate(Ensemble(kind, n, 1, 104 + n, rank=max(1, n // 2) if kind == "rankdef" else None))[0]
+    f = deformed_of(a)
+    p = polar_decompose(a)
+    et = hermitian_eigen(p.T)
+    scale = float(et.values[-1])
+    e = f.source
+    assert e.bounds[-1] == n and list(e.lambdas) == sorted(e.lambdas)
+    # every atom spans the eigenvectors of T in the same ascending positions
+    for lam, lo, hi in zip(e.lambdas, e.bounds, e.bounds[1:]):
+        assert lam == pytest.approx(float(np.mean(et.values[lo:hi])), abs=1e-13 * n * scale)
+        v = et.vectors[:, lo:hi]
+        proj = e.left[:, lo:hi] @ e.right[lo:hi]
+        assert np.linalg.norm(proj - v @ herm(v)) <= 1e-9
+    assert len(f.support) == p.rank
+    expect = p.U @ ((et.vectors * np.exp(-np.maximum(et.values, 0.0))) @ herm(et.vectors))
+    assert np.linalg.norm(integrate("exp(-lambda)", f) - expect) <= 1e-12 * (1 + np.linalg.norm(expect))
+
+
+def test_deformed_of_takes_one_svd_and_no_eigensolver(lapack_calls):
+    a = Rng(105).matrix(8, 8)
+    lapack_calls.clear()
+    deformed_of(a)
+    assert lapack_calls == {"svd": 1}
 
 
 def test_integrate_identity_function_recovers_a():

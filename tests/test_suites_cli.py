@@ -62,7 +62,7 @@ def test_skipped_banach_dims_are_named(tmp_path, capsys):
 # SHA-256 of the default `dst verify --suite all --no-timestamp` report,
 # pinned with Python 3.11, numpy 2.4 and OpenBLAS 0.3.31. Re-pin only with
 # a CHANGES.md entry that gives the largest metric drift.
-GOLDEN_DEFAULT_REPORT = "57996d7ce0940f5fffd15e1b967e4de57dc1bf31a99e316e20d4d696495607cb"
+GOLDEN_DEFAULT_REPORT = "8ebb1d9b0a434193f7d109332f759b70cd1f1fbb0e35d65bf5660e73a4e37c07"
 
 
 def _report_digest(tmp_path, *args) -> str:
@@ -78,7 +78,7 @@ def test_golden_report_digest(tmp_path, capsys):
 
 # The same for the benchmarked run (896 cases), whose kuelbs suite calls
 # lp_operator_norm at dims 2 through 16.
-GOLDEN_BENCH_REPORT = "8edaff5abc0f33fab22aeece11118889274ab0f19e4f3d22ca0680c020f0c4b6"
+GOLDEN_BENCH_REPORT = "83ac86dafbcbd6d5542c8af52796570d40b835a1fd2f6ab2378571cdac3e78e7"
 
 
 def test_golden_bench_report_digest(tmp_path, capsys):
@@ -258,6 +258,24 @@ def test_cli_refuses_a_bound_that_overflows(tmp_path, capsys):
         assert captured.out == ""
         assert "overflows at lambda 1e-308" in captured.err
     assert not report.exists()
+
+
+# one rule for --lambdas in both commands: a descending schedule is refused
+def test_cli_refuses_a_descending_schedule(tmp_path, capsys):
+    path = write_matrix(tmp_path, Rng(409).matrix(4, 4))
+    report = tmp_path / "r.json"
+    for argv in (
+        ["baire", "--input", path, "--lambdas", "1e2,1e1"],
+        ["verify", "--suite", "baire", "--dims", "4", "--trials", "1", "--lambdas", "1e2,1e1",
+         "--report", str(report)],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--lambdas '1e2,1e1': lambda schedule must be ascending" in captured.err
+    assert not report.exists()
+    with pytest.raises(ValueError, match="ascending"):
+        run_suite("baire", SuiteConfig(dims=(4,), trials=1, lambdas=(1e2, 1e1)))
 
 
 def test_suite_config_refuses_an_empty_schedule():
