@@ -20,10 +20,12 @@ positive polar factor T in the embedded metric, converges to A at rate
 
 together with the intertwining A inv(lam I + T) = inv(lam I + Tbar) A.
 
-The Dirichlet-Laplacian demo instantiates the same machinery with the
-Gram taken as the inverse of the discrete 1-D Laplacian J0 (the metric of
-the dual Sobolev pairing), for which the adjoint takes the closed form
-A* = J0 A^H inv(J0).
+An operator holds only what this needs: its matrix, the GramMetric of G
+and the lp space. A KuelbsEmbedding is one way to build that metric
+(``banach_operator`` reads both off it); the Dirichlet-Laplacian demo
+uses another, the Gram inv(J0) of the discrete 1-D Laplacian J0 (the
+metric of the dual Sobolev pairing), for which the adjoint takes the
+closed form A* = J0 A^H inv(J0).
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ __all__ = [
     "BanachOperator",
     "AdjointPair",
     "AdjointAxioms",
-    "GramPolar",
     "ResolventProbe",
     "ConvergenceRow",
     "BanachDeformedResult",
@@ -66,32 +67,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BanachOperator:
-    """A coordinate operator on the lp space of an embedding.
+    """A coordinate operator on an lp space carrying the Hilbert metric
+    (u, v)_H = v* G u of a :class:`GramMetric`.
 
     The operator holds its H-polar per tolerance set once
-    :func:`h_polar` has computed it; matrix and embedding are frozen,
+    :func:`h_polar` has computed it; matrix, metric and space are frozen,
     so the stored result never goes stale.
     """
 
     matrix: np.ndarray
-    embedding: KuelbsEmbedding
+    metric: GramMetric
+    space: LpSpace
     _polars: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = self.matrix
-        if m.shape[0] != m.shape[1] or m.shape[0] != self.embedding.space.dim:
-            raise DimensionMismatch(
-                f"operator {m.shape} does not act on a space of dim {self.embedding.space.dim}"
-            )
+        m, n = self.matrix, self.space.dim
+        if m.shape[0] != m.shape[1] or m.shape[0] != n:
+            raise DimensionMismatch(f"operator {m.shape} does not act on a space of dim {n}")
+        if self.metric.gram.shape[0] != n:
+            raise DimensionMismatch(f"metric of dim {self.metric.gram.shape[0]} on a space of dim {n}")
         m.setflags(write=False)
-
-    @property
-    def space(self):
-        return self.embedding.space
 
 
 def banach_operator(matrix, embedding: KuelbsEmbedding) -> BanachOperator:
-    return BanachOperator(matrix=as_matrix(matrix, square=True), embedding=embedding)
+    """The operator ``matrix`` on the embedding's lp space and metric."""
+    return BanachOperator(as_matrix(matrix, square=True), embedding.metric, embedding.space)
 
 
 @dataclass(frozen=True)
@@ -104,17 +104,24 @@ class AdjointPair:
     def __post_init__(self):
         self.astar.setflags(write=False)
 
+    def contract_rows(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Unchecked | (A u, v)_H - (u, A* v)_H | for each row pair of two k×n blocks."""
+        g = self.operator.metric.gram
+        return np.abs(
+            gram_inner_rows(g, us @ self.operator.matrix.T, vs) - gram_inner_rows(g, us, vs @ self.astar.T)
+        )
+
     def contract_residual(self, u, v) -> float:
-        """| (A u, v)_H - (u, A* v)_H | for one pair of vectors."""
-        k = self.operator.embedding
-        lhs = k.h_inner(self.operator.matrix @ as_vector(u), v)
-        rhs = k.h_inner(u, self.astar @ as_vector(v))
-        return abs(lhs - rhs)
+        """:meth:`contract_rows` for one pair of vectors of the space."""
+        u, v = as_vector(u), as_vector(v)
+        if u.shape != v.shape or u.shape[0] != self.operator.space.dim:
+            raise DimensionMismatch("vector dimension does not match the operator")
+        return float(self.contract_rows(u[None], v[None])[0])
 
 
 def adjoint(op: BanachOperator) -> AdjointPair:
     """Metric adjoint A* = inv(G) A^H G of a coordinate operator."""
-    g = op.embedding.gram
+    g = op.metric.gram
     astar = np.linalg.solve(g, herm(op.matrix) @ g)
     return AdjointPair(operator=op, astar=astar)
 
@@ -133,7 +140,14 @@ class AdjointAxioms:
     inverse_norm: float
 
 
-def _axioms_for_gram(astar_a: np.ndarray, metric: GramMetric, probes: Sequence[np.ndarray]) -> AdjointAxioms:
+def adjoint_axioms(pair: AdjointPair, *, probes: Sequence[np.ndarray] = ()) -> AdjointAxioms:
+    """Check accretivity, natural selfadjointness, and the inverse bound.
+
+    The accretive minimum sweeps an H-orthonormal basis (the columns of
+    inv(L*)) plus any supplied probe vectors, as one block.
+    """
+    astar_a = pair.astar @ pair.operator.matrix
+    metric = pair.operator.metric
     n = astar_a.shape[0]
     gram = metric.gram
     basis = metric.frame_inv  # columns are H-orthonormal
@@ -157,65 +171,31 @@ def _axioms_for_gram(astar_a: np.ndarray, metric: GramMetric, probes: Sequence[n
     )
 
 
-def adjoint_axioms(pair: AdjointPair, *, probes: Sequence[np.ndarray] = ()) -> AdjointAxioms:
-    """Check accretivity, natural selfadjointness, and the inverse bound.
-
-    The accretive minimum sweeps an H-orthonormal basis (the columns of
-    inv(L*)) plus any supplied probe vectors, as one block.
-    """
-    return _axioms_for_gram(pair.astar @ pair.operator.matrix, pair.operator.embedding.metric, probes)
-
-
-@dataclass(frozen=True)
-class GramPolar:
-    """Polar decomposition A = U T = Tbar U in the embedded metric.
-
-    T and Tbar are H-selfadjoint H-PSD, U an H-partial-isometry. The
-    Gram factor used for the frame transform is the embedding's metric.
-    """
-
-    U: np.ndarray
-    T: np.ndarray
-    Tbar: np.ndarray
-    rank: int
-    tol: float
-    threshold: float
-
-    def __post_init__(self):
-        for a in (self.U, self.T, self.Tbar):
-            a.setflags(write=False)
-
-
 def _frame_svd(op: BanachOperator) -> SvdResult:
     """SVD of the frame matrix L* A inv(L*), whose Euclidean geometry is
-    the embedded metric's."""
-    m = op.embedding.metric
+    the operator's metric."""
+    m = op.metric
     return svd(m.chol_h @ op.matrix @ m.frame_inv)
 
 
-def _store_h_polar(op: BanachOperator, p: PolarDecomposition, tols: Tolerances) -> GramPolar:
+def _store_h_polar(op: BanachOperator, p: PolarDecomposition, tols: Tolerances) -> PolarDecomposition:
     """Pull the frame polar ``p`` back to the lp coordinates and store it
     on the operator as its H-polar for ``tols``."""
-    m = op.embedding.metric
+    m = op.metric
     pull = lambda x: m.frame_inv @ x @ m.chol_h
-    gp = op._polars[tols] = GramPolar(
-        U=pull(p.U),
-        T=pull(p.T),
-        Tbar=pull(p.Tbar),
-        rank=p.rank,
-        tol=p.tol,
-        threshold=p.threshold,
-    )
+    gp = op._polars[tols] = replace(p, U=pull(p.U), T=pull(p.T), Tbar=pull(p.Tbar))
     return gp
 
 
-def h_polar(op: BanachOperator, *, tols: Tolerances = DEFAULT) -> GramPolar:
-    """Polar-decompose in the embedded metric via the Cholesky frame.
+def h_polar(op: BanachOperator, *, tols: Tolerances = DEFAULT) -> PolarDecomposition:
+    """Polar decomposition A = U T = Tbar U in the operator's metric, via
+    the Cholesky frame: T and Tbar are H-selfadjoint H-PSD, U an
+    H-partial-isometry; rank, tol and threshold are the frame's.
 
     Computed once per operator and tolerance set: later calls with equal
-    ``tols`` return the same read-only :class:`GramPolar`, which every
-    caller (the Baire study and approximant, the banach spectral measure)
-    shares.
+    ``tols`` return the same read-only :class:`PolarDecomposition`, which
+    every caller (the Baire study and approximant, the banach spectral
+    measure) shares.
     """
     gp = op._polars.get(tols)
     return gp if gp is not None else _store_h_polar(op, polar_from_svd(_frame_svd(op), tols=tols), tols)
@@ -246,7 +226,7 @@ class ResolventProbe:
     lam: float
     resolvent: np.ndarray  # inv(lam I + T)
     a_lambda: np.ndarray
-    polar: GramPolar
+    polar: PolarDecomposition
 
     def __post_init__(self):
         self.resolvent.setflags(write=False)
@@ -310,20 +290,20 @@ def baire_convergence_study(
     if lams[-1] > 1e8:
         # beyond this the subtraction lam*A*R*phi - A*phi floors at eps*lam
         raise ValueError("lambda schedule capped at 1e8")
-    k = op.embedding
+    m, p = op.metric, op.space.p
     gp = h_polar(op)
-    n = k.space.dim
+    n = op.space.dim
     # ||x||_p <= n^max(0, 1/p - 1/2) ||x||_2 and ||x||_2 <= ||x||_H / sqrt(min eig G)
-    h_to_b = n ** max(0.0, 1.0 / k.space.p - 0.5) / math.sqrt(k.metric.eig_min)
+    h_to_b = n ** max(0.0, 1.0 / p - 0.5) / math.sqrt(m.eig_min)
     phi_block = as_matrix(phis)  # rows are the phi
     a_phi = phi_block @ op.matrix.T
-    bound = float((h_to_b * gram_norm_rows(k.gram, a_phi @ gp.Tbar.T)).max())  # times 1/lam
+    bound = float((h_to_b * gram_norm_rows(m.gram, a_phi @ gp.Tbar.T)).max())  # times 1/lam
     if not math.isfinite(bound / lams[0]):  # an infinite bound holds for any error
         raise ValueError(f"error bound {bound!r} / lambda overflows at lambda {lams[0]!r}")
     rows = []
     for lam in lams:
         r_phi = np.linalg.solve(lam * np.eye(n) + gp.T, phi_block.T)  # columns are R phi
-        err = abs_norm(np.abs(lam * (op.matrix @ r_phi).T - a_phi), k.space.p)
+        err = abs_norm(np.abs(lam * (op.matrix @ r_phi).T - a_phi), p)
         rows.append(ConvergenceRow(lam=lam, max_error=float(err.max()), bound=bound / lam))
     return rows
 
@@ -331,12 +311,12 @@ def baire_convergence_study(
 @dataclass(frozen=True)
 class BanachDeformedResult:
     measure: SpectralMeasure
-    polar: GramPolar
+    polar: PolarDecomposition
     reconstruction_residual: float
 
 
 def banach_deformed_spectral(op: BanachOperator, *, tols: Tolerances = DEFAULT) -> BanachDeformedResult:
-    """Deformed spectral measure of an operator in the embedded metric.
+    """Deformed spectral measure of an operator in its Gram metric.
 
     The measure of the positive factor T is read off the SVD of the frame
     matrix L* A inv(L*) and pulled back, so its projectors are
@@ -355,7 +335,7 @@ def banach_deformed_spectral(op: BanachOperator, *, tols: Tolerances = DEFAULT) 
     if p is not None:
         gp = _store_h_polar(op, p, tols)
         del p
-    m = op.embedding.metric
+    m = op.metric
     e_pulled = replace(e_frame, left=m.frame_inv @ e_frame.left, right=e_frame.right @ m.chol_h)
     measure = deform(gp.U, e_pulled, support_tol=gp.threshold, tols=tols)
     resid = float(np.linalg.norm(measure.reconstruct() - op.matrix)) / (
@@ -403,12 +383,13 @@ def dirichlet_laplacian_demo(
 ) -> LaplacianDemoReport:
     """Adjoint demo on the discrete Dirichlet Laplacian J0.
 
-    The Hilbert metric is the dual pairing with Gram G = inv(J0); in that
-    metric the adjoint has the closed form A* = J0 A^H inv(J0), which is
-    what gets verified here (contract, involution, and the axioms),
-    together with the same quantities computed through the generic
-    machinery. ``r`` only selects the lr norm used for the reported
-    residual; the adjoint formula itself is r-independent.
+    The operator A acts on lr with the Hilbert metric of the dual pairing,
+    Gram G = inv(J0). In that metric the adjoint has the closed form
+    A* = J0 A^H inv(J0); the demo pairs A with it and runs the generic
+    contract and axiom checks on that pair, then applies the closed form
+    twice for the involution. ``r`` selects the space (it must lie in
+    (1, inf)) and the lr norm of the reported residual; the adjoint
+    formula itself is r-independent.
     """
     j0 = dirichlet_laplacian(n)
     eye = np.eye(n, dtype=np.complex128)
@@ -418,9 +399,8 @@ def dirichlet_laplacian_demo(
     if a.shape[0] != n:
         raise BadGrid(f"operator is {a.shape[0]}x{a.shape[1]}, grid has {n} interior points")
     j0_inv = np.linalg.solve(j0, eye)
-    metric = GramMetric((j0_inv + herm(j0_inv)) / 2.0)
-
-    astar = j0 @ herm(a) @ j0_inv  # closed form of the metric adjoint
+    op = BanachOperator(a, GramMetric((j0_inv + herm(j0_inv)) / 2.0), LpSpace(n, r))
+    pair = AdjointPair(op, j0 @ herm(a) @ j0_inv)  # closed form of the metric adjoint
 
     # contract pairs as two row blocks: basis pairs (e_i, e_j), i, j < 6,
     # then each probe against the next (the last against e_0)
@@ -432,15 +412,12 @@ def dirichlet_laplacian_demo(
         us = np.vstack([us, block])
         vs = np.vstack([vs, block[1:], eye[:1]])
     scale = 1.0 + float(np.linalg.norm(a))
-    gram = metric.gram
-    defect = np.abs(gram_inner_rows(gram, us @ a.T, vs) - gram_inner_rows(gram, us, vs @ astar.T))
-    worst = float(defect.max()) / scale
+    worst = float(pair.contract_rows(us, vs).max()) / scale
 
-    astar2 = j0 @ herm(astar) @ j0_inv
+    astar2 = j0 @ herm(pair.astar) @ j0_inv
     involution = float(np.linalg.norm(astar2 - a)) / scale
 
-    LpSpace(dim=n, p=r)  # validates r in (1, inf)
-    axioms = _axioms_for_gram(astar @ a, metric, probes)
+    axioms = adjoint_axioms(pair, probes=probes)
 
     residual_r = max(vnorm(astar2[:, j] - a[:, j], r) for j in range(n)) / scale
     return LaplacianDemoReport(
@@ -451,6 +428,6 @@ def dirichlet_laplacian_demo(
         accretive_min=axioms.accretive_min,
         natural_selfadjoint_residual=axioms.natural_selfadjoint_residual,
         inverse_norm=axioms.inverse_norm,
-        astar=astar,
+        astar=pair.astar,
         residual_r_norm=residual_r,
     )

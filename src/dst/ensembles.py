@@ -54,7 +54,7 @@ class Ensemble:
             raise ConfigError("h_selfadjoint ensembles need a gram matrix")
 
 
-def _one(ens: Ensemble, rng: Rng) -> np.ndarray:
+def _one(ens: Ensemble, rng: Rng, ell_h: np.ndarray | None) -> np.ndarray:
     n = ens.dim
     if ens.kind == "general":
         return rng.matrix(n, n)
@@ -68,15 +68,16 @@ def _one(ens: Ensemble, rng: Rng) -> np.ndarray:
         b = rng.matrix(n, ens.rank)
         c = rng.matrix(ens.rank, n)
         return b @ c
-    # h_selfadjoint
-    g = as_matrix(ens.gram, square=True)
-    ell = np.linalg.cholesky(g)
-    ell_h = herm(ell)
+    # h_selfadjoint; ell_h is L* of G = L L*
     r = rng.matrix(n, n)
     h = (r + herm(r)) / 2.0
     return np.linalg.solve(ell_h, h @ ell_h)
 
 
 def generate(ens: Ensemble) -> list[np.ndarray]:
-    """All ``count`` matrices of the ensemble, in index order."""
-    return [_one(ens, Rng(substream(ens.seed, k))) for k in range(ens.count)]
+    """All ``count`` matrices of the ensemble, in index order; an
+    h_selfadjoint ensemble factors its Gram once for all draws."""
+    ell_h = None
+    if ens.kind == "h_selfadjoint":
+        ell_h = herm(np.linalg.cholesky(as_matrix(ens.gram, square=True)))
+    return [_one(ens, Rng(substream(ens.seed, k)), ell_h) for k in range(ens.count)]

@@ -204,12 +204,6 @@ class KuelbsEmbedding:
         val = self.h_inner(u, u)
         return math.sqrt(max(val.real, 0.0))
 
-    def dual_pairing(self, f_coeffs, g_coeffs) -> complex:
-        """(f, g)_H' for functionals given by coefficient vectors."""
-        f = as_vector(f_coeffs)
-        g = as_vector(g_coeffs)
-        return complex(np.vdot(g, self.dual_gram @ f))
-
 
 def _default_weights(count: int) -> np.ndarray:
     # geometric decay capped at 2^-19: below 20 seeds this is plain 2^-k;

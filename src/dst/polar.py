@@ -22,7 +22,7 @@ from .config import DEFAULT, Tolerances
 from .errors import DimensionMismatch, NotSquare
 from .linalg import SvdResult, as_matrix, herm, svd
 
-__all__ = ["PolarDecomposition", "polar_decompose", "polar_from_svd", "intertwining_check"]
+__all__ = ["PolarDecomposition", "polar_decompose", "isometry_from_svd", "polar_from_svd", "intertwining_check"]
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
@@ -58,14 +58,13 @@ def polar_decompose(a, *, tols: Tolerances = DEFAULT) -> PolarDecomposition:
     return polar_from_svd(svd(as_matrix(a, square=True)), tols=tols)
 
 
-def polar_from_svd(dec: SvdResult, *, tols: Tolerances = DEFAULT) -> PolarDecomposition:
-    """Polar factors of a square matrix from its SVD A = W S V*.
+def isometry_from_svd(dec: SvdResult, *, tols: Tolerances = DEFAULT) -> tuple[np.ndarray, int, float, float]:
+    """The partial isometry of a square matrix from its SVD A = W S V*.
 
-    T = V S V*, Tbar = W S W*, and U = W P_r V* where P_r zeroes singular
-    values sigma_i <= tol * sigma_max. The relative cutoff ``tol`` is
-    ``tols.rank_threshold_rel(n)``: ``rank_rel``, or n*eps when that is
-    None, times ``scale``. The result does not keep ``dec``; callers that
-    also want the spectral resolution of T read it off ``dec`` itself.
+    Returns (U, rank, tol, threshold) with U = W P_r V*, where P_r zeroes
+    singular values sigma_i <= threshold = tol * sigma_max. The relative
+    cutoff ``tol`` is ``tols.rank_threshold_rel(n)``: ``rank_rel``, or
+    n*eps when that is None, times ``scale``.
     """
     if dec.left.shape != dec.right.shape:
         raise NotSquare(f"SVD of a non-square matrix: W is {dec.left.shape}, V is {dec.right.shape}")
@@ -74,8 +73,18 @@ def polar_from_svd(dec: SvdResult, *, tols: Tolerances = DEFAULT) -> PolarDecomp
     sigma_max = float(dec.sigma[0]) if n else 0.0
     threshold = rel * sigma_max
     keep = dec.sigma > threshold
-    rank = int(np.count_nonzero(keep))
     u = dec.left[:, keep] @ herm(dec.right[:, keep])
+    return u, int(np.count_nonzero(keep)), rel, threshold
+
+
+def polar_from_svd(dec: SvdResult, *, tols: Tolerances = DEFAULT) -> PolarDecomposition:
+    """Polar factors of a square matrix from its SVD A = W S V*.
+
+    U, rank and threshold come from :func:`isometry_from_svd`; T = V S V*
+    and Tbar = W S W*. The result does not keep ``dec``; callers that
+    also want the spectral resolution of T read it off ``dec`` itself.
+    """
+    u, rank, rel, threshold = isometry_from_svd(dec, tols=tols)
     t = _hermitize((dec.right * dec.sigma) @ herm(dec.right))
     tbar = _hermitize((dec.left * dec.sigma) @ herm(dec.left))
     return PolarDecomposition(U=u, T=t, Tbar=tbar, rank=rank, tol=rel, threshold=threshold)

@@ -38,7 +38,7 @@ from .errors import DimensionMismatch, NegativeSupport
 from .gexpr import GExpr, evaluate
 from .gexpr import parse as parse_g
 from .linalg import as_matrix, as_vector, herm, hermitian_eigen, svd
-from .polar import polar_from_svd
+from .polar import isometry_from_svd
 
 __all__ = [
     "SpectralMeasure",
@@ -198,18 +198,19 @@ def deform(u, e: SpectralMeasure, *, support_tol: float = 0.0, tols: Tolerances 
 def deformed_of(a, *, tols: Tolerances = DEFAULT) -> SpectralMeasure:
     """Canonical deformed measure of an arbitrary square matrix.
 
-    One SVD A = W S V* gives both polar factors (``polar_from_svd``) and
-    the spectral measure E of the positive factor T = V S V*
+    One SVD A = W S V* gives the polar isometry U (``isometry_from_svd``)
+    and the spectral measure E of the positive factor T = V S V*
     (``measure_from_svd``); the result is ``deform(U, E)``, with no
-    eigensolver on the way. The support threshold is the polar rank
-    cutoff, and the singular directions at or below it, which span
-    ker(T), form their own atoms: a singular A keeps its zero cluster in
-    ``source`` but reports only the nonzero spectrum of T as support.
+    eigensolver on the way and T itself never formed. The support
+    threshold is the polar rank cutoff, and the singular directions at or
+    below it, which span ker(T), form their own atoms: a singular A keeps
+    its zero cluster in ``source`` but reports only the nonzero spectrum
+    of T as support.
     """
     dec = svd(as_matrix(a, square=True))
-    p = polar_from_svd(dec, tols=tols)
-    e = measure_from_svd(dec.sigma, dec.right, p.rank, tols=tols)
-    return deform(p.U, e, support_tol=p.threshold, tols=tols)
+    u, rank, _, threshold = isometry_from_svd(dec, tols=tols)
+    e = measure_from_svd(dec.sigma, dec.right, rank, tols=tols)
+    return deform(u, e, support_tol=threshold, tols=tols)
 
 
 def _as_scalar_function(g) -> Callable[[float], complex]:

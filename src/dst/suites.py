@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .adjoint import (
     AdjointPair,
+    BanachOperator,
     adjoint,
     adjoint_axioms,
     baire_approximant,
@@ -266,10 +267,10 @@ def _suite_deformed(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
                 }
                 limits, signs = base_limits, ()
                 if kind == "negdef":
-                    es = hermitian_eigen(a, tols=tols)
-                    classical_max = float(max(spectral_measure(a, tols=tols).lambdas))
+                    classical = spectral_measure(a, tols=tols).lambdas
+                    classical_max = float(max(classical))
                     deformed_min = float(min(f.support)) if f.support else 0.0
-                    metrics["distinctness_flip"] = _support_match(f.support, np.abs(es.values))
+                    metrics["distinctness_flip"] = _support_match(f.support, np.abs(classical))
                     metrics["classical_max_atom"] = classical_max
                     metrics["deformed_min_support"] = deformed_min
                     limits = {**base_limits, "distinctness_flip": "deformed.distinctness"}
@@ -416,17 +417,14 @@ def adjoint_metrics(pair: AdjointPair, rng: Rng) -> dict[str, float]:
     Draws six scaled contract probe pairs from ``rng``, then four probes
     for the accretive minimum.
     """
-    a = pair.operator.matrix
-    emb = pair.operator.embedding
-    dim = a.shape[0]
+    op = pair.operator
+    a = op.matrix
     scale_a = float(np.linalg.norm(a))
-    draws = rng.matrix(16, dim)  # six (u, v) contract pairs, then four probes
+    draws = rng.matrix(16, op.space.dim)  # six (u, v) contract pairs, then four probes
     us, vs = draws[0:12:2], draws[1:12:2]
-    # |(A u, v)_H - (u, A* v)_H| per pair, as in AdjointPair.contract_residual
-    defect = np.abs(gram_inner_rows(emb.gram, us @ a.T, vs) - gram_inner_rows(emb.gram, us, vs @ pair.astar.T))
     den = 1.0 + scale_a * np.linalg.norm(us, axis=1) * np.linalg.norm(vs, axis=1)
-    contract = float((defect / den).max())
-    second = adjoint(banach_operator(pair.astar, emb))
+    contract = float((pair.contract_rows(us, vs) / den).max())
+    second = adjoint(BanachOperator(pair.astar, op.metric, op.space))
     ax = adjoint_axioms(pair, probes=draws[12:])
     return {
         "contract": contract,

@@ -6,10 +6,10 @@ import pytest
 
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    """Counts of ``numpy.linalg.svd`` and ``numpy.linalg.eigh`` calls, by
+    """Counts of ``numpy.linalg.svd``, ``eigh`` and ``cholesky`` calls, by
     name, made while the test runs; ``clear()`` it to start counting."""
     counts = Counter()
-    for name in ("svd", "eigh"):
+    for name in ("svd", "eigh", "cholesky"):
         orig = getattr(np.linalg, name)
 
         def counting(*args, _name=name, _orig=orig, **kwargs):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from dst.adjoint import (
+    AdjointPair,
+    BanachOperator,
     adjoint,
     adjoint_axioms,
     baire_approximant,
@@ -19,9 +21,9 @@ from dst.adjoint import (
 )
 from dst.config import Tolerances
 from dst.errors import BadGrid, DimensionMismatch, SingularGram
-from dst.kuelbs import KuelbsEmbedding, LpSpace, build_kuelbs
+from dst.kuelbs import GramMetric, KuelbsEmbedding, LpSpace, build_kuelbs
 from dst.linalg import abs_norm, gram_norm_rows, herm, vnorm
-from dst.polar import polar_decompose
+from dst.polar import PolarDecomposition, polar_decompose
 from dst.rng import Rng
 from dst.spectral import deformed_of, integrate
 
@@ -254,11 +256,12 @@ def test_h_polar_is_computed_once_per_tolerance_set():
     assert h_polar(op, tols=Tolerances(rank_rel=1e-2)) is cut  # equal tolerances, one entry
     assert h_polar(op) is gp
     # a new operator over the same matrix computes its own
-    assert h_polar(banach_operator(op.matrix, op.embedding)) is not gp
+    assert h_polar(BanachOperator(op.matrix, op.metric, op.space)) is not gp
 
 
 def test_shared_h_polar_is_read_only():
     gp = h_polar(banach_operator(Rng(214).matrix(4, 4), build_kuelbs(LpSpace(4, 3.0))))
+    assert type(gp) is PolarDecomposition
     for a in (gp.U, gp.T, gp.Tbar):
         with pytest.raises(ValueError):
             a[0, 0] = 1.0
@@ -299,17 +302,17 @@ def test_banach_deformed_spectral_takes_one_svd_over_a_stored_polar(lapack_calls
 def _full_resolvent_study(op, phis, lambdas):
     """The study as it was before the narrow solves: one n x n resolvent
     and one n x n product with A per lambda, applied to the phi block."""
-    k = op.embedding
+    m, p = op.metric, op.space.p
     gp = h_polar(op)
-    n = k.space.dim
-    h_to_b = n ** max(0.0, 1.0 / k.space.p - 0.5) / math.sqrt(k.metric.eig_min)
+    n = op.space.dim
+    h_to_b = n ** max(0.0, 1.0 / p - 0.5) / math.sqrt(m.eig_min)
     a_phi = phis @ op.matrix.T
-    bound = float((h_to_b * gram_norm_rows(k.gram, a_phi @ gp.Tbar.T)).max())
+    bound = float((h_to_b * gram_norm_rows(m.gram, a_phi @ gp.Tbar.T)).max())
     rows = []
     for lam in lambdas:
         resolvent = np.linalg.solve(lam * np.eye(n) + gp.T, np.eye(n, dtype=np.complex128))
         a_lambda = lam * (op.matrix @ resolvent)
-        err = abs_norm(np.abs(phis @ a_lambda.T - a_phi), k.space.p)
+        err = abs_norm(np.abs(phis @ a_lambda.T - a_phi), p)
         rows.append((lam, float(err.max()), bound / lam))
     return rows
 
@@ -450,3 +453,34 @@ def test_operator_dimension_check():
     emb = build_kuelbs(LpSpace(3, 3.0))
     with pytest.raises(DimensionMismatch):
         banach_operator(np.eye(4, dtype=complex), emb)
+
+
+def test_operator_refuses_a_metric_of_another_dim():
+    metric = build_kuelbs(LpSpace(4, 3.0)).metric
+    with pytest.raises(DimensionMismatch):
+        BanachOperator(np.eye(3, dtype=complex), metric, LpSpace(3, 3.0))
+
+
+def test_contract_residual_is_the_one_row_contract():
+    emb = build_kuelbs(LpSpace(4, 3.0))
+    op = banach_operator(Rng(221).matrix(4, 4), emb)
+    pair = AdjointPair(op, adjoint(op).astar + 0.1)  # off the adjoint, so the contract fails
+    us, vs = Rng(222).matrix(3, 4), Rng(223).matrix(3, 4)
+    rows = pair.contract_rows(us, vs)
+    g, a = emb.gram, op.matrix
+    for u, v, row in zip(us, vs, rows):
+        direct = abs(np.vdot(v, g @ (a @ u)) - np.vdot(pair.astar @ v, g @ u))
+        assert direct > 1e-3 and abs(row - direct) <= 1e-12 * (1 + direct)
+        assert pair.contract_residual(u, v) == pair.contract_rows(u[None], v[None])[0]
+    with pytest.raises(DimensionMismatch):
+        pair.contract_residual(us[0, :3], vs[0, :3])
+
+
+@pytest.mark.parametrize("n", [8, 32])
+def test_generic_adjoint_in_the_laplacian_metric_is_the_closed_form(n):
+    j0_inv = np.linalg.inv(dirichlet_laplacian(n))
+    metric = GramMetric((j0_inv + herm(j0_inv)) / 2.0)
+    a = Rng(224).matrix(n, n)
+    rep = dirichlet_laplacian_demo(n, r=3.0, a=a)
+    astar = adjoint(BanachOperator(a, metric, LpSpace(n, 3.0))).astar
+    assert np.linalg.norm(astar - rep.astar) <= 1e-10 * np.linalg.norm(rep.astar)

@@ -40,6 +40,15 @@ def test_h_selfadjoint_kind():
         assert np.linalg.norm(gm - herm(gm)) <= 1e-12 * (1 + np.linalg.norm(gm))
 
 
+def test_h_selfadjoint_ensemble_factors_its_gram_once(lapack_calls):
+    gram = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+    mats = generate(Ensemble("h_selfadjoint", 4, 10, 7, gram=gram))
+    assert lapack_calls == {"cholesky": 1}
+    for m in mats:
+        gm = gram @ m
+        assert np.linalg.norm(gm - herm(gm)) <= 1e-12 * (1 + np.linalg.norm(gm))
+
+
 def test_validation():
     with pytest.raises(ConfigError):
         Ensemble("weird", 4, 1, 0)

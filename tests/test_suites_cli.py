@@ -87,6 +87,12 @@ def test_golden_bench_report_digest(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_deformed_suite_diagonalizes_each_negdef_input_once(lapack_calls):
+    # deformed_of takes SVDs only; the negdef classical measure is the one eigh
+    run_suite("deformed", SuiteConfig(dims=(2, 5), trials=3))
+    assert lapack_calls["eigh"] == 2 * 3
+
+
 def test_summary_names_nonfinite_metrics():
     cases = (
         CaseResult("s/n2/t1", "d1", {"a": float("inf"), "b": 1.0}, {}, False),
