@@ -15,7 +15,6 @@ from .kuelbs import (
     DualityFunctional,
     KuelbsEmbedding,
     LpSpace,
-    SteadmanFunctional,
     build_kuelbs,
     canonical_duality_map,
     lax_diagnostic,
@@ -59,7 +58,6 @@ __all__ = [
     "LpSpace",
     "DualityFunctional",
     "KuelbsEmbedding",
-    "SteadmanFunctional",
     "canonical_duality_map",
     "build_kuelbs",
     "steadman",

@@ -24,7 +24,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .adjoint import adjoint, baire_convergence_study, banach_operator, dirichlet_laplacian_demo, lambda_schedule
+from .adjoint import (
+    adjoint, adjoint_metrics, baire_convergence_study, banach_operator, dirichlet_laplacian_demo, lambda_schedule,
+)
 from .config import Tolerances, from_env
 from .errors import ConfigError, ToolkitError
 from .fileio import dump_json, load_matrix, matrix_to_obj, measure_to_obj, save_report
@@ -38,7 +40,6 @@ from .suites import (
     SUITE_NAMES,
     TOL_DEFAULTS,
     SuiteConfig,
-    adjoint_metrics,
     kuelbs_probe_metrics,
     run_suite,
 )
@@ -180,19 +181,25 @@ def _cmd_adjoint(args) -> int:
     a = load_matrix(args.input)
     emb = build_kuelbs(LpSpace(dim=args.dim, p=args.p))
     pair = adjoint(banach_operator(a, emb))
-    m = adjoint_metrics(pair, Rng(substream(args.seed, 2)))
     obj = {
         "p": args.p,
         "dim": args.dim,
         "astar": matrix_to_obj(pair.astar),
+        **_adjoint_obj(adjoint_metrics(pair, Rng(substream(args.seed, 2)))),
+    }
+    _emit(obj, args.out)
+    return 0
+
+
+def _adjoint_obj(m: dict[str, float]) -> dict[str, float]:
+    """The report keys of :func:`adjoint_metrics`, shared by `adjoint` and `demo laplacian`."""
+    return {
         "contract_residual": m["contract"],
         "involution_residual": m["involution"],
         "accretive_min": m["accretive_min"],
         "natural_selfadjoint_residual": m["natural_selfadjoint"],
         "inverse_norm": m["inverse_norm"],
     }
-    _emit(obj, args.out)
-    return 0
 
 
 def _cmd_baire(args) -> int:
@@ -264,17 +271,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_demo_laplacian(args) -> int:
-    rep = dirichlet_laplacian_demo(args.n, r=args.r, probes=Rng(substream(args.seed, 4)).matrix(4, args.n))
-    obj = {
-        "n": rep.n,
-        "r": rep.r,
-        "contract_residual": rep.contract_residual,
-        "involution_residual": rep.involution_residual,
-        "accretive_min": rep.accretive_min,
-        "natural_selfadjoint_residual": rep.natural_selfadjoint_residual,
-        "inverse_norm": rep.inverse_norm,
-        "residual_r_norm": rep.residual_r_norm,
-    }
+    _, m = dirichlet_laplacian_demo(args.n, r=args.r, rng=Rng(substream(args.seed, 4)))
+    obj = {"n": args.n, "r": args.r, **_adjoint_obj(m), "residual_r_norm": m["closed_form"]}
     _emit(obj, args.out)
     return 0
 

@@ -8,6 +8,9 @@ f(v) = sum_k c_k v_k, so the canonical duality map of u has coefficients
     c_k = ||u||_p^(2-p) * |u_k|^(p-1) * conj(u_k)/|u_k|
 
 which satisfy f(u) = ||u||_p^2 and ||c||_q = ||u||_p with q = p/(p-1).
+They are evaluated as ||u||_p conj(psi(u)) with the unit-dual-norm
+psi(u) = (u/||u||_p) (|u|/||u||_p)^(p-2) (``LpSpace.duality_rows``),
+which raises only ratios to a power and so holds at any finite scale.
 
 The embedding inner product is built from normalized duality functionals
 f_n of a spanning seed family {u_n} and positive weights t_n summing to 1:
@@ -46,7 +49,6 @@ __all__ = [
     "DualityFunctional",
     "GramMetric",
     "KuelbsEmbedding",
-    "SteadmanFunctional",
     "LpNormEstimate",
     "LaxDiagnostic",
     "canonical_duality_map",
@@ -59,7 +61,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LpSpace:
-    """lp sequence space on C^dim, 1 < p < inf."""
+    """lp sequence space on C^dim, 1 < p < inf.
+
+    The one place that computes with p: norms, the duality map and the
+    equivalence constants against l2 are all answered here, so callers
+    hold a space instead of an exponent.
+    """
 
     dim: int
     p: float
@@ -67,13 +74,23 @@ class LpSpace:
     def __post_init__(self):
         if self.dim < 1:
             raise DimensionMismatch(f"dim must be positive, got {self.dim}")
-        if not (1.0 < self.p < math.inf):
-            raise InvalidP(f"p must lie in (1, inf), got {self.p}")
+        if not (1.0 < self.p < math.inf) or self.q == 1.0:  # the dual space must exist too
+            raise InvalidP(f"p must lie in (1, inf) with a conjugate p/(p-1) above 1, got {self.p}")
 
     @property
     def q(self) -> float:
         """Conjugate exponent p/(p-1)."""
         return self.p / (self.p - 1.0)
+
+    @property
+    def l2_to_p(self) -> float:
+        """c with ||x||_p <= c ||x||_2 on C^dim: dim^max(0, 1/p - 1/2)."""
+        return self.dim ** max(0.0, 1.0 / self.p - 0.5)
+
+    @property
+    def distortion(self) -> float:
+        """dim^|1/2 - 1/p|, the product of both p <-> 2 equivalence constants."""
+        return self.dim ** abs(0.5 - 1.0 / self.p)
 
     def norm(self, v) -> float:
         return vnorm(v, self.p)
@@ -81,10 +98,30 @@ class LpSpace:
     def dual_norm(self, coeffs) -> float:
         return vnorm(coeffs, self.q)
 
+    def norm_rows(self, block: np.ndarray) -> float | np.ndarray:
+        """Unchecked ||y||_p of each row of a block (of a vector: a float)."""
+        return abs_norm(np.abs(block), self.p)
+
+    def duality_rows(self, block: np.ndarray, norms) -> np.ndarray:
+        """Unchecked psi(y) = (y/||y||_p) (|y|/||y||_p)^(p-2) of each row y,
+        given the row norms ``norms`` (:meth:`norm_rows` of the block).
+
+        Each row has unit q-norm and sum(conj(psi) y) = ||y||_p; a zero row
+        maps to 0, and zero entries to 0. Only quotients by ||y||_p are
+        raised to a power, never the norm itself, so the map has no scale
+        limit.
+        """
+        ny = np.where(norms == 0.0, 1.0, norms)[..., None]
+        ratio = np.abs(block) / ny
+        power = np.zeros_like(ratio)
+        nz = ratio > 0
+        power[nz] = ratio[nz] ** (self.p - 2.0)
+        return (block / ny) * power
+
 
 @dataclass(frozen=True)
 class DualityFunctional:
-    """A functional f(v) = coeffs . v with f(u) = ||u||_p^2, ||f||_q = ||u||_p."""
+    """A functional f(v) = coeffs . v attached to its source vector u."""
 
     coeffs: np.ndarray
     source: np.ndarray
@@ -105,24 +142,16 @@ class DualityFunctional:
         return self.space.dual_norm(self.coeffs)
 
 
-def _sign_conj(u: np.ndarray) -> np.ndarray:
-    # conj(u)/|u| with the convention 0 at zero entries
-    a = np.abs(u)
-    out = np.zeros_like(u)
-    nz = a > 0
-    out[nz] = u[nz].conj() / a[nz]
-    return out
-
-
 def canonical_duality_map(u, space: LpSpace) -> DualityFunctional:
-    """Standard lp duality functional of a nonzero vector."""
+    """Standard lp duality functional of a nonzero vector:
+    ||u||_p conj(psi(u)), with psi the space's :meth:`LpSpace.duality_rows`."""
     u = as_vector(u)
     if u.shape[0] != space.dim:
         raise DimensionMismatch(f"vector dim {u.shape[0]} != space dim {space.dim}")
     nrm = space.norm(u)
     if nrm == 0.0:
         raise ZeroVector("the duality map is undefined at 0")
-    coeffs = (nrm ** (2.0 - space.p)) * (np.abs(u) ** (space.p - 1.0)) * _sign_conj(u)
+    coeffs = nrm * space.duality_rows(u, nrm).conj()
     return DualityFunctional(coeffs=coeffs, source=u.copy(), space=space)
 
 
@@ -218,8 +247,9 @@ def build_kuelbs(space: LpSpace, seeds=None, weights=None) -> KuelbsEmbedding:
     Defaults: seeds are the canonical basis (spanning, and yielding a
     diagonal Gram), weights are 2^-min(k, 19) for k = 1..m renormalized
     to sum to 1; the cap keeps the Gram well conditioned at any dim.
-    Explicit weights must be positive and sum to 1 within 1e-12. Seeds
-    whose functionals fail to span the dual raise DegenerateSeeds.
+    Explicit weights must be positive and sum to 1 within 1e-12. A zero
+    seed raises ZeroVector; seeds whose functionals fail to span the dual,
+    or whose dual Gram overflows, raise DegenerateSeeds.
     """
     n = space.dim
     if seeds is None:
@@ -243,16 +273,18 @@ def build_kuelbs(space: LpSpace, seeds=None, weights=None) -> KuelbsEmbedding:
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise BadWeights(f"weights sum to {w.sum()!r}, expected 1")
 
-    funcs = []
-    for s in seed_list:
-        f = canonical_duality_map(s, space)
-        funcs.append(f.coeffs / f.dual_norm)
-    c = np.vstack(funcs)  # rows are the normalized coefficient vectors
+    seeds_mat = np.vstack(seed_list)  # rows are seeds
+    norms = space.norm_rows(seeds_mat)
+    if not norms.all():
+        raise ZeroVector(f"seed {int(np.argmin(norms))} is zero, where the duality map is undefined")
+    c = space.duality_rows(seeds_mat, norms).conj()  # rows are the unit-dual-norm coefficient vectors
     gram = herm(c) @ (w[:, None] * c)
     gram = (gram + herm(gram)) / 2.0
-    seeds_mat = np.vstack(seed_list)  # rows are seeds
-    dual_gram = herm(seeds_mat) @ (w[:, None] * seeds_mat)
-    dual_gram = (dual_gram + herm(dual_gram)) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
+        dual_gram = herm(seeds_mat) @ (w[:, None] * seeds_mat)
+        dual_gram = (dual_gram + herm(dual_gram)) / 2.0
+    if not np.isfinite(dual_gram.view(np.float64)).all():
+        raise DegenerateSeeds(f"the dual Gram of seeds up to norm {float(norms.max()):.3e} overflows")
 
     try:
         return KuelbsEmbedding(
@@ -261,42 +293,20 @@ def build_kuelbs(space: LpSpace, seeds=None, weights=None) -> KuelbsEmbedding:
             dual_gram=dual_gram,
             weights=w,
             seeds=tuple(s.copy() for s in seed_list),
-            functionals=tuple(funcs),
+            functionals=tuple(c),
         )
     except SingularGram as exc:
         raise DegenerateSeeds(str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class SteadmanFunctional:
-    """Duality functional S_u(v) = (||u||_B^2 / ||u||_H^2) (v, u)_H.
+def steadman(k: KuelbsEmbedding, u) -> DualityFunctional:
+    """Steadman duality functional S_u(v) = (||u||_B^2 / ||u||_H^2) (v, u)_H
+    of u for the embedding's inner product.
 
     By construction S_u(u) = ||u||_B^2, which forces ||S_u||_B' >= ||u||_B;
     the reverse inequality is not guaranteed by this explicit global
     formula and is reported, never asserted.
     """
-
-    u: np.ndarray
-    coeffs: np.ndarray
-    space: LpSpace
-
-    def __post_init__(self):
-        self.u.setflags(write=False)
-        self.coeffs.setflags(write=False)
-
-    def __call__(self, v) -> complex:
-        v = as_vector(v)
-        if v.shape[0] != self.space.dim:
-            raise DimensionMismatch("functional/vector dimension mismatch")
-        return complex(self.coeffs @ v)
-
-    @property
-    def dual_norm(self) -> float:
-        return self.space.dual_norm(self.coeffs)
-
-
-def steadman(k: KuelbsEmbedding, u) -> SteadmanFunctional:
-    """Steadman duality functional of u for the embedding's inner product."""
     u = as_vector(u)
     if u.shape[0] != k.space.dim:
         raise DimensionMismatch("vector dimension does not match the embedding")
@@ -305,7 +315,7 @@ def steadman(k: KuelbsEmbedding, u) -> SteadmanFunctional:
         raise ZeroVector("the Steadman map is undefined at 0")
     h2 = k.h_norm(u) ** 2
     coeffs = (nb**2 / h2) * (k.gram @ u).conj()
-    return SteadmanFunctional(u=u.copy(), coeffs=coeffs, space=k.space)
+    return DualityFunctional(coeffs=coeffs, source=u.copy(), space=k.space)
 
 
 @dataclass(frozen=True)
@@ -313,25 +323,6 @@ class LpNormEstimate:
     value: float
     method: str
     maximizer: np.ndarray
-
-
-def _dual_direction(y: np.ndarray, ay: np.ndarray, ny: np.ndarray, r: float) -> np.ndarray:
-    """psi_r(y) = (y/||y||_r) (|y|/||y||_r)^(r-2) for each row y of a block.
-
-    The dual step of Boyd's power iteration (LAA 9, 1974), taken for every
-    live start of the block at once, as in the block estimator of Higham
-    and Tisseur (SIMAX 21, 2000). Each row has unit r'-norm and
-    <psi, y> = ||y||_r; rows with ny = 0 map to 0, and zero entries to 0.
-    ``ay`` is |y| and ``ny`` the row norms ||y||_r, both already computed
-    by the caller. Only quotients by ||y||_r are raised to a power, never
-    the norm itself, so the map has no scale limit.
-    """
-    ny = np.where(ny == 0.0, 1.0, ny)[:, None]
-    ratio = ay / ny
-    power = np.zeros_like(ratio)
-    nz = ratio > 0
-    power[nz] = ratio[nz] ** (r - 2.0)
-    return (y / ny) * power
 
 
 # the power iteration's pseudo-random starts and its iteration cap per start
@@ -351,24 +342,26 @@ def lp_operator_norm(a, p: float) -> LpNormEstimate:
     as the rows of one k×n array, so each step is one matrix product. Each
     start stops on its own test (gamma = 0, or ||z||_q <= Re<z, x> (1 +
     1e-14)) or after 100 steps. ``value`` is the best gamma over all starts
-    and steps and ``maximizer`` the unit vector that attained it. The
-    duality maps raise only ratios to a power, so the iteration works at
-    any scale whose norms are finite; an operator whose iterates overflow
-    raises ConvergenceFailure.
+    and steps and ``maximizer`` the unit vector that attained it. Both
+    half steps are the duality maps of ``LpSpace(n, p)`` and its dual, which
+    raise only ratios to a power, so the iteration works at any scale whose
+    norms are finite; an operator whose iterates overflow raises
+    ConvergenceFailure. A p that ``LpSpace`` refuses raises InvalidP.
     """
     a = as_matrix(a, square=True)
     n = a.shape[0]
+    space = LpSpace(n, p)
     _, s, vh = np.linalg.svd(a)
     if p == 2.0:
         return LpNormEstimate(value=float(s[0]), method="svd", maximizer=vh[0].conj())
-    q = p / (p - 1.0)
+    dual = LpSpace(n, space.q)
     starts = np.vstack([
         np.eye(n, dtype=np.complex128)[: min(n, 3)],
         np.ones((1, n), dtype=np.complex128),
         vh[:1].conj(),
         Rng(substream(_LP_NORM_SEED, n)).matrix(_LP_NORM_STARTS, n),
     ])
-    x = starts / abs_norm(np.abs(starts), p)[:, None]
+    x = starts / space.norm_rows(starts)[:, None]
 
     # rows of x are the live iterates; best_* are per start, indexed by live
     at, conj_a = a.T, a.conj()
@@ -378,11 +371,9 @@ def lp_operator_norm(a, p: float) -> LpNormEstimate:
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_LP_NORM_MAX_ITER):
             y = x @ at  # rows are A x
-            ay = np.abs(y)
-            gamma = abs_norm(ay, p)
-            z = _dual_direction(y, ay, gamma, p) @ conj_a  # rows are A* psi
-            az = np.abs(z)
-            zq = abs_norm(az, q)
+            gamma = space.norm_rows(y)
+            z = space.duality_rows(y, gamma) @ conj_a  # rows are A* psi
+            zq = dual.norm_rows(z)
             if not (np.isfinite(gamma).all() and np.isfinite(zq).all()):
                 raise ConvergenceFailure(
                     f"lp norm iteration left the floating-point range at p = {p}"
@@ -396,7 +387,7 @@ def lp_operator_norm(a, p: float) -> LpNormEstimate:
             if not going.any():
                 break
             live = live[going]
-            x = _dual_direction(z[going], az[going], zq[going], q)
+            x = dual.duality_rows(z[going], zq[going])
     k = int(np.argmax(best))
     return LpNormEstimate(value=float(best[k]), method="power", maximizer=best_x[k])
 
@@ -433,7 +424,7 @@ def lax_diagnostic(k: KuelbsEmbedding, a, *, tols: Tolerances = DEFAULT) -> LaxD
     m = k.metric
     norm_h = float(np.linalg.norm(m.chol_h @ a @ m.frame_inv, 2))
     est = lp_operator_norm(a, k.space.p)
-    bound = math.sqrt(m.eig_max / m.eig_min) * n ** abs(0.5 - 1.0 / k.space.p)
+    bound = math.sqrt(m.eig_max / m.eig_min) * k.space.distortion
     ratio = norm_h / est.value if est.value > 0 else 0.0
     return LaxDiagnostic(
         is_h_selfadjoint=is_h,

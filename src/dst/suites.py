@@ -23,10 +23,8 @@ import numpy as np
 
 from . import __version__
 from .adjoint import (
-    AdjointPair,
-    BanachOperator,
     adjoint,
-    adjoint_axioms,
+    adjoint_metrics,
     baire_approximant,
     banach_deformed_spectral,
     banach_operator,
@@ -43,14 +41,14 @@ from .fileio import digest
 from .gexpr import evaluate
 from .gexpr import parse as parse_g
 from .kuelbs import KuelbsEmbedding, LpSpace, build_kuelbs, canonical_duality_map, lax_diagnostic, steadman
-from .linalg import EigenSystem, abs_norm, gram_inner_rows, gram_norm_rows, herm, hermitian_eigen
+from .linalg import EigenSystem, gram_inner_rows, gram_norm_rows, herm, hermitian_eigen
 from .polar import polar_decompose
 from .rng import Rng, substream
 from .spectral import deformed_of, integrate, spectral_measure, variation
 
 __all__ = [
     "SuiteConfig", "CaseResult", "Report", "run_suite", "SUITE_NAMES", "TOL_DEFAULTS", "G_CORPUS",
-    "BANACH_MAX_DIM", "kuelbs_probe_metrics", "adjoint_metrics",
+    "BANACH_MAX_DIM", "kuelbs_probe_metrics",
 ]
 
 SUITE_NAMES = ("deformed", "funcalc", "kuelbs", "adjoint", "baire", "banach-spectral", "laplacian")
@@ -332,7 +330,7 @@ def kuelbs_probe_metrics(emb: KuelbsEmbedding, gram: np.ndarray, rng: Rng, trial
     space = emb.space
     draws = rng.matrix(2 * trials, space.dim)
     us, vs = draws[0::2], draws[1::2]
-    nbs = abs_norm(np.abs(us), space.p)
+    nbs = space.norm_rows(us)
     continuity = float((gram_norm_rows(gram, us) - nbs).max())
     pairing = 0.0
     dual_norm = 0.0
@@ -409,30 +407,6 @@ def _suite_kuelbs(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
 
 # --------------------------------------------------------------------------
 # adjoint: defining contract, involution, axioms
-
-
-def adjoint_metrics(pair: AdjointPair, rng: Rng) -> dict[str, float]:
-    """Contract, involution and axiom metrics of one metric adjoint pair.
-
-    Draws six scaled contract probe pairs from ``rng``, then four probes
-    for the accretive minimum.
-    """
-    op = pair.operator
-    a = op.matrix
-    scale_a = float(np.linalg.norm(a))
-    draws = rng.matrix(16, op.space.dim)  # six (u, v) contract pairs, then four probes
-    us, vs = draws[0:12:2], draws[1:12:2]
-    den = 1.0 + scale_a * np.linalg.norm(us, axis=1) * np.linalg.norm(vs, axis=1)
-    contract = float((pair.contract_rows(us, vs) / den).max())
-    second = adjoint(BanachOperator(pair.astar, op.metric, op.space))
-    ax = adjoint_axioms(pair, probes=draws[12:])
-    return {
-        "contract": contract,
-        "involution": _rel(float(np.linalg.norm(second.astar - a)), scale_a),
-        "accretive_min": ax.accretive_min,
-        "natural_selfadjoint": ax.natural_selfadjoint_residual,
-        "inverse_norm": ax.inverse_norm,
-    }
 
 
 def _suite_adjoint(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
@@ -533,7 +507,8 @@ def _suite_banach_spectral(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResul
     limits = {"reconstruction_lp": "banach.reconstruction", "funcalc_identity": "banach.funcalc"}
     for p in cfg.ps:
         for dim in (d for d in cfg.dims if d <= BANACH_MAX_DIM):
-            emb = build_kuelbs(LpSpace(dim=dim, p=p))
+            space = LpSpace(dim=dim, p=p)
+            emb = build_kuelbs(space)
             ens = Ensemble("general", dim, cfg.trials, _stream(cfg, f"banach-spectral/{p}/{dim}"))
             for idx, a in enumerate(generate(ens)):
                 res = banach_deformed_spectral(banach_operator(a, emb), tols=tols)
@@ -543,8 +518,8 @@ def _suite_banach_spectral(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResul
                     np.eye(dim, dtype=np.complex128), Rng(substream(ens.seed, 40_000 + idx)).matrix(3, dim)
                 ])
                 a_phi = probes @ a.T
-                num = abs_norm(np.abs(probes @ recon_mat.T - a_phi), p)
-                recon = float((num / (1.0 + abs_norm(np.abs(a_phi), p))).max())
+                num = space.norm_rows(probes @ recon_mat.T - a_phi)
+                recon = float((num / (1.0 + space.norm_rows(a_phi))).max())
 
                 ast = parse_g("lambda^2")
                 lhs = integrate(ast, res.measure)
@@ -565,6 +540,7 @@ def _suite_laplacian(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
     cases: list[CaseResult] = []
     limits = {
         "contract": "laplacian.contract",
+        "closed_form": "laplacian.contract",
         "involution": "laplacian.involution",
         "natural_selfadjoint": "laplacian.natural",
     }
@@ -579,18 +555,11 @@ def _suite_laplacian(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
             ("random", rng.matrix(n, n)),
         ]
         for name, a in operators:
-            rep = dirichlet_laplacian_demo(n, r=3.0, a=a, probes=rng.matrix(4, n))
-            metrics = {
-                "contract": rep.contract_residual,
-                "involution": rep.involution_residual,
-                "accretive_min": rep.accretive_min,
-                "natural_selfadjoint": rep.natural_selfadjoint_residual,
-                "inverse_norm": rep.inverse_norm,
-            }
+            _, metrics = dirichlet_laplacian_demo(n, r=3.0, a=a, rng=rng)
             cases.append(_case(
                 cfg, f"laplacian/n{n}/{name}", a, metrics, limits,
-                rep.accretive_min >= -cfg.tolerance("laplacian.accretive"),
-                rep.inverse_norm <= 1.0 + cfg.tolerance("laplacian.inverse"),
+                metrics["accretive_min"] >= -cfg.tolerance("laplacian.accretive"),
+                metrics["inverse_norm"] <= 1.0 + cfg.tolerance("laplacian.inverse"),
             ))
     return cases
 

@@ -239,12 +239,13 @@ def test_12_laplacian_demo():
         shift = np.zeros((n, n), dtype=complex)
         shift[np.arange(n - 1), np.arange(1, n)] = 1.0
         for a in (None, dirichlet_laplacian(n), shift, rng.matrix(n, n)):
-            rep = dirichlet_laplacian_demo(n, r=3.0, a=a, probes=[rng.vector(n) for _ in range(4)])
-            assert rep.contract_residual <= 1e-9
-            assert rep.involution_residual <= 1e-9
-            assert rep.accretive_min >= -1e-9
-            assert rep.natural_selfadjoint_residual <= 1e-9
-            assert rep.inverse_norm <= 1.0 + 1e-9
+            _, m = dirichlet_laplacian_demo(n, r=3.0, a=a, rng=rng)
+            assert m["contract"] <= 1e-9
+            assert m["closed_form"] <= 1e-9
+            assert m["involution"] <= 1e-9
+            assert m["accretive_min"] >= -1e-9
+            assert m["natural_selfadjoint"] <= 1e-9
+            assert m["inverse_norm"] <= 1.0 + 1e-9
     announce(12, "Dirichlet-Laplacian adjoint demo on n = 8 and n = 32 grids")
 
 

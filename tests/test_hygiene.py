@@ -1,7 +1,8 @@
 """Static checks of the package source and the README.
 
 Every name a module exports resolves, no module imports a name it never
-uses (a deletion that leaves its imports behind fails here), and the
+uses (a deletion that leaves its imports behind fails here), the
+operator and suite modules leave the lp geometry to ``LpSpace``, and the
 README's library tour runs as written.
 """
 
@@ -47,6 +48,20 @@ def test_no_unused_imports(stem):
     used |= set(_exports(stem))  # re-exports
     unused = sorted(imported - used)
     assert not unused, f"dst/{stem}.py imports {unused} and never uses them"
+
+
+@pytest.mark.parametrize("stem", ["adjoint", "suites"])
+def test_p_stays_inside_the_space(stem):
+    # the lp geometry (norms, duality map, equivalence constants) is LpSpace's
+    tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
+    reads = sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "p")
+    assert not reads, f"dst/{stem}.py reads .p at lines {reads}"
+    calls = sorted(
+        f"{node.func.id}@{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("abs_norm", "vnorm")
+    )
+    assert not calls, f"dst/{stem}.py computes an lp norm itself: {calls}"
 
 
 def test_readme_library_tour_runs():

@@ -39,6 +39,8 @@ def test_lp_space_validation():
         LpSpace(3, 1.0)
     with pytest.raises(InvalidP):
         LpSpace(3, math.inf)
+    with pytest.raises(InvalidP, match="1e[+]16"):  # q = p/(p-1) rounds to 1
+        LpSpace(3, 1e16)
     assert LpSpace(3, 3.0).q == pytest.approx(1.5)
 
 
@@ -74,6 +76,40 @@ def test_duality_identities_random_grid():
 def test_duality_rejects_zero():
     with pytest.raises(ZeroVector):
         canonical_duality_map(np.zeros(2, dtype=complex), LpSpace(2, 3.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.sampled_from([1.1, 1.5, 3.0]),
+    st.sampled_from([-900, 900]) | st.integers(-900, 900),
+    st.integers(0, 2**32 - 1),
+)
+def test_duality_map_is_scale_free(n, p, k, seed):
+    sp = LpSpace(n, p)
+    u = Rng(seed).vector(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = canonical_duality_map(2.0**k * u, sp).coeffs
+    expect = 2.0**k * canonical_duality_map(u, sp).coeffs
+    assert np.abs(scaled - expect).max() <= 1e-15 * np.abs(expect).max()
+
+
+def test_build_takes_tiny_seeds_and_refuses_zero_ones():
+    n = 3
+    seeds = [1e-170 * (np.eye(n, dtype=complex)[k] + 0.1) for k in range(n)]
+    emb = build_kuelbs(LpSpace(n, 3.0), seeds=seeds)
+    assert np.linalg.eigvalsh(emb.gram)[0] > 0.0
+    with pytest.raises(ZeroVector):
+        build_kuelbs(LpSpace(n, 3.0), seeds=[seeds[0], np.zeros(n, dtype=complex), seeds[2]])
+
+
+def test_build_refuses_seeds_whose_dual_gram_overflows():
+    seeds = [1e200 * np.eye(3, dtype=complex)[k] for k in range(3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateSeeds, match="overflow"):
+            build_kuelbs(LpSpace(3, 3.0), seeds=seeds)
 
 
 def test_build_canonical_l2_uniform_weights():
@@ -218,6 +254,12 @@ def test_power_iteration_beats_sphere_sampling(n, p):
         best = est.maximizer[None, :]
         assert _lp_norms(best, p)[0] == pytest.approx(1.0, rel=1e-12)
         assert _lp_norms(best @ a.T, p)[0] == pytest.approx(est.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, math.inf, math.nan, -2.0])
+def test_lp_operator_norm_refuses_p_outside_the_reflexive_range(p):
+    with pytest.raises(InvalidP):
+        lp_operator_norm(Rng(114).matrix(3, 3), p)
 
 
 @pytest.mark.parametrize(

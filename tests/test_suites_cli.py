@@ -4,13 +4,15 @@ import json
 import numpy as np
 import pytest
 
+import dst.adjoint
+from dst.adjoint import AdjointPair
 from dst.cli import main
 from dst.config import Tolerances
 from dst.errors import ConfigError
 from dst.fileio import dump_json, matrix_to_obj
 from dst.polar import polar_decompose
 from dst.rng import Rng
-from dst.suites import SUITE_NAMES, CaseResult, Report, SuiteConfig, run_suite
+from dst.suites import SUITE_NAMES, TOL_DEFAULTS, CaseResult, Report, SuiteConfig, run_suite
 
 SMALL = SuiteConfig(dims=(2, 4), trials=2, seed=7)
 
@@ -33,6 +35,16 @@ def test_corrupt_gram_negative_control():
     cfg = SuiteConfig(dims=(2,), trials=2, seed=7, corrupt_gram=True)
     report = run_suite("kuelbs", cfg)
     assert not report.passed
+
+
+def test_laplacian_closed_form_catches_a_perturbed_adjoint(monkeypatch):
+    # the closed form J0 A^H inv(J0) is the independent check on the generic A*
+    generic = dst.adjoint.adjoint
+    monkeypatch.setattr(dst.adjoint, "adjoint", lambda op: AdjointPair(op, generic(op).astar + 1e-6))
+    report = run_suite("laplacian", SuiteConfig(laplacian_ns=(8,)))
+    assert not report.passed
+    limit = TOL_DEFAULTS["laplacian.contract"]
+    assert all(c.metrics["closed_form"] > limit and not c.passed for c in report.cases)
 
 
 def test_jobs_flag_is_refused(capsys):
@@ -62,7 +74,7 @@ def test_skipped_banach_dims_are_named(tmp_path, capsys):
 # SHA-256 of the default `dst verify --suite all --no-timestamp` report,
 # pinned with Python 3.11, numpy 2.4 and OpenBLAS 0.3.31. Re-pin only with
 # a CHANGES.md entry that gives the largest metric drift.
-GOLDEN_DEFAULT_REPORT = "8ebb1d9b0a434193f7d109332f759b70cd1f1fbb0e35d65bf5660e73a4e37c07"
+GOLDEN_DEFAULT_REPORT = "1fb03a97f204377ed1e7c308ca843d02b7cba66cddb23df75642990e6775da62"
 
 
 def _report_digest(tmp_path, *args) -> str:
@@ -78,7 +90,7 @@ def test_golden_report_digest(tmp_path, capsys):
 
 # The same for the benchmarked run (896 cases), whose kuelbs suite calls
 # lp_operator_norm at dims 2 through 16.
-GOLDEN_BENCH_REPORT = "83ac86dafbcbd6d5542c8af52796570d40b835a1fd2f6ab2378571cdac3e78e7"
+GOLDEN_BENCH_REPORT = "810213709e07329635dad717e028cae2b24a68f17c866e8e61469b682c6f688c"
 
 
 def test_golden_bench_report_digest(tmp_path, capsys):
@@ -188,7 +200,12 @@ def test_cli_baire_csv(tmp_path, capsys):
 def test_cli_demo_laplacian(capsys):
     assert main(["demo", "laplacian", "--n", "8", "--r", "3"]) == 0
     out = json.loads(capsys.readouterr().out)
+    assert set(out) == {
+        "n", "r", "contract_residual", "involution_residual", "accretive_min",
+        "natural_selfadjoint_residual", "inverse_norm", "residual_r_norm",
+    }
     assert out["contract_residual"] <= 1e-9
+    assert out["residual_r_norm"] <= 1e-9
     assert out["inverse_norm"] <= 1.0 + 1e-9
 
 
