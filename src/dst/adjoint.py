@@ -10,7 +10,11 @@ coordinates the adjoint is
 
 which is the unique matrix satisfying the defining contract
 (A u, v)_H = (u, A* v)_H; all the axioms (A*A accretive, (A*A)* = A*A,
-||inv(I + A*A)||_H <= 1) follow from it.
+||inv(I + A*A)||_H <= 1) follow from it. Only the :class:`GramMetric`
+applies G, L*, inv(L*) or inv(G) (``to_frame``, ``from_frame``,
+``adjoint_of``, ``inner_rows``, ...); a diagonal Gram, such as that of the
+canonical-seed embedding, applies them as O(n^2) scalings rather than
+O(n^3) products and solves, with bit-identical results.
 
 The resolvent approximant A_lam = lam A inv(lam I + T), built from the
 positive polar factor T in the embedded metric, converges to A at rate
@@ -41,7 +45,7 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import BadGrid, DimensionMismatch
 from .kuelbs import GramMetric, KuelbsEmbedding, LpSpace
-from .linalg import SvdResult, as_matrix, as_vector, gram_inner_rows, gram_norm_rows, herm, svd
+from .linalg import SvdResult, as_matrix, as_vector, herm, svd
 from .polar import PolarDecomposition, polar_from_svd
 from .rng import Rng
 from .spectral import SpectralMeasure, deform, measure_from_svd
@@ -107,10 +111,8 @@ class AdjointPair:
 
     def contract_rows(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Unchecked | (A u, v)_H - (u, A* v)_H | for each row pair of two k×n blocks."""
-        g = self.operator.metric.gram
-        return np.abs(
-            gram_inner_rows(g, us @ self.operator.matrix.T, vs) - gram_inner_rows(g, us, vs @ self.astar.T)
-        )
+        m = self.operator.metric
+        return np.abs(m.inner_rows(us @ self.operator.matrix.T, vs) - m.inner_rows(us, vs @ self.astar.T))
 
     def contract_residual(self, u, v) -> float:
         """:meth:`contract_rows` for one pair of vectors of the space."""
@@ -122,9 +124,7 @@ class AdjointPair:
 
 def adjoint(op: BanachOperator) -> AdjointPair:
     """Metric adjoint A* = inv(G) A^H G of a coordinate operator."""
-    g = op.metric.gram
-    astar = np.linalg.solve(g, herm(op.matrix) @ g)
-    return AdjointPair(operator=op, astar=astar)
+    return AdjointPair(operator=op, astar=op.metric.adjoint_of(op.matrix))
 
 
 @dataclass(frozen=True)
@@ -150,21 +150,19 @@ def adjoint_axioms(pair: AdjointPair, *, probes: Sequence[np.ndarray] = ()) -> A
     astar_a = pair.astar @ pair.operator.matrix
     metric = pair.operator.metric
     n = astar_a.shape[0]
-    gram = metric.gram
-    basis = metric.frame_inv  # columns are H-orthonormal
 
-    # one block: the basis columns, then the probes, as rows
-    us = np.vstack([basis.T, as_matrix(probes)]) if len(probes) else basis.T
-    den = gram_inner_rows(gram, us, us).real
-    num = gram_inner_rows(gram, us @ astar_a.T, us).real
+    # one block: the basis, then the probes, as rows
+    us = np.vstack([metric.basis, as_matrix(probes)]) if len(probes) else metric.basis
+    den = metric.inner_rows(us, us).real
+    num = metric.inner_rows(us @ astar_a.T, us).real
     pos = den > 0.0
     accretive_min = float((num[pos] / den[pos]).min()) if pos.any() else 0.0
 
-    second = np.linalg.solve(gram, herm(astar_a) @ gram)
+    second = metric.adjoint_of(astar_a)
     ns_resid = float(np.linalg.norm(second - astar_a)) / (1.0 + float(np.linalg.norm(astar_a)))
 
     inv_op = np.linalg.solve(np.eye(n) + astar_a, np.eye(n, dtype=np.complex128))
-    inverse_norm = float(np.linalg.norm(metric.chol_h @ inv_op @ basis, 2))
+    inverse_norm = float(np.linalg.norm(metric.to_frame(inv_op), 2))
     return AdjointAxioms(
         accretive_min=accretive_min,
         natural_selfadjoint_residual=ns_resid,
@@ -200,15 +198,13 @@ def adjoint_metrics(pair: AdjointPair, rng: Rng) -> dict[str, float]:
 def _frame_svd(op: BanachOperator) -> SvdResult:
     """SVD of the frame matrix L* A inv(L*), whose Euclidean geometry is
     the operator's metric."""
-    m = op.metric
-    return svd(m.chol_h @ op.matrix @ m.frame_inv)
+    return svd(op.metric.to_frame(op.matrix))
 
 
 def _store_h_polar(op: BanachOperator, p: PolarDecomposition, tols: Tolerances) -> PolarDecomposition:
     """Pull the frame polar ``p`` back to the lp coordinates and store it
     on the operator as its H-polar for ``tols``."""
-    m = op.metric
-    pull = lambda x: m.frame_inv @ x @ m.chol_h
+    pull = op.metric.from_frame
     gp = op._polars[tols] = replace(p, U=pull(p.U), T=pull(p.T), Tbar=pull(p.Tbar))
     return gp
 
@@ -323,7 +319,7 @@ def baire_convergence_study(
     h_to_b = space.l2_to_p / math.sqrt(m.eig_min)
     phi_block = as_matrix(phis)  # rows are the phi
     a_phi = phi_block @ op.matrix.T
-    bound = float((h_to_b * gram_norm_rows(m.gram, a_phi @ gp.Tbar.T)).max())  # times 1/lam
+    bound = float((h_to_b * m.norm_rows(a_phi @ gp.Tbar.T)).max())  # times 1/lam
     if not math.isfinite(bound / lams[0]):  # an infinite bound holds for any error
         raise ValueError(f"error bound {bound!r} / lambda overflows at lambda {lams[0]!r}")
     rows = []
@@ -361,8 +357,8 @@ def banach_deformed_spectral(op: BanachOperator, *, tols: Tolerances = DEFAULT) 
     if p is not None:
         gp = _store_h_polar(op, p, tols)
         del p
-    m = op.metric
-    e_pulled = replace(e_frame, left=m.frame_inv @ e_frame.left, right=e_frame.right @ m.chol_h)
+    left, right = op.metric.from_frame_factors(e_frame.left, e_frame.right)
+    e_pulled = replace(e_frame, left=left, right=right)
     measure = deform(gp.U, e_pulled, support_tol=gp.threshold, tols=tols)
     resid = float(np.linalg.norm(measure.reconstruct() - op.matrix)) / (
         1.0 + float(np.linalg.norm(op.matrix))

@@ -41,7 +41,7 @@ from .errors import (
     SingularGram,
     ZeroVector,
 )
-from .linalg import abs_norm, as_matrix, as_vector, herm, vnorm
+from .linalg import abs_norm, as_matrix, as_vector, gram_inner_rows, herm, vnorm
 from .rng import Rng, substream
 
 __all__ = [
@@ -168,6 +168,12 @@ class GramMetric:
 
     Construction is the one positivity gate: a Gram whose smallest
     eigenvalue is at or below n * eps * (largest) raises SingularGram.
+
+    The methods below are the only code that applies G, L*, inv(L*) or
+    inv(G). When every off-diagonal entry of G is exactly 0.0 (the
+    canonical-seed embedding), they apply the diagonals of G, L* and
+    inv(L*) as O(n^2) scalings; the products and the solve they replace
+    add only exact zeros to each entry, so both forms agree bit for bit.
     """
 
     gram: np.ndarray
@@ -176,6 +182,8 @@ class GramMetric:
     frame_inv: np.ndarray = field(init=False)
     eig_min: float = field(init=False)
     eig_max: float = field(init=False)
+    # the diagonals of (G, L*, inv(L*)) when G is diagonal, else None
+    _diagonals: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.gram
@@ -189,12 +197,76 @@ class GramMetric:
         frame_inv = np.linalg.inv(chol_h)
         for a in (g, chol, chol_h, frame_inv):
             a.setflags(write=False)
+        diagonals = None
+        if np.count_nonzero(g) == g.shape[0]:  # a positive definite G has no zero on its diagonal
+            diagonals = tuple(np.diagonal(a).copy() for a in (g, chol_h, frame_inv))
+            for d in diagonals:
+                d.setflags(write=False)
         set_field = object.__setattr__  # frozen: fill the derived fields once
         set_field(self, "chol", chol)
         set_field(self, "chol_h", chol_h)
         set_field(self, "frame_inv", frame_inv)
         set_field(self, "eig_min", float(evs[0]))
         set_field(self, "eig_max", float(evs[-1]))
+        set_field(self, "_diagonals", diagonals)
+
+    @property
+    def is_diagonal(self) -> bool:
+        """Whether the methods apply G and its factors as diagonal scalings."""
+        return self._diagonals is not None
+
+    @property
+    def basis(self) -> np.ndarray:
+        """Rows are an H-orthonormal basis: the columns of inv(L*)."""
+        return self.frame_inv.T
+
+    def to_frame(self, a: np.ndarray) -> np.ndarray:
+        """L* a inv(L*): the matrix of ``a`` in the frame where the Gram
+        inner product is the Euclidean one."""
+        if self._diagonals is None:
+            return self.chol_h @ a @ self.frame_inv
+        _, c, f = self._diagonals
+        return c[:, None] * a * f
+
+    def from_frame(self, x: np.ndarray) -> np.ndarray:
+        """inv(L*) x L*: a frame matrix pulled back to coordinates."""
+        if self._diagonals is None:
+            return self.frame_inv @ x @ self.chol_h
+        _, c, f = self._diagonals
+        return f[:, None] * x * c
+
+    def from_frame_factors(self, left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(inv(L*) left, right L*): the pull-back of the frame matrix
+        left @ right, applied to each factor."""
+        if self._diagonals is None:
+            return self.frame_inv @ left, right @ self.chol_h
+        _, c, f = self._diagonals
+        return f[:, None] * left, right * c
+
+    def adjoint_of(self, a: np.ndarray) -> np.ndarray:
+        """inv(G) a^H G: the adjoint of ``a`` for the inner product v* G u."""
+        if self._diagonals is None:
+            return np.linalg.solve(self.gram, herm(a) @ self.gram)
+        g = self._diagonals[0]
+        return herm(a) * g / g[:, None]
+
+    def apply(self, a: np.ndarray) -> np.ndarray:
+        """G a."""
+        if self._diagonals is None:
+            return self.gram @ a
+        return self._diagonals[0][:, None] * a
+
+    def inner_rows(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Unchecked ``v_i* G u_i`` for each row pair of two k×n blocks:
+        :func:`~dst.linalg.gram_inner_rows` of G."""
+        if self._diagonals is None:
+            return gram_inner_rows(self.gram, us, vs)
+        return (vs.conj() * (us * self._diagonals[0])).sum(axis=-1)
+
+    def norm_rows(self, us: np.ndarray) -> np.ndarray:
+        """Unchecked ``sqrt(max(Re u_i* G u_i, 0))`` for each row of a k×n
+        block: :func:`~dst.linalg.gram_norm_rows` of G."""
+        return np.sqrt(np.maximum(self.inner_rows(us, us).real, 0.0))
 
 
 @dataclass(frozen=True)
@@ -218,8 +290,8 @@ class KuelbsEmbedding:
     metric: GramMetric = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.dual_gram.setflags(write=False)
-        self.weights.setflags(write=False)
+        for a in (self.dual_gram, self.weights, *self.seeds, *self.functionals):
+            a.setflags(write=False)
         object.__setattr__(self, "metric", GramMetric(self.gram))  # also freezes gram
 
     def h_inner(self, u, v) -> complex:
@@ -416,13 +488,13 @@ def lax_diagnostic(k: KuelbsEmbedding, a, *, tols: Tolerances = DEFAULT) -> LaxD
     n = k.space.dim
     if a.shape[0] != n:
         raise DimensionMismatch("operator dimension does not match the embedding")
-    ga = k.gram @ a
+    m = k.metric
+    ga = m.apply(a)
     scale = 1.0 + float(np.linalg.norm(ga))
     resid = float(np.linalg.norm(ga - herm(ga))) / scale
     is_h = resid <= 1e-10 * max(1.0, tols.scale)
 
-    m = k.metric
-    norm_h = float(np.linalg.norm(m.chol_h @ a @ m.frame_inv, 2))
+    norm_h = float(np.linalg.norm(m.to_frame(a), 2))
     est = lp_operator_norm(a, k.space.p)
     bound = math.sqrt(m.eig_max / m.eig_min) * k.space.distortion
     ratio = norm_h / est.value if est.value > 0 else 0.0

@@ -222,11 +222,21 @@ def _rel(delta: float, scale: float) -> float:
     return delta / (1.0 + scale)
 
 
+class _Embeddings(dict):
+    """The default embedding of each (p, dim), built on first use. One
+    is made per :func:`run_suite` call and shared by the suites it runs."""
+
+    def __missing__(self, key: tuple[float, int]) -> KuelbsEmbedding:
+        p, dim = key
+        emb = self[key] = build_kuelbs(LpSpace(dim=dim, p=p))
+        return emb
+
+
 # --------------------------------------------------------------------------
 # deformed: reconstruction, support, variation, distinctness, commutation
 
 
-def _suite_deformed(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
+def _suite_deformed(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> list[CaseResult]:
     cases: list[CaseResult] = []
     base_limits = {
         "reconstruction": "deformed.reconstruction",
@@ -281,7 +291,7 @@ def _suite_deformed(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
 # funcalc: parsed-g calculus identity and classical agreement on PD inputs
 
 
-def _suite_funcalc(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
+def _suite_funcalc(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> list[CaseResult]:
     cases: list[CaseResult] = []
     limits = {"identity": "funcalc.identity", "classical_agreement": "funcalc.classical"}
     for dim in cfg.dims:
@@ -357,7 +367,7 @@ def kuelbs_probe_metrics(emb: KuelbsEmbedding, gram: np.ndarray, rng: Rng, trial
     }
 
 
-def _suite_kuelbs(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
+def _suite_kuelbs(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> list[CaseResult]:
     cases: list[CaseResult] = []
     limits = {
         "continuity_excess": "kuelbs.continuity",
@@ -370,7 +380,7 @@ def _suite_kuelbs(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
     }
     for p in cfg.ps:
         for dim in cfg.dims:
-            emb = build_kuelbs(LpSpace(dim=dim, p=p))
+            emb = embs[p, dim]
             gram, gram_min = emb.gram, emb.metric.eig_min
             if cfg.corrupt_gram:
                 gram = gram.copy()
@@ -409,7 +419,7 @@ def _suite_kuelbs(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
 # adjoint: defining contract, involution, axioms
 
 
-def _suite_adjoint(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
+def _suite_adjoint(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> list[CaseResult]:
     cases: list[CaseResult] = []
     limits = {
         "contract": "adjoint.contract",
@@ -418,7 +428,7 @@ def _suite_adjoint(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
     }
     for p in cfg.ps:
         for dim in cfg.dims:
-            emb = build_kuelbs(LpSpace(dim=dim, p=p))
+            emb = embs[p, dim]
             ens = Ensemble("general", dim, cfg.trials, _stream(cfg, f"adjoint/{p}/{dim}"))
             for idx, a in enumerate(generate(ens)):
                 rng = Rng(substream(ens.seed, 20_000 + idx))
@@ -435,24 +445,24 @@ def _suite_adjoint(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
 # baire: resolvent approximant error bound, rate window, identities
 
 
-def _suite_baire(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
+def _suite_baire(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> list[CaseResult]:
     cases: list[CaseResult] = []
     limits = {"identity": "baire.identity", "intertwine": "baire.intertwine"}
     lams = lambda_schedule(cfg.lambdas)  # ascending, as for `dst baire`
     for p in cfg.ps:
         for dim in cfg.dims:
-            emb = build_kuelbs(LpSpace(dim=dim, p=p))
+            emb = embs[p, dim]
             m = emb.metric
             ens = Ensemble("general", dim, cfg.trials, _stream(cfg, f"baire/{p}/{dim}"))
             for idx, a in enumerate(generate(ens)):
                 op = banach_operator(a, emb)
                 gp = h_polar(op, tols=tols)
-                t_h_norm = float(np.linalg.norm(m.chol_h @ gp.T @ m.frame_inv, 2))
+                t_h_norm = float(np.linalg.norm(m.to_frame(gp.T), 2))
                 sigma = np.linalg.svd(a, compute_uv=False)
                 full_rank = sigma.size and sigma[-1] > 1e-6 * sigma[0]
                 phis = Rng(substream(ens.seed, 30_000 + idx)).matrix(4, dim)  # rows are the phi
                 a_phi = phis @ a.T
-                bnd = gram_norm_rows(emb.gram, a_phi @ gp.Tbar.T)  # times 1/lam
+                bnd = m.norm_rows(a_phi @ gp.Tbar.T)  # times 1/lam
                 slack = 1.0 + cfg.tolerance("baire.bound_slack")
                 if not math.isfinite(float(bnd.max()) / lams[0] * slack):  # an infinite bound holds for any error
                     raise ValueError(
@@ -467,7 +477,7 @@ def _suite_baire(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
                     probe = baire_approximant(op, lam, tols=tols)
                     identity_worst = max(identity_worst, probe.identity_residual())
                     intertwine_worst = max(intertwine_worst, intertwining_residual(op, probe))
-                    err = gram_norm_rows(emb.gram, phis @ probe.a_lambda.T - a_phi)
+                    err = m.norm_rows(phis @ probe.a_lambda.T - a_phi)
                     errors.append(float(err.max()))
                     bound_excess = max(bound_excess, float((err - bnd / lam * slack).max()))
 
@@ -502,13 +512,13 @@ def _suite_baire(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
 # banach-spectral: metric deformed measure, lp reconstruction, calculus
 
 
-def _suite_banach_spectral(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
+def _suite_banach_spectral(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> list[CaseResult]:
     cases: list[CaseResult] = []
     limits = {"reconstruction_lp": "banach.reconstruction", "funcalc_identity": "banach.funcalc"}
     for p in cfg.ps:
         for dim in (d for d in cfg.dims if d <= BANACH_MAX_DIM):
-            space = LpSpace(dim=dim, p=p)
-            emb = build_kuelbs(space)
+            emb = embs[p, dim]
+            space = emb.space
             ens = Ensemble("general", dim, cfg.trials, _stream(cfg, f"banach-spectral/{p}/{dim}"))
             for idx, a in enumerate(generate(ens)):
                 res = banach_deformed_spectral(banach_operator(a, emb), tols=tols)
@@ -536,7 +546,7 @@ def _suite_banach_spectral(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResul
 # laplacian: adjoint demo on the discrete Dirichlet grid
 
 
-def _suite_laplacian(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
+def _suite_laplacian(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> list[CaseResult]:
     cases: list[CaseResult] = []
     limits = {
         "contract": "laplacian.contract",
@@ -564,7 +574,8 @@ def _suite_laplacian(cfg: SuiteConfig, tols: Tolerances) -> list[CaseResult]:
     return cases
 
 
-# every suite takes (cfg, tols); adjoint and laplacian reach no library threshold
+# every suite takes (cfg, tols, embs); adjoint and laplacian reach no library
+# threshold, and deformed, funcalc and laplacian build no embedding
 _SUITE_FNS = {
     "deformed": _suite_deformed,
     "funcalc": _suite_funcalc,
@@ -584,12 +595,13 @@ def run_suite(
     timestamp: str | None = None,
 ) -> Report:
     """Run one suite (or "all") and assemble its report."""
+    embs = _Embeddings()
     if name == "all":
         cases: list[CaseResult] = []
         for suite in SUITE_NAMES:
-            cases.extend(_SUITE_FNS[suite](cfg, tols))
+            cases.extend(_SUITE_FNS[suite](cfg, tols, embs))
     elif name in _SUITE_FNS:
-        cases = _SUITE_FNS[name](cfg, tols)
+        cases = _SUITE_FNS[name](cfg, tols, embs)
     else:
         raise ConfigError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)} or 'all'")
     if not cases:  # a run that checks nothing must not pass

@@ -2,8 +2,9 @@
 
 Every name a module exports resolves, no module imports a name it never
 uses (a deletion that leaves its imports behind fails here), the
-operator and suite modules leave the lp geometry to ``LpSpace``, and the
-README's library tour runs as written.
+operator and suite modules leave the lp geometry to ``LpSpace`` and the
+Gram factors to ``GramMetric``, and the README's library tour runs as
+written.
 """
 
 import ast
@@ -62,6 +63,44 @@ def test_p_stays_inside_the_space(stem):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("abs_norm", "vnorm")
     )
     assert not calls, f"dst/{stem}.py computes an lp norm itself: {calls}"
+
+
+@pytest.mark.parametrize("stem", ["adjoint", "suites"])
+def test_only_the_metric_applies_the_gram_factors(stem):
+    # G, L*, inv(L*) and inv(G) are applied by GramMetric's methods, which
+    # know when G is diagonal; the operator and suite modules call them
+    tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
+    reads = sorted(
+        f"{node.attr}@{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("chol_h", "frame_inv")
+    )
+    assert not reads, f"dst/{stem}.py applies a Gram factor itself: {reads}"
+
+    def reads_gram(expr):
+        return any(isinstance(n, ast.Attribute) and n.attr == "gram" for n in ast.walk(expr))
+
+    # names bound to anything that reads .gram (g = op.metric.gram) count as a Gram too
+    gram_names = {
+        t.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and reads_gram(node.value)
+        for target in node.targets
+        for t in ast.walk(target)
+        if isinstance(t, ast.Name)
+    }
+    solves = sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).endswith("linalg.solve")
+        and node.args
+        and any(
+            (isinstance(n, ast.Attribute) and n.attr == "gram") or (isinstance(n, ast.Name) and n.id in gram_names)
+            for n in ast.walk(node.args[0])
+        )
+    )
+    assert not solves, f"dst/{stem}.py solves against a Gram at lines {solves}"
 
 
 def test_readme_library_tour_runs():

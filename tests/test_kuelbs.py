@@ -27,7 +27,7 @@ from dst.kuelbs import (
     lp_operator_norm,
     steadman,
 )
-from dst.linalg import abs_norm, herm, vnorm
+from dst.linalg import abs_norm, gram_inner_rows, gram_norm_rows, herm, vnorm
 from dst.rng import Rng, substream
 
 P_GRID = (1.5, 2.0, 3.0, 4.0)
@@ -165,6 +165,60 @@ def test_gram_metric_is_one_read_only_factorization():
         m.eig_min = 1.0
     with pytest.raises(SingularGram):
         GramMetric(np.diag([1.0, 0.0]).astype(complex))
+
+
+def test_embedding_seeds_and_functionals_are_read_only():
+    rng = Rng(110)
+    seeded = build_kuelbs(LpSpace(3, 1.5), seeds=[rng.vector(3) for _ in range(4)])
+    for emb in (build_kuelbs(LpSpace(3, 3.0)), seeded):
+        for a in (*emb.seeds, *emb.functionals):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+
+def _dense_methods(m, a, us, vs):
+    """Each GramMetric method's result beside its formula in the dense factors."""
+    left, right = m.from_frame_factors(a, us)
+    return {
+        "to_frame": (m.to_frame(a), m.chol_h @ a @ m.frame_inv),
+        "from_frame": (m.from_frame(a), m.frame_inv @ a @ m.chol_h),
+        "from_frame_factors.left": (left, m.frame_inv @ a),
+        "from_frame_factors.right": (right, us @ m.chol_h),
+        "adjoint_of": (m.adjoint_of(a), np.linalg.solve(m.gram, herm(a) @ m.gram)),
+        "apply": (m.apply(a), m.gram @ a),
+        "inner_rows": (m.inner_rows(us, vs), gram_inner_rows(m.gram, us, vs)),
+        "norm_rows": (m.norm_rows(us), gram_norm_rows(m.gram, us)),
+        "basis": (m.basis, m.frame_inv.T),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 64])
+def test_diagonal_gram_scalings_match_the_dense_factors_bit_for_bit(n):
+    rng = Rng(substream(111, n))
+    weights = np.abs(rng.vector(n).real) + 0.01
+    grams = [
+        build_kuelbs(LpSpace(n, 3.0)).gram,
+        build_kuelbs(LpSpace(n, 1.5), weights=weights / weights.sum()).gram,
+        np.diag(10.0 ** (2.0 * rng.vector(n).real)).astype(complex),
+    ]
+    for gram in grams:
+        m = GramMetric(gram)
+        assert m.is_diagonal
+        a, us, vs = rng.matrix(n, n), rng.matrix(3, n), rng.matrix(3, n)
+        for name, (fast, dense) in _dense_methods(m, a, us, vs).items():
+            assert np.array_equal(fast, dense), (n, name)
+
+
+def test_a_single_nonzero_off_diagonal_entry_takes_the_dense_path():
+    gram = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    gram[0, 2] = 5e-324  # the smallest subnormal: no tolerance hides it
+    m = GramMetric(gram)
+    assert not m.is_diagonal
+    assert GramMetric(np.diag([1.0, 2.0, 3.0]).astype(complex)).is_diagonal
+    rng = Rng(112)
+    for name, (fast, dense) in _dense_methods(m, rng.matrix(3, 3), rng.matrix(2, 3), rng.matrix(2, 3)).items():
+        assert np.array_equal(fast, dense), name
 
 
 def test_gram_reproduces_weighted_sum():

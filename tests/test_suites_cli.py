@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import dst.adjoint
+import dst.suites
 from dst.adjoint import AdjointPair
 from dst.cli import main
 from dst.config import Tolerances
@@ -97,6 +98,18 @@ def test_golden_bench_report_digest(tmp_path, capsys):
     digest = _report_digest(tmp_path, "--dims", "2,4,8,16", "--trials", "20", "--seed", "42")
     assert digest == GOLDEN_BENCH_REPORT
     capsys.readouterr()
+
+
+def test_run_suite_builds_each_embedding_once_per_call(monkeypatch):
+    # kuelbs, adjoint, baire and banach-spectral share one embedding per (p, dim)
+    built = []
+    build = dst.suites.build_kuelbs
+    monkeypatch.setattr(dst.suites, "build_kuelbs", lambda space: built.append((space.p, space.dim)) or build(space))
+    cfg = SuiteConfig(dims=(2, 4), trials=1, seed=7, laplacian_ns=(8,))
+    run_suite("all", cfg)
+    assert sorted(built) == [(1.5, 2), (1.5, 4), (3.0, 2), (3.0, 4)]
+    run_suite("all", cfg)  # nothing is kept between calls
+    assert len(built) == 8
 
 
 def test_deformed_suite_diagonalizes_each_negdef_input_once(lapack_calls):
