@@ -45,10 +45,10 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import BadGrid, DimensionMismatch
 from .kuelbs import GramMetric, KuelbsEmbedding, LpSpace
-from .linalg import SvdResult, as_matrix, as_vector, herm, svd
+from .linalg import SvdResult, as_matrix, herm, svd
 from .polar import PolarDecomposition, polar_from_svd
 from .rng import Rng
-from .spectral import SpectralMeasure, deform, measure_from_svd
+from .spectral import SpectralMeasure, deform, deformation_from_svd
 
 __all__ = [
     "BanachOperator",
@@ -76,8 +76,9 @@ class BanachOperator:
     (u, v)_H = v* G u of a :class:`GramMetric`.
 
     The operator holds its H-polar per tolerance set once
-    :func:`h_polar` has computed it; matrix, metric and space are frozen,
-    so the stored result never goes stale.
+    :func:`h_polar` has computed it, and only :func:`h_polar` writes or
+    reads that memo; matrix, metric and space are frozen, so the stored
+    result never goes stale.
     """
 
     matrix: np.ndarray
@@ -113,13 +114,6 @@ class AdjointPair:
         """Unchecked | (A u, v)_H - (u, A* v)_H | for each row pair of two k×n blocks."""
         m = self.operator.metric
         return np.abs(m.inner_rows(us @ self.operator.matrix.T, vs) - m.inner_rows(us, vs @ self.astar.T))
-
-    def contract_residual(self, u, v) -> float:
-        """:meth:`contract_rows` for one pair of vectors of the space."""
-        u, v = as_vector(u), as_vector(v)
-        if u.shape != v.shape or u.shape[0] != self.operator.space.dim:
-            raise DimensionMismatch("vector dimension does not match the operator")
-        return float(self.contract_rows(u[None], v[None])[0])
 
 
 def adjoint(op: BanachOperator) -> AdjointPair:
@@ -201,14 +195,6 @@ def _frame_svd(op: BanachOperator) -> SvdResult:
     return svd(op.metric.to_frame(op.matrix))
 
 
-def _store_h_polar(op: BanachOperator, p: PolarDecomposition, tols: Tolerances) -> PolarDecomposition:
-    """Pull the frame polar ``p`` back to the lp coordinates and store it
-    on the operator as its H-polar for ``tols``."""
-    pull = op.metric.from_frame
-    gp = op._polars[tols] = replace(p, U=pull(p.U), T=pull(p.T), Tbar=pull(p.Tbar))
-    return gp
-
-
 def h_polar(op: BanachOperator, *, tols: Tolerances = DEFAULT) -> PolarDecomposition:
     """Polar decomposition A = U T = Tbar U in the operator's metric, via
     the Cholesky frame: T and Tbar are H-selfadjoint H-PSD, U an
@@ -216,11 +202,15 @@ def h_polar(op: BanachOperator, *, tols: Tolerances = DEFAULT) -> PolarDecomposi
 
     Computed once per operator and tolerance set: later calls with equal
     ``tols`` return the same read-only :class:`PolarDecomposition`, which
-    every caller (the Baire study and approximant, the banach spectral
-    measure) shares.
+    the Baire study and approximant share. This is the only writer of the
+    operator's polar memo.
     """
     gp = op._polars.get(tols)
-    return gp if gp is not None else _store_h_polar(op, polar_from_svd(_frame_svd(op), tols=tols), tols)
+    if gp is None:
+        p = polar_from_svd(_frame_svd(op), tols=tols)
+        pull = op.metric.from_frame
+        gp = op._polars[tols] = replace(p, U=pull(p.U), T=pull(p.T), Tbar=pull(p.Tbar))
+    return gp
 
 
 def lambda_schedule(lambdas: Sequence[float]) -> tuple[float, ...]:
@@ -333,37 +323,29 @@ def baire_convergence_study(
 @dataclass(frozen=True)
 class BanachDeformedResult:
     measure: SpectralMeasure
-    polar: PolarDecomposition
     reconstruction_residual: float
 
 
 def banach_deformed_spectral(op: BanachOperator, *, tols: Tolerances = DEFAULT) -> BanachDeformedResult:
-    """Deformed spectral measure of an operator in its Gram metric.
+    """Deformed spectral measure of an operator in its Gram metric: the
+    :func:`~dst.spectral.deformed_of` of the frame matrix L* A inv(L*),
+    pulled back.
 
-    The measure of the positive factor T is read off the SVD of the frame
-    matrix L* A inv(L*) and pulled back, so its projectors are
-    H-orthogonal (idempotent and selfadjoint for the Gram inner product,
-    not the Euclidean one). The pull-back transforms the factors once:
-    left by inv(L*), right by L*. The frame SVD is taken once: it also
-    seeds the operator's :func:`h_polar` when none is stored for ``tols``,
-    and an H-polar already stored is reused as it is.
+    One SVD of the frame matrix gives the frame isometry and the measure
+    of T; the isometry is pulled back as inv(L*) U L*, and the measure's
+    factors once each, left by inv(L*) and right by L*, so its projectors
+    are H-orthogonal (idempotent and selfadjoint for the Gram inner
+    product, not the Euclidean one). T and Tbar are never formed, and the
+    operator's :func:`h_polar` memo is neither read nor written.
     """
-    dec = _frame_svd(op)
-    gp = op._polars.get(tols)
-    p = polar_from_svd(dec, tols=tols) if gp is None else None
-    rank = gp.rank if p is None else p.rank
-    e_frame = measure_from_svd(dec.sigma, dec.right, rank, tols=tols)
-    del dec  # released before the pull-back products
-    if p is not None:
-        gp = _store_h_polar(op, p, tols)
-        del p
-    left, right = op.metric.from_frame_factors(e_frame.left, e_frame.right)
-    e_pulled = replace(e_frame, left=left, right=right)
-    measure = deform(gp.U, e_pulled, support_tol=gp.threshold, tols=tols)
+    m = op.metric
+    u, e_frame, threshold = deformation_from_svd(_frame_svd(op), tols=tols)
+    left, right = m.from_frame_factors(e_frame.left, e_frame.right)
+    measure = deform(m.from_frame(u), replace(e_frame, left=left, right=right), support_tol=threshold, tols=tols)
     resid = float(np.linalg.norm(measure.reconstruct() - op.matrix)) / (
         1.0 + float(np.linalg.norm(op.matrix))
     )
-    return BanachDeformedResult(measure=measure, polar=gp, reconstruction_residual=resid)
+    return BanachDeformedResult(measure=measure, reconstruction_residual=resid)
 
 
 def dirichlet_laplacian(n: int) -> np.ndarray:

@@ -22,7 +22,7 @@ are formed only when ``atoms`` is read.
 
 The measure of T needs no eigensolver: the SVD A = W S V* behind the polar
 decomposition already is its spectral resolution T = V S V*.
-``deformed_of`` reads it off that one SVD (``measure_from_svd``);
+``deformed_of`` reads it off that one SVD (``deformation_from_svd``);
 ``spectral_measure`` diagonalizes a general Hermitian matrix.
 """
 
@@ -37,14 +37,14 @@ from .config import DEFAULT, Tolerances
 from .errors import DimensionMismatch, NegativeSupport
 from .gexpr import GExpr, evaluate
 from .gexpr import parse as parse_g
-from .linalg import as_matrix, as_vector, herm, hermitian_eigen, svd
+from .linalg import SvdResult, as_matrix, as_vector, herm, hermitian_eigen, svd
 from .polar import isometry_from_svd
 
 __all__ = [
     "SpectralMeasure",
     "QuadraticFormResult",
     "spectral_measure",
-    "measure_from_svd",
+    "deformation_from_svd",
     "deform",
     "deformed_of",
     "integrate",
@@ -154,21 +154,21 @@ def spectral_measure(h, *, tols: Tolerances = DEFAULT) -> SpectralMeasure:
     return SpectralMeasure(lambdas=lambdas, bounds=bounds, left=es.vectors, right=herm(es.vectors))
 
 
-def measure_from_svd(
-    sigma: np.ndarray, v: np.ndarray, rank: int, *, tols: Tolerances = DEFAULT
-) -> SpectralMeasure:
-    """Spectral measure of T = V diag(sigma) V*, read off an SVD.
+def deformation_from_svd(dec: SvdResult, *, tols: Tolerances = DEFAULT) -> tuple[np.ndarray, SpectralMeasure, float]:
+    """What :func:`deform` takes, read off the SVD A = W S V* of a square
+    matrix: the polar isometry U (``isometry_from_svd``), the spectral
+    measure E of T = V S V*, and the rank threshold.
 
-    ``sigma`` descends, as an SVD returns it, and the columns of ``v``
-    past the first ``rank`` span ker(T). The measure ascends and clusters
-    by the rule of :func:`spectral_measure`, except that a cluster bound
-    is forced at the rank cut: ker(T) is its own atom (or atoms), and no
-    atom straddles it.
+    E ascends and clusters by the rule of :func:`spectral_measure`, except
+    that a cluster bound is forced at the rank cut: the columns of V past
+    the rank span ker(T), which is its own atom (or atoms), and no atom
+    straddles it.
     """
-    n = sigma.shape[0]
-    vecs = np.ascontiguousarray(v[:, ::-1])
-    bounds, lambdas = _cluster(sigma[::-1], tols.cluster_tol(), cut=n - rank)
-    return SpectralMeasure(lambdas=lambdas, bounds=bounds, left=vecs, right=herm(vecs))
+    u, rank, _, threshold = isometry_from_svd(dec, tols=tols)
+    n = dec.sigma.shape[0]
+    vecs = np.ascontiguousarray(dec.right[:, ::-1])
+    bounds, lambdas = _cluster(dec.sigma[::-1], tols.cluster_tol(), cut=n - rank)
+    return u, SpectralMeasure(lambdas=lambdas, bounds=bounds, left=vecs, right=herm(vecs)), threshold
 
 
 def deform(u, e: SpectralMeasure, *, support_tol: float = 0.0, tols: Tolerances = DEFAULT) -> SpectralMeasure:
@@ -198,18 +198,15 @@ def deform(u, e: SpectralMeasure, *, support_tol: float = 0.0, tols: Tolerances 
 def deformed_of(a, *, tols: Tolerances = DEFAULT) -> SpectralMeasure:
     """Canonical deformed measure of an arbitrary square matrix.
 
-    One SVD A = W S V* gives the polar isometry U (``isometry_from_svd``)
-    and the spectral measure E of the positive factor T = V S V*
-    (``measure_from_svd``); the result is ``deform(U, E)``, with no
-    eigensolver on the way and T itself never formed. The support
-    threshold is the polar rank cutoff, and the singular directions at or
-    below it, which span ker(T), form their own atoms: a singular A keeps
-    its zero cluster in ``source`` but reports only the nonzero spectrum
-    of T as support.
+    One SVD A = W S V* gives the polar isometry U and the spectral
+    measure E of the positive factor T = V S V* (``deformation_from_svd``);
+    the result is ``deform(U, E)``, with no eigensolver on the way and T
+    itself never formed. The support threshold is the polar rank cutoff,
+    and the singular directions at or below it, which span ker(T), form
+    their own atoms: a singular A keeps its zero cluster in ``source`` but
+    reports only the nonzero spectrum of T as support.
     """
-    dec = svd(as_matrix(a, square=True))
-    u, rank, _, threshold = isometry_from_svd(dec, tols=tols)
-    e = measure_from_svd(dec.sigma, dec.right, rank, tols=tols)
+    u, e, threshold = deformation_from_svd(svd(as_matrix(a, square=True)), tols=tols)
     return deform(u, e, support_tol=threshold, tols=tols)
 
 

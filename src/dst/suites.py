@@ -105,13 +105,13 @@ class SuiteConfig:
 
     def __post_init__(self):
         lambda_schedule(self.lambdas)  # refused before any suite runs
+        for key in self.tol:  # a mistyped override would otherwise be ignored
+            self.tolerance(key)
 
     def tolerance(self, key: str) -> float:
-        if key in self.tol:
-            return self.tol[key]
         if key not in TOL_DEFAULTS:
             raise ConfigError(f"unknown tolerance key {key!r}")
-        return TOL_DEFAULTS[key]
+        return self.tol.get(key, TOL_DEFAULTS[key])
 
     def to_obj(self) -> dict:
         return {
@@ -244,6 +244,7 @@ def _suite_deformed(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> li
         "variation_excess": "deformed.variation",
         "commutation": "deformed.commutation",
     }
+    g = parse_g("exp(-lambda)")
     for dim in cfg.dims:
         for kind in ("general", "hermitian", "negdef", "rankdef"):
             rank = max(1, dim // 2) if kind == "rankdef" else None
@@ -262,7 +263,6 @@ def _suite_deformed(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> li
                     var_excess = max(var_excess, variation(f, v_phi) - variation(f.source, v_phi))
 
                 # summation-order independence: U (sum g dE) phi vs sum g d(UE) phi
-                g = parse_g("exp(-lambda)")
                 via_deformed = integrate(g, f, phi)
                 via_source = f.U @ integrate(g, f.source, phi)
                 comm = _rel(float(np.linalg.norm(via_deformed - via_source)), float(np.linalg.norm(via_source)))
@@ -294,6 +294,7 @@ def _suite_deformed(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> li
 def _suite_funcalc(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> list[CaseResult]:
     cases: list[CaseResult] = []
     limits = {"identity": "funcalc.identity", "classical_agreement": "funcalc.classical"}
+    asts = [parse_g(gsrc) for gsrc in G_CORPUS]
     for dim in cfg.dims:
         ens = Ensemble("general", dim, cfg.trials, _stream(cfg, f"funcalc/{dim}"))
         for idx, a in enumerate(generate(ens)):
@@ -301,8 +302,7 @@ def _suite_funcalc(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> lis
             p = polar_decompose(a, tols=tols)
             et = hermitian_eigen(p.T, tols=tols)
             worst = 0.0
-            for gsrc in G_CORPUS:
-                ast = parse_g(gsrc)
+            for ast in asts:
                 lhs = integrate(ast, f)
                 rhs = p.U @ _g_of_psd(et, ast)
                 worst = max(worst, _rel(float(np.linalg.norm(lhs - rhs)), float(np.linalg.norm(rhs))))
@@ -312,8 +312,7 @@ def _suite_funcalc(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> lis
             fd = deformed_of(pd, tols=tols)
             ec = spectral_measure(pd, tols=tols)
             classical_worst = 0.0
-            for gsrc in G_CORPUS:
-                ast = parse_g(gsrc)
+            for ast in asts:
                 lhs = integrate(ast, fd)
                 rhs = integrate(ast, ec)
                 classical_worst = max(
@@ -515,13 +514,15 @@ def _suite_baire(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> list[
 def _suite_banach_spectral(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> list[CaseResult]:
     cases: list[CaseResult] = []
     limits = {"reconstruction_lp": "banach.reconstruction", "funcalc_identity": "banach.funcalc"}
+    square = parse_g("lambda^2")
     for p in cfg.ps:
         for dim in (d for d in cfg.dims if d <= BANACH_MAX_DIM):
             emb = embs[p, dim]
             space = emb.space
             ens = Ensemble("general", dim, cfg.trials, _stream(cfg, f"banach-spectral/{p}/{dim}"))
             for idx, a in enumerate(generate(ens)):
-                res = banach_deformed_spectral(banach_operator(a, emb), tols=tols)
+                op = banach_operator(a, emb)
+                res = banach_deformed_spectral(op, tols=tols)
                 recon_mat = res.measure.reconstruct()
                 # the canonical basis and three random probes, as rows
                 probes = np.vstack([
@@ -531,10 +532,10 @@ def _suite_banach_spectral(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings
                 num = space.norm_rows(probes @ recon_mat.T - a_phi)
                 recon = float((num / (1.0 + space.norm_rows(a_phi))).max())
 
-                ast = parse_g("lambda^2")
-                lhs = integrate(ast, res.measure)
-                tt = res.polar.T
-                rhs = res.polar.U @ (tt @ tt)
+                # oracle U T^2 from the H-polar, an SVD of the same frame matrix
+                lhs = integrate(square, res.measure)
+                gp = h_polar(op, tols=tols)
+                rhs = gp.U @ (gp.T @ gp.T)
                 fun = _rel(float(np.linalg.norm(lhs - rhs)), float(np.linalg.norm(rhs)))
 
                 metrics = {"reconstruction_lp": recon, "funcalc_identity": fun}

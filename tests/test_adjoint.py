@@ -19,13 +19,13 @@ from dst.adjoint import (
     intertwining_residual,
     lambda_schedule,
 )
-from dst.config import Tolerances
+from dst.config import DEFAULT, Tolerances
 from dst.errors import BadGrid, DimensionMismatch, SingularGram
 from dst.kuelbs import KuelbsEmbedding, LpSpace, build_kuelbs
-from dst.linalg import abs_norm, gram_norm_rows, herm, vnorm
+from dst.linalg import abs_norm, gram_norm_rows, herm, svd, vnorm
 from dst.polar import PolarDecomposition, polar_decompose
 from dst.rng import Rng
-from dst.spectral import deformed_of, integrate
+from dst.spectral import deform, deformation_from_svd, deformed_of, integrate
 
 
 EPS = float(np.finfo(np.float64).eps)
@@ -76,7 +76,7 @@ def test_adjoint_hand_case_diag_gram():
     basis = np.eye(2, dtype=complex)
     for i in range(2):
         for j in range(2):
-            assert pair.contract_residual(basis[:, i], basis[:, j]) <= 1e-14
+            assert pair.contract_rows(basis[:, i][None], basis[:, j][None])[0] <= 1e-14
 
 
 def test_adjoint_involution_random():
@@ -95,7 +95,7 @@ def test_adjoint_contract_random_pairs():
     for _ in range(25):
         u, v = rng.vector(5), rng.vector(5)
         scale = 1 + np.linalg.norm(a) * np.linalg.norm(u) * np.linalg.norm(v)
-        assert pair.contract_residual(u, v) <= 1e-10 * scale
+        assert pair.contract_rows(u[None], v[None])[0] <= 1e-10 * scale
 
 
 def test_axioms_trivial_cases():
@@ -267,36 +267,63 @@ def test_shared_h_polar_is_read_only():
             a[0, 0] = 1.0
 
 
-def test_study_and_spectral_measure_reuse_the_operator_polar(lapack_calls):
-    # the spectral measure seeds the memo from its frame SVD, and every
-    # later caller reads the stored polar: one SVD in all
+def test_study_and_approximant_reuse_the_operator_polar(lapack_calls):
+    # h_polar takes the one SVD and every later polar reader gets the stored
+    # polar; the spectral measure takes its own SVD and leaves the memo be
     emb = build_kuelbs(LpSpace(5, 3.0))
     op = banach_operator(Rng(215).matrix(5, 5), emb)
     lapack_calls.clear()
-    res = banach_deformed_spectral(op)
     gp = h_polar(op)
     baire_convergence_study(op, Rng(216).matrix(2, 5), (1e1, 1e2))
-    baire_approximant(op, 1e3)
-    assert res.polar is gp
+    assert baire_approximant(op, 1e3).polar is gp
     assert lapack_calls == {"svd": 1}
+    banach_deformed_spectral(op)
+    assert lapack_calls == {"svd": 2}
+    assert op._polars == {DEFAULT: gp} and op._polars[DEFAULT] is gp
 
 
 def test_banach_deformed_spectral_takes_one_svd_over_a_stored_polar(lapack_calls):
     emb = build_kuelbs(LpSpace(5, 3.0))
     a = Rng(219).matrix(5, 5)
     op = banach_operator(a, emb)
+    lapack_calls.clear()
+    fresh = banach_deformed_spectral(op)
+    assert lapack_calls == {"svd": 1}
+    assert op._polars == {}  # no polar stored, and none seeded
     gp = h_polar(op)
     lapack_calls.clear()
     res = banach_deformed_spectral(op)
     assert lapack_calls == {"svd": 1}
-    assert res.polar is gp
-    # the seeded and the reused path build the same measure from the same SVD
-    fresh = banach_deformed_spectral(banach_operator(a, emb))
+    assert op._polars == {DEFAULT: gp} and op._polars[DEFAULT] is gp
+    # a stored polar changes nothing: the same measure from the same SVD
     np.testing.assert_array_equal(res.measure.left, fresh.measure.left)
     np.testing.assert_array_equal(res.measure.right, fresh.measure.right)
     assert res.measure.lambdas == fresh.measure.lambdas
     t = res.measure.source.reconstruct()
     assert np.linalg.norm(t - gp.T) <= 1e-12 * (1 + np.linalg.norm(gp.T))
+
+
+@pytest.mark.parametrize("n", [3, 8, 20])
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+def test_banach_deformed_spectral_is_the_h_polar_deformation(n, dense):
+    # the measure is bit for bit deform(U, E) with U the H-polar isometry
+    # and E the frame measure of T pulled back, as when it was built on the polar
+    rng = Rng(230 + n)
+    seeds = [rng.vector(n) for _ in range(n + 2)] if dense else None
+    emb = build_kuelbs(LpSpace(n, 3.0), seeds=seeds)
+    assert emb.metric.is_diagonal is not dense
+    op = banach_operator(rng.matrix(n, n), emb)
+    res = banach_deformed_spectral(op)
+    assert op._polars == {}
+    gp = h_polar(op)
+    _, e_frame, _ = deformation_from_svd(svd(op.metric.to_frame(op.matrix)))
+    left, right = op.metric.from_frame_factors(e_frame.left, e_frame.right)
+    expect = deform(gp.U, replace(e_frame, left=left, right=right), support_tol=gp.threshold)
+    for name in ("left", "right", "U"):
+        np.testing.assert_array_equal(getattr(res.measure, name), getattr(expect, name))
+    assert (res.measure.lambdas, res.measure.bounds, res.measure.support_tol) == (
+        expect.lambdas, expect.bounds, expect.support_tol
+    )
 
 
 def _full_resolvent_study(op, phis, lambdas):
@@ -406,9 +433,11 @@ def test_banach_deformed_negative_diagonal_l4():
 def test_banach_deformed_calculus_identity():
     emb = build_kuelbs(LpSpace(4, 1.5))
     a = Rng(213).matrix(4, 4)
-    res = banach_deformed_spectral(banach_operator(a, emb))
+    op = banach_operator(a, emb)
+    res = banach_deformed_spectral(op)
+    gp = h_polar(op)
     lhs = integrate("lambda^2", res.measure)
-    rhs = res.polar.U @ res.polar.T @ res.polar.T
+    rhs = gp.U @ gp.T @ gp.T
     assert np.linalg.norm(lhs - rhs) <= 1e-9 * (1 + np.linalg.norm(rhs))
 
 
@@ -461,7 +490,7 @@ def test_operator_refuses_a_metric_of_another_dim():
         BanachOperator(np.eye(3, dtype=complex), metric, LpSpace(3, 3.0))
 
 
-def test_contract_residual_is_the_one_row_contract():
+def test_contract_rows_is_the_direct_contract():
     emb = build_kuelbs(LpSpace(4, 3.0))
     op = banach_operator(Rng(221).matrix(4, 4), emb)
     pair = AdjointPair(op, adjoint(op).astar + 0.1)  # off the adjoint, so the contract fails
@@ -471,9 +500,6 @@ def test_contract_residual_is_the_one_row_contract():
     for u, v, row in zip(us, vs, rows):
         direct = abs(np.vdot(v, g @ (a @ u)) - np.vdot(pair.astar @ v, g @ u))
         assert direct > 1e-3 and abs(row - direct) <= 1e-12 * (1 + direct)
-        assert pair.contract_residual(u, v) == pair.contract_rows(u[None], v[None])[0]
-    with pytest.raises(DimensionMismatch):
-        pair.contract_residual(us[0, :3], vs[0, :3])
 
 
 @pytest.mark.parametrize("n", [8, 32])

@@ -3,8 +3,8 @@
 Every name a module exports resolves, no module imports a name it never
 uses (a deletion that leaves its imports behind fails here), the
 operator and suite modules leave the lp geometry to ``LpSpace`` and the
-Gram factors to ``GramMetric``, and the README's library tour runs as
-written.
+Gram factors to ``GramMetric``, only ``h_polar`` touches the operator's
+polar memo, and the README's library tour runs as written.
 """
 
 import ast
@@ -101,6 +101,22 @@ def test_only_the_metric_applies_the_gram_factors(stem):
         )
     )
     assert not solves, f"dst/{stem}.py solves against a Gram at lines {solves}"
+
+
+@pytest.mark.parametrize("stem", MODULES)
+def test_only_h_polar_touches_the_polar_memo(stem):
+    # the operator's H-polar memo has one writer (and reader): adjoint.h_polar
+    tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
+    inside = set()
+    if stem == "adjoint":
+        (fn,) = (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "h_polar")
+        inside = {id(n) for n in ast.walk(fn)}
+    touches = sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_polars" and id(node) not in inside
+    )
+    assert not touches, f"dst/{stem}.py touches ._polars outside h_polar at lines {touches}"
 
 
 def test_readme_library_tour_runs():

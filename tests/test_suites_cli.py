@@ -137,6 +137,14 @@ def test_unknown_suite_and_tolerance():
         SMALL.tolerance("nope.key")
 
 
+def test_config_refuses_an_unknown_tolerance_key(capsys):
+    # a mistyped override is refused when the config is built, not ignored
+    with pytest.raises(ConfigError, match="unknown tolerance key 'adjoint.contrat'"):
+        SuiteConfig(dims=(2,), trials=1, tol={"adjoint.contrat": 1e-300})
+    assert main(["verify", "--suite", "adjoint", "--dims", "2", "--trials", "1", "--tol", "adjoint.contrat=1"]) == 1
+    assert "unknown tolerance key 'adjoint.contrat'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- CLI
 
 
