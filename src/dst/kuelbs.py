@@ -102,21 +102,22 @@ class LpSpace:
         """Unchecked ||y||_p of each row of a block (of a vector: a float)."""
         return abs_norm(np.abs(block), self.p)
 
-    def duality_rows(self, block: np.ndarray, norms) -> np.ndarray:
-        """Unchecked psi(y) = (y/||y||_p) (|y|/||y||_p)^(p-2) of each row y,
-        given the row norms ``norms`` (:meth:`norm_rows` of the block).
+    def duality_rows(self, block: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+        """Unchecked ``(norms, psi)`` of a block: :meth:`norm_rows` and
+        psi(y) = (y/||y||_p) (|y|/||y||_p)^(p-2) of each row y, both from
+        one pass over the moduli.
 
-        Each row has unit q-norm and sum(conj(psi) y) = ||y||_p; a zero row
-        maps to 0, and zero entries to 0. Only quotients by ||y||_p are
-        raised to a power, never the norm itself, so the map has no scale
-        limit.
+        Each row of psi has unit q-norm and sum(conj(psi) y) = ||y||_p; a
+        zero row maps to 0, and zero entries to 0. Only quotients by
+        ||y||_p are raised to a power, never the norm itself, so the map has
+        no scale limit.
         """
+        mag = np.abs(block)
+        norms = abs_norm(mag, self.p)
         ny = np.where(norms == 0.0, 1.0, norms)[..., None]
-        ratio = np.abs(block) / ny
-        power = np.zeros_like(ratio)
-        nz = ratio > 0
-        power[nz] = ratio[nz] ** (self.p - 2.0)
-        return (block / ny) * power
+        ratio = mag / ny
+        power = np.power(ratio, self.p - 2.0, out=np.zeros_like(ratio), where=ratio > 0)
+        return norms, (block / ny) * power
 
 
 @dataclass(frozen=True)
@@ -148,10 +149,10 @@ def canonical_duality_map(u, space: LpSpace) -> DualityFunctional:
     u = as_vector(u)
     if u.shape[0] != space.dim:
         raise DimensionMismatch(f"vector dim {u.shape[0]} != space dim {space.dim}")
-    nrm = space.norm(u)
+    nrm, psi = space.duality_rows(u)
     if nrm == 0.0:
         raise ZeroVector("the duality map is undefined at 0")
-    coeffs = nrm * space.duality_rows(u, nrm).conj()
+    coeffs = nrm * psi.conj()
     return DualityFunctional(coeffs=coeffs, source=u.copy(), space=space)
 
 
@@ -346,10 +347,10 @@ def build_kuelbs(space: LpSpace, seeds=None, weights=None) -> KuelbsEmbedding:
             raise BadWeights(f"weights sum to {w.sum()!r}, expected 1")
 
     seeds_mat = np.vstack(seed_list)  # rows are seeds
-    norms = space.norm_rows(seeds_mat)
+    norms, psi = space.duality_rows(seeds_mat)
     if not norms.all():
         raise ZeroVector(f"seed {int(np.argmin(norms))} is zero, where the duality map is undefined")
-    c = space.duality_rows(seeds_mat, norms).conj()  # rows are the unit-dual-norm coefficient vectors
+    c = psi.conj()  # rows are the unit-dual-norm coefficient vectors
     gram = herm(c) @ (w[:, None] * c)
     gram = (gram + herm(gram)) / 2.0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
@@ -403,6 +404,18 @@ _LP_NORM_STARTS = 6
 _LP_NORM_MAX_ITER = 100
 
 
+def _ritz_start(a: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """One Rayleigh-Ritz step toward the top right singular vector of ``a``,
+    in O(n^2 k) for k = len(others): Q = qr(b* b S) with b = a / max|a_ij|
+    (b* b cannot overflow) and S the other starts as columns, then Q w for
+    w the top right singular vector of the n×k matrix b Q."""
+    top = float(np.abs(a).max())
+    b = a / top if top > 0.0 else a
+    q, _ = np.linalg.qr(herm(b) @ (b @ others.T))
+    _, _, wh = np.linalg.svd(b @ q, full_matrices=False)
+    return q @ wh[0].conj()
+
+
 def lp_operator_norm(a, p: float) -> LpNormEstimate:
     """Estimate (from below) the lp -> lp operator norm of a square matrix.
 
@@ -410,29 +423,30 @@ def lp_operator_norm(a, p: float) -> LpNormEstimate:
     iteration (LAA 9, 1974) runs from up to 11 starts at once, iterated as
     one block in the manner of the block estimator of Higham and Tisseur
     (SIMAX 21, 2000) (method "power"): up to 3 canonical vectors, the flat
-    vector, the top right singular vector and 6 pseudo-random vectors,
-    as the rows of one k×n array, so each step is one matrix product. Each
-    start stops on its own test (gamma = 0, or ||z||_q <= Re<z, x> (1 +
-    1e-14)) or after 100 steps. ``value`` is the best gamma over all starts
-    and steps and ``maximizer`` the unit vector that attained it. Both
-    half steps are the duality maps of ``LpSpace(n, p)`` and its dual, which
-    raise only ratios to a power, so the iteration works at any scale whose
+    vector, a Ritz vector for the top right singular vector (one subspace
+    step from the other starts, ``_ritz_start``) and 6 pseudo-random
+    vectors, as the rows of one k×n array, so each step is one matrix
+    product and no n×n matrix is factored. Each start stops on its own test
+    (gamma = 0, or ||z||_q <= Re<z, x> (1 + 1e-14)) or after 100 steps.
+    ``value`` is the best gamma over all starts and steps and ``maximizer``
+    the unit vector that attained it. Each half step is one
+    ``duality_rows`` call of ``LpSpace(n, p)`` or its dual, which raises
+    only ratios to a power, so the iteration works at any scale whose
     norms are finite; an operator whose iterates overflow raises
     ConvergenceFailure. A p that ``LpSpace`` refuses raises InvalidP.
     """
     a = as_matrix(a, square=True)
     n = a.shape[0]
     space = LpSpace(n, p)
-    _, s, vh = np.linalg.svd(a)
     if p == 2.0:
+        _, s, vh = np.linalg.svd(a)
         return LpNormEstimate(value=float(s[0]), method="svd", maximizer=vh[0].conj())
     dual = LpSpace(n, space.q)
-    starts = np.vstack([
-        np.eye(n, dtype=np.complex128)[: min(n, 3)],
-        np.ones((1, n), dtype=np.complex128),
-        vh[:1].conj(),
-        Rng(substream(_LP_NORM_SEED, n)).matrix(_LP_NORM_STARTS, n),
-    ])
+    head = np.vstack([np.eye(n, dtype=np.complex128)[: min(n, 3)], np.ones((1, n), dtype=np.complex128)])
+    tail = Rng(substream(_LP_NORM_SEED, n)).matrix(_LP_NORM_STARTS, n)
+    with np.errstate(over="ignore", invalid="ignore"):  # an |a_ij| that overflows is refused below
+        ritz = _ritz_start(a, np.vstack([head, tail]))
+    starts = np.vstack([head, ritz, tail])
     x = starts / space.norm_rows(starts)[:, None]
 
     # rows of x are the live iterates; best_* are per start, indexed by live
@@ -442,10 +456,9 @@ def lp_operator_norm(a, p: float) -> LpNormEstimate:
     best_x = x.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_LP_NORM_MAX_ITER):
-            y = x @ at  # rows are A x
-            gamma = space.norm_rows(y)
-            z = space.duality_rows(y, gamma) @ conj_a  # rows are A* psi
-            zq = dual.norm_rows(z)
+            gamma, psi = space.duality_rows(x @ at)  # rows are ||A x||_p and psi(A x)
+            z = psi @ conj_a  # rows are A* psi
+            zq, x_next = dual.duality_rows(z)
             if not (np.isfinite(gamma).all() and np.isfinite(zq).all()):
                 raise ConvergenceFailure(
                     f"lp norm iteration left the floating-point range at p = {p}"
@@ -459,7 +472,7 @@ def lp_operator_norm(a, p: float) -> LpNormEstimate:
             if not going.any():
                 break
             live = live[going]
-            x = dual.duality_rows(z[going], zq[going])
+            x = x_next[going]
     k = int(np.argmax(best))
     return LpNormEstimate(value=float(best[k]), method="power", maximizer=best_x[k])
 
@@ -492,7 +505,7 @@ def lax_diagnostic(k: KuelbsEmbedding, a, *, tols: Tolerances = DEFAULT) -> LaxD
     ga = m.apply(a)
     scale = 1.0 + float(np.linalg.norm(ga))
     resid = float(np.linalg.norm(ga - herm(ga))) / scale
-    is_h = resid <= 1e-10 * max(1.0, tols.scale)
+    is_h = resid <= tols.selfadjoint_tol()
 
     norm_h = float(np.linalg.norm(m.to_frame(a), 2))
     est = lp_operator_norm(a, k.space.p)

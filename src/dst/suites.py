@@ -78,6 +78,7 @@ TOL_DEFAULTS: dict[str, float] = {
     "adjoint.natural": 1e-10,
     "adjoint.inverse": 1e-10,
     "baire.bound_slack": 1e-6,
+    "baire.full_rank": 1e-6,
     "baire.identity": 1e-10,
     "baire.intertwine": 1e-10,
     "baire.rate_low": 0.02,
@@ -105,8 +106,10 @@ class SuiteConfig:
 
     def __post_init__(self):
         lambda_schedule(self.lambdas)  # refused before any suite runs
-        for key in self.tol:  # a mistyped override would otherwise be ignored
+        for key, value in self.tol.items():  # a mistyped override would otherwise be ignored
             self.tolerance(key)
+            if not math.isfinite(value):  # an infinite limit switches its gate off
+                raise ConfigError(f"tolerance {key!r} must be finite, got {value!r}")
 
     def tolerance(self, key: str) -> float:
         if key not in TOL_DEFAULTS:
@@ -458,7 +461,7 @@ def _suite_baire(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> list[
                 gp = h_polar(op, tols=tols)
                 t_h_norm = float(np.linalg.norm(m.to_frame(gp.T), 2))
                 sigma = np.linalg.svd(a, compute_uv=False)
-                full_rank = sigma.size and sigma[-1] > 1e-6 * sigma[0]
+                full_rank = sigma.size and sigma[-1] > cfg.tolerance("baire.full_rank") * sigma[0]
                 phis = Rng(substream(ens.seed, 30_000 + idx)).matrix(4, dim)  # rows are the phi
                 a_phi = phis @ a.T
                 bnd = m.norm_rows(a_phi @ gp.Tbar.T)  # times 1/lam

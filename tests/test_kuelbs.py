@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dst.config import Tolerances
 from dst.ensembles import Ensemble, generate
 from dst.errors import (
     BadWeights,
@@ -320,6 +321,7 @@ def test_lp_operator_norm_refuses_p_outside_the_reflexive_range(p):
     "a, p",
     [
         (np.full((2, 2), 1e308 + 0j), 3.0),  # the true norm, 2e308, overflows
+        (np.full((2, 2), 1.5e308 + 1.5e308j), 1.5),  # so does max |a_ij|
     ],
 )
 def test_lp_operator_norm_out_of_range_raises_toolkit_error(a, p):
@@ -363,13 +365,33 @@ def _per_vector_dual_direction(y, ay, ny, r):
     return out / ny ** (r - 1.0)
 
 
-def _per_start_lp_norm(a, p):
-    """The power iteration one start at a time, as an oracle for the block."""
+def _other_starts(n):
+    return np.vstack([np.eye(n, dtype=complex)[: min(n, 3)], np.ones((1, n), dtype=complex),
+                      Rng(substream(0x1B5, n)).matrix(6, n)])
+
+
+def _ritz_start(a):
+    """The Ritz vector of the one subspace step b* b S (b = a / max|a_ij|,
+    S the other starts as columns), taken as the top eigenvector of the
+    projected b* b rather than by an SVD of b Q."""
+    b = a / np.abs(a).max()
+    q = np.linalg.qr(herm(b) @ b @ _other_starts(a.shape[0]).T)[0]
+    bq = b @ q
+    return q @ np.linalg.eigh(herm(bq) @ bq)[1][:, -1]
+
+
+def _svd_start(a):
+    """The top right singular vector, the start the Ritz vector replaced."""
+    return np.linalg.svd(a)[2][0].conj()
+
+
+def _per_start_lp_norm(a, p, top_start):
+    """The power iteration one start at a time, as an oracle for the block;
+    ``top_start`` takes the slot after the flat vector."""
     n = a.shape[0]
     q = p / (p - 1.0)
-    _, _, vh = np.linalg.svd(a)
-    starts = [*np.eye(n, dtype=complex)[: min(n, 3)], np.ones(n, dtype=complex), vh[0].conj()]
-    starts.extend(Rng(substream(0x1B5, n)).matrix(6, n))
+    others = _other_starts(n)
+    starts = [*others[: min(n, 3) + 1], top_start, *others[min(n, 3) + 1 :]]
     ah = herm(a)
     best = 0.0
     for x0 in starts:
@@ -395,9 +417,48 @@ def _per_start_lp_norm(a, p):
 def test_block_power_iteration_matches_per_start_loop(n, p):
     for a in generate(Ensemble("general", n, 20, 7000 + 100 * n + int(10 * p))):
         est = lp_operator_norm(a, p)
-        assert est.value == pytest.approx(_per_start_lp_norm(a, p), rel=1e-12)
+        assert est.value == pytest.approx(_per_start_lp_norm(a, p, _ritz_start(a)), rel=1e-12)
+        if n <= 16:  # where the Ritz start leaves the SVD-start estimate as it was
+            assert est.value == pytest.approx(_per_start_lp_norm(a, p, _svd_start(a)), rel=1e-12)
         assert vnorm(est.maximizer, p) == pytest.approx(1.0, rel=1e-12)
         assert vnorm(a @ est.maximizer, p) == pytest.approx(est.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_lp_operator_norm_factors_no_n_by_n_matrix(p, monkeypatch):
+    seen = []
+    for name in ("svd", "qr"):
+        real = getattr(np.linalg, name)
+
+        def spy(m, *args, _real=real, **kwargs):
+            seen.append(np.shape(m))
+            return _real(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    est = lp_operator_norm(Rng(115).matrix(64, 64), p)
+    assert est.method == "power"
+    assert seen and all(min(shape) <= 11 for shape in seen), seen
+    seen.clear()
+    assert lp_operator_norm(Rng(115).matrix(64, 64), 2.0).method == "svd"
+    assert seen == [(64, 64)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 32),
+    st.sampled_from([1.1, 1.5, 3.0, 8.0]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_lp_operator_norm_is_at_least_the_spectral_radius(n, p, hermitian, seed):
+    # ||A||_p >= |lambda| for every eigenvalue (A x = lambda x gives
+    # ||A x||_p = |lambda| ||x||_p); the estimate, a lower bound of ||A||_p,
+    # reaches the spectral radius on these draws
+    a = Rng(seed).matrix(n, n)
+    if hermitian:
+        a = (a + herm(a)) / 2.0
+    rho = float(np.abs(np.linalg.eigvals(a)).max())
+    assert lp_operator_norm(a, p).value >= rho * (1.0 - 1e-12)
 
 
 def test_lax_identity_and_selfadjoint_ensemble():
@@ -421,6 +482,20 @@ def test_lax_identity_and_selfadjoint_ensemble():
     d2 = lax_diagnostic(emb, nonnormal)
     assert not d2.is_h_selfadjoint
     assert d2.norm_h > 0 and d2.norm_b > 0
+
+
+def test_lax_selfadjoint_threshold_is_a_named_tolerance():
+    emb = build_kuelbs(LpSpace(4, 3.0))
+    r = Rng(116).matrix(4, 4)
+    a = np.linalg.solve(emb.gram, r + herm(r)) + 1e-9 * Rng(117).matrix(4, 4)  # G a nearly Hermitian
+    resid = lax_diagnostic(emb, a).selfadjoint_residual
+    assert 1e-10 < resid < 1e-7
+    assert not lax_diagnostic(emb, a).is_h_selfadjoint
+    assert lax_diagnostic(emb, a, tols=Tolerances(selfadjoint_rel=2 * resid)).is_h_selfadjoint
+    assert not lax_diagnostic(emb, a, tols=Tolerances(selfadjoint_rel=resid / 2)).is_h_selfadjoint
+    # the scale widens the threshold, never tightens it
+    assert lax_diagnostic(emb, a, tols=Tolerances(selfadjoint_rel=2 * resid, scale=1e-3)).is_h_selfadjoint
+    assert lax_diagnostic(emb, a, tols=Tolerances(selfadjoint_rel=resid / 2, scale=4.0)).is_h_selfadjoint
 
 
 def test_dimension_mismatch():

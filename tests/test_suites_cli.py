@@ -75,7 +75,7 @@ def test_skipped_banach_dims_are_named(tmp_path, capsys):
 # SHA-256 of the default `dst verify --suite all --no-timestamp` report,
 # pinned with Python 3.11, numpy 2.4 and OpenBLAS 0.3.31. Re-pin only with
 # a CHANGES.md entry that gives the largest metric drift.
-GOLDEN_DEFAULT_REPORT = "1fb03a97f204377ed1e7c308ca843d02b7cba66cddb23df75642990e6775da62"
+GOLDEN_DEFAULT_REPORT = "4e460c0a18e7debabeaf635513853628e4676c9b508a1708751af94df753c9ad"
 
 
 def _report_digest(tmp_path, *args) -> str:
@@ -91,7 +91,7 @@ def test_golden_report_digest(tmp_path, capsys):
 
 # The same for the benchmarked run (896 cases), whose kuelbs suite calls
 # lp_operator_norm at dims 2 through 16.
-GOLDEN_BENCH_REPORT = "810213709e07329635dad717e028cae2b24a68f17c866e8e61469b682c6f688c"
+GOLDEN_BENCH_REPORT = "7242c0c67b11b012d6443ab6b664584e83bd16860118412b5ece503b80a105d2"
 
 
 def test_golden_bench_report_digest(tmp_path, capsys):
@@ -143,6 +143,39 @@ def test_config_refuses_an_unknown_tolerance_key(capsys):
         SuiteConfig(dims=(2,), trials=1, tol={"adjoint.contrat": 1e-300})
     assert main(["verify", "--suite", "adjoint", "--dims", "2", "--trials", "1", "--tol", "adjoint.contrat=1"]) == 1
     assert "unknown tolerance key 'adjoint.contrat'" in capsys.readouterr().err
+
+
+def test_baire_rank_cut_is_a_named_tolerance(tmp_path, capsys, monkeypatch):
+    # the decade-rate window is checked only on cases the cut calls full rank
+    default = run_suite("baire", SuiteConfig(dims=(4,), trials=3))
+    assert all(c.metrics["rate_max"] > 0.0 for c in default.cases)
+    strict = run_suite("baire", SuiteConfig(dims=(4,), trials=3, tol={"baire.full_rank": 0.999}))
+    assert all(c.metrics["rate_max"] == 0.0 for c in strict.cases)
+    # DST_TOL_SCALE leaves the cut alone, and the report lists it only when set
+    monkeypatch.setenv("DST_TOL_SCALE", "10")
+    path = tmp_path / "r.json"
+    argv = ["verify", "--suite", "baire", "--dims", "4", "--trials", "1", "--no-timestamp", "--report", str(path)]
+    assert main(argv) == 0
+    assert "baire.full_rank" not in json.loads(path.read_text())["config"]["tol_overrides"]
+    assert main([*argv, "--tol", "baire.full_rank=0.5"]) == 0
+    assert json.loads(path.read_text())["config"]["tol_overrides"]["baire.full_rank"] == 0.5
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_config_refuses_a_non_finite_tolerance(value):
+    # an infinite limit would pass every case of its check
+    with pytest.raises(ConfigError, match="tolerance 'adjoint.contract' must be finite"):
+        SuiteConfig(dims=(2,), trials=1, tol={"adjoint.contract": value})
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_verify_refuses_a_non_finite_suite_tolerance(value, tmp_path, capsys):
+    argv = ["verify", "--suite", "adjoint", "--dims", "2", "--trials", "1",
+            "--tol", f"adjoint.contract={value}", "--report", str(tmp_path / "r.json")]
+    assert main(argv) == 1
+    assert "tolerance 'adjoint.contract' must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 # ---------------------------------------------------------------- CLI
@@ -422,6 +455,7 @@ def test_verify_refuses_nan_suite_tolerance(tmp_path, capsys):
         ("scale", float("nan")), ("scale", float("inf")), ("scale", 0.0),
         ("hermitian_rel", -1e-8), ("cluster_rel", float("inf")), ("support_rel", float("nan")),
         ("rank_rel", 0.0), ("rank_rel", 1.0), ("rank_rel", float("nan")),
+        ("selfadjoint_rel", 0.0), ("selfadjoint_rel", float("inf")),
     ],
 )
 def test_tolerances_refuse_bad_thresholds(field, value):
