@@ -10,8 +10,7 @@ rank=/cluster=/support=`` for the library thresholds and ``polar`` takes
 takes ``--tol KEY=VALUE`` for its pass/fail limits; ``kuelbs``,
 ``adjoint``, ``baire`` and ``demo laplacian`` reach no threshold and take
 no ``--tol``. The DST_TOL_SCALE environment variable multiplies every
-tolerance, both the library thresholds and the suite pass/fail limits
-(all but the baire rank cut ``baire.full_rank``, which sorts cases).
+tolerance, both the library thresholds and the suite pass/fail limits.
 """
 
 from __future__ import annotations
@@ -225,13 +224,10 @@ def _cmd_baire(args) -> int:
 def _cmd_verify(args) -> int:
     tols = from_env()
     scale = tols.scale
-    # widen the rate window under scaling instead of shifting it one-sided;
-    # the baire rank cut picks which cases get that window rather than
-    # bounding a residual, so it is not scaled and is listed only when set
+    # widen the rate window under scaling instead of shifting it one-sided
     table = {
         k: (v / scale if k.endswith("rate_low") else v * scale)
         for k, v in TOL_DEFAULTS.items()
-        if k != "baire.full_rank"
     }
     table.update(_parse_tol_items(args.tol))  # SuiteConfig refuses an unknown key
     cfg = SuiteConfig(

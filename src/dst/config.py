@@ -34,12 +34,9 @@ class Tolerances:
     support_rel: float = 1e-10
     # singular values <= rank_rel*sigma_max count as zero; None -> n*eps
     rank_rel: float | None = None
-    # lax_diagnostic calls A H-selfadjoint when ||G A - (G A)*|| / (1 + ||G A||)
-    # is at most selfadjoint_rel*max(1, scale): the scale only widens it
-    selfadjoint_rel: float = 1e-10
 
     def __post_init__(self):
-        for name in ("scale", "hermitian_rel", "cluster_rel", "support_rel", "selfadjoint_rel"):
+        for name in ("scale", "hermitian_rel", "cluster_rel", "support_rel"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ConfigError(f"{name} must be finite and positive, got {value!r}")
@@ -58,9 +55,6 @@ class Tolerances:
 
     def support_tol(self) -> float:
         return self.support_rel * self.scale
-
-    def selfadjoint_tol(self) -> float:
-        return self.selfadjoint_rel * max(1.0, self.scale)
 
 
 DEFAULT = Tolerances()

@@ -496,6 +496,11 @@ class LaxDiagnostic:
     method: str
 
 
+# A is called H-selfadjoint when ||G A - (G A)*|| / (1 + ||G A||) is at most
+# _SELFADJOINT_REL * max(1, scale): a tolerance scale only widens the test
+_SELFADJOINT_REL = 1e-10
+
+
 def lax_diagnostic(k: KuelbsEmbedding, a, *, tols: Tolerances = DEFAULT) -> LaxDiagnostic:
     a = as_matrix(a, square=True)
     n = k.space.dim
@@ -505,7 +510,7 @@ def lax_diagnostic(k: KuelbsEmbedding, a, *, tols: Tolerances = DEFAULT) -> LaxD
     ga = m.apply(a)
     scale = 1.0 + float(np.linalg.norm(ga))
     resid = float(np.linalg.norm(ga - herm(ga))) / scale
-    is_h = resid <= tols.selfadjoint_tol()
+    is_h = resid <= _SELFADJOINT_REL * max(1.0, tols.scale)
 
     norm_h = float(np.linalg.norm(m.to_frame(a), 2))
     est = lp_operator_norm(a, k.space.p)

@@ -78,7 +78,6 @@ TOL_DEFAULTS: dict[str, float] = {
     "adjoint.natural": 1e-10,
     "adjoint.inverse": 1e-10,
     "baire.bound_slack": 1e-6,
-    "baire.full_rank": 1e-6,
     "baire.identity": 1e-10,
     "baire.intertwine": 1e-10,
     "baire.rate_low": 0.02,
@@ -446,6 +445,10 @@ def _suite_adjoint(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> lis
 # --------------------------------------------------------------------------
 # baire: resolvent approximant error bound, rate window, identities
 
+# sigma_min > _FULL_RANK_CUT * sigma_max selects the cases whose decade
+# rates are gated; it sorts cases rather than bounding a residual
+_FULL_RANK_CUT = 1e-6
+
 
 def _suite_baire(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> list[CaseResult]:
     cases: list[CaseResult] = []
@@ -461,7 +464,7 @@ def _suite_baire(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> list[
                 gp = h_polar(op, tols=tols)
                 t_h_norm = float(np.linalg.norm(m.to_frame(gp.T), 2))
                 sigma = np.linalg.svd(a, compute_uv=False)
-                full_rank = sigma.size and sigma[-1] > cfg.tolerance("baire.full_rank") * sigma[0]
+                full_rank = sigma.size and sigma[-1] > _FULL_RANK_CUT * sigma[0]
                 phis = Rng(substream(ens.seed, 30_000 + idx)).matrix(4, dim)  # rows are the phi
                 a_phi = phis @ a.T
                 bnd = m.norm_rows(a_phi @ gp.Tbar.T)  # times 1/lam

@@ -145,23 +145,6 @@ def test_config_refuses_an_unknown_tolerance_key(capsys):
     assert "unknown tolerance key 'adjoint.contrat'" in capsys.readouterr().err
 
 
-def test_baire_rank_cut_is_a_named_tolerance(tmp_path, capsys, monkeypatch):
-    # the decade-rate window is checked only on cases the cut calls full rank
-    default = run_suite("baire", SuiteConfig(dims=(4,), trials=3))
-    assert all(c.metrics["rate_max"] > 0.0 for c in default.cases)
-    strict = run_suite("baire", SuiteConfig(dims=(4,), trials=3, tol={"baire.full_rank": 0.999}))
-    assert all(c.metrics["rate_max"] == 0.0 for c in strict.cases)
-    # DST_TOL_SCALE leaves the cut alone, and the report lists it only when set
-    monkeypatch.setenv("DST_TOL_SCALE", "10")
-    path = tmp_path / "r.json"
-    argv = ["verify", "--suite", "baire", "--dims", "4", "--trials", "1", "--no-timestamp", "--report", str(path)]
-    assert main(argv) == 0
-    assert "baire.full_rank" not in json.loads(path.read_text())["config"]["tol_overrides"]
-    assert main([*argv, "--tol", "baire.full_rank=0.5"]) == 0
-    assert json.loads(path.read_text())["config"]["tol_overrides"]["baire.full_rank"] == 0.5
-    capsys.readouterr()
-
-
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
 def test_config_refuses_a_non_finite_tolerance(value):
     # an infinite limit would pass every case of its check
@@ -455,7 +438,6 @@ def test_verify_refuses_nan_suite_tolerance(tmp_path, capsys):
         ("scale", float("nan")), ("scale", float("inf")), ("scale", 0.0),
         ("hermitian_rel", -1e-8), ("cluster_rel", float("inf")), ("support_rel", float("nan")),
         ("rank_rel", 0.0), ("rank_rel", 1.0), ("rank_rel", float("nan")),
-        ("selfadjoint_rel", 0.0), ("selfadjoint_rel", float("inf")),
     ],
 )
 def test_tolerances_refuse_bad_thresholds(field, value):
