@@ -168,13 +168,20 @@ class GramMetric:
     eig_min, eig_max -- extreme eigenvalues of G
 
     Construction is the one positivity gate: a Gram whose smallest
-    eigenvalue is at or below n * eps * (largest) raises SingularGram.
+    eigenvalue is at or below n * eps * (largest) raises SingularGram, and
+    so does a diagonal G with a NaN or inf entry.
 
-    The methods below are the only code that applies G, L*, inv(L*) or
-    inv(G). When every off-diagonal entry of G is exactly 0.0 (the
-    canonical-seed embedding), they apply the diagonals of G, L* and
+    The diagonal rule: when every nonzero entry of G lies on its diagonal
+    (as for a canonical-seed embedding, whose ``seeds`` and ``functionals``
+    are read-only (n, n) blocks of unit rows), construction reads the extreme
+    eigenvalues off the real diagonal d and writes L = diag(sqrt d) and
+    inv(L*) = diag(1/sqrt d) in O(n^2), with no LAPACK call; the fields
+    equal what eigvalsh, cholesky and inv return for such a G. The
+    methods below are the only code that applies G, L*, inv(L*) or
+    inv(G), and under the same rule they apply the diagonals of G, L* and
     inv(L*) as O(n^2) scalings; the products and the solve they replace
     add only exact zeros to each entry, so both forms agree bit for bit.
+    Any other G is factored by LAPACK and applied densely.
     """
 
     gram: np.ndarray
@@ -188,27 +195,38 @@ class GramMetric:
 
     def __post_init__(self):
         g = self.gram
-        evs = np.linalg.eigvalsh(g)
-        if evs[0] <= g.shape[0] * EPS * max(evs[-1], 0.0):
-            raise SingularGram(
-                f"gram matrix is numerically singular (min/max eigenvalue = {evs[0]:.3e}/{evs[-1]:.3e})"
-            )
-        chol = np.linalg.cholesky(g)
-        chol_h = herm(chol)
-        frame_inv = np.linalg.inv(chol_h)
-        for a in (g, chol, chol_h, frame_inv):
-            a.setflags(write=False)
-        diagonals = None
-        if np.count_nonzero(g) == g.shape[0]:  # a positive definite G has no zero on its diagonal
+        # the diagonal rule: every nonzero entry of G lies on its diagonal
+        diagonal = np.count_nonzero(g) == np.count_nonzero(np.diagonal(g))
+        if diagonal:
+            d = np.diagonal(g).real  # the part eigvalsh and cholesky read
+            lo, hi = float(d.min()), float(d.max())
+        else:
+            evs = np.linalg.eigvalsh(g)
+            lo, hi = float(evs[0]), float(evs[-1])
+        if not lo > g.shape[0] * EPS * max(hi, 0.0):  # NaN and inf fail it too
+            raise SingularGram(f"gram matrix is numerically singular (min/max eigenvalue = {lo:.3e}/{hi:.3e})")
+        if diagonal:
+            # what cholesky and inv return for a diagonal G, without LAPACK
+            root = np.sqrt(d)
+            chol = np.zeros(g.shape, np.result_type(g, np.float64))
+            frame_inv = np.zeros_like(chol)
+            np.fill_diagonal(chol, root)
+            np.fill_diagonal(frame_inv, 1.0 / root)
+            chol_h = herm(chol)
             diagonals = tuple(np.diagonal(a).copy() for a in (g, chol_h, frame_inv))
-            for d in diagonals:
-                d.setflags(write=False)
+        else:
+            chol = np.linalg.cholesky(g)
+            chol_h = herm(chol)
+            frame_inv = np.linalg.inv(chol_h)
+            diagonals = None
+        for a in (g, chol, chol_h, frame_inv, *(diagonals or ())):
+            a.setflags(write=False)
         set_field = object.__setattr__  # frozen: fill the derived fields once
         set_field(self, "chol", chol)
         set_field(self, "chol_h", chol_h)
         set_field(self, "frame_inv", frame_inv)
-        set_field(self, "eig_min", float(evs[0]))
-        set_field(self, "eig_max", float(evs[-1]))
+        set_field(self, "eig_min", lo)
+        set_field(self, "eig_max", hi)
         set_field(self, "_diagonals", diagonals)
 
     @property
@@ -277,8 +295,10 @@ class KuelbsEmbedding:
     gram       -- G, Hermitian positive definite
     dual_gram  -- Gram of the companion inner product on coefficient vectors
     weights    -- positive, sums to 1
-    seeds      -- the spanning family the functionals came from
-    functionals-- unit-dual-norm coefficient rows, one per seed
+    seeds      -- read-only (m, n) block whose rows are the spanning family
+                  the functionals came from
+    functionals-- read-only (m, n) block of unit-dual-norm coefficient
+                  rows, one per seed
     metric     -- the GramMetric of G, built once at construction
     """
 
@@ -286,12 +306,12 @@ class KuelbsEmbedding:
     gram: np.ndarray
     dual_gram: np.ndarray
     weights: np.ndarray
-    seeds: tuple[np.ndarray, ...]
-    functionals: tuple[np.ndarray, ...]
+    seeds: np.ndarray
+    functionals: np.ndarray
     metric: GramMetric = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for a in (self.dual_gram, self.weights, *self.seeds, *self.functionals):
+        for a in (self.dual_gram, self.weights, self.seeds, self.functionals):
             a.setflags(write=False)
         object.__setattr__(self, "metric", GramMetric(self.gram))  # also freezes gram
 
@@ -317,8 +337,9 @@ def _default_weights(count: int) -> np.ndarray:
 def build_kuelbs(space: LpSpace, seeds=None, weights=None) -> KuelbsEmbedding:
     """Assemble the embedding from seed vectors and weights.
 
-    Defaults: seeds are the canonical basis (spanning, and yielding a
-    diagonal Gram), weights are 2^-min(k, 19) for k = 1..m renormalized
+    Defaults: seeds are the canonical basis (spanning, and yielding the
+    diagonal Gram diag(w), so the embedding is built in O(n^2) time and
+    memory with no LAPACK call), weights are 2^-min(k, 19) for k = 1..m renormalized
     to sum to 1; the cap keeps the Gram well conditioned at any dim.
     Explicit weights must be positive and sum to 1 within 1e-12. A zero
     seed raises ZeroVector; seeds whose functionals fail to span the dual,
@@ -326,15 +347,15 @@ def build_kuelbs(space: LpSpace, seeds=None, weights=None) -> KuelbsEmbedding:
     """
     n = space.dim
     if seeds is None:
-        seed_list = [np.eye(n, dtype=np.complex128)[:, k] for k in range(n)]
+        seeds_mat = np.eye(n, dtype=np.complex128)  # rows are seeds
     else:
         seed_list = [as_vector(s) for s in seeds]
-        for s in seed_list:
-            if s.shape[0] != n:
-                raise DimensionMismatch("seed dimension does not match the space")
-    m = len(seed_list)
-    if m == 0:
-        raise DegenerateSeeds("at least one seed is required")
+        if not seed_list:
+            raise DegenerateSeeds("at least one seed is required")
+        if any(s.shape[0] != n for s in seed_list):
+            raise DimensionMismatch("seed dimension does not match the space")
+        seeds_mat = np.vstack(seed_list)
+    m = seeds_mat.shape[0]
     if weights is None:
         w = _default_weights(m)
     else:
@@ -346,18 +367,23 @@ def build_kuelbs(space: LpSpace, seeds=None, weights=None) -> KuelbsEmbedding:
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise BadWeights(f"weights sum to {w.sum()!r}, expected 1")
 
-    seeds_mat = np.vstack(seed_list)  # rows are seeds
     norms, psi = space.duality_rows(seeds_mat)
     if not norms.all():
         raise ZeroVector(f"seed {int(np.argmin(norms))} is zero, where the duality map is undefined")
     c = psi.conj()  # rows are the unit-dual-norm coefficient vectors
-    gram = herm(c) @ (w[:, None] * c)
-    gram = (gram + herm(gram)) / 2.0
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
-        dual_gram = herm(seeds_mat) @ (w[:, None] * seeds_mat)
-        dual_gram = (dual_gram + herm(dual_gram)) / 2.0
-    if not np.isfinite(dual_gram.view(np.float64)).all():
-        raise DegenerateSeeds(f"the dual Gram of seeds up to norm {float(norms.max()):.3e} overflows")
+    if seeds is None:
+        # psi(e_k) = e_k, so both Grams are diag(w): the products below would
+        # only add exact zeros, and cost O(n^3)
+        gram = np.diag(w.astype(np.complex128))
+        dual_gram = gram.copy()
+    else:
+        gram = herm(c) @ (w[:, None] * c)
+        gram = (gram + herm(gram)) / 2.0
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
+            dual_gram = herm(seeds_mat) @ (w[:, None] * seeds_mat)
+            dual_gram = (dual_gram + herm(dual_gram)) / 2.0
+        if not np.isfinite(dual_gram.view(np.float64)).all():
+            raise DegenerateSeeds(f"the dual Gram of seeds up to norm {float(norms.max()):.3e} overflows")
 
     try:
         return KuelbsEmbedding(
@@ -365,8 +391,8 @@ def build_kuelbs(space: LpSpace, seeds=None, weights=None) -> KuelbsEmbedding:
             gram=gram,
             dual_gram=dual_gram,
             weights=w,
-            seeds=tuple(s.copy() for s in seed_list),
-            functionals=tuple(c),
+            seeds=seeds_mat,
+            functionals=c,
         )
     except SingularGram as exc:
         raise DegenerateSeeds(str(exc)) from exc
@@ -460,9 +486,10 @@ def lp_operator_norm(a, p: float) -> LpNormEstimate:
             z = psi @ conj_a  # rows are A* psi
             zq, x_next = dual.duality_rows(z)
             if not (np.isfinite(gamma).all() and np.isfinite(zq).all()):
+                top = float(np.abs(a.view(np.float64)).max())  # |a_ij| itself may overflow
                 raise ConvergenceFailure(
                     f"lp norm iteration left the floating-point range at p = {p}"
-                    f" for an operator with max |a_ij| = {float(np.abs(a).max()):.3e}"
+                    f" for an operator with max(|Re a_ij|, |Im a_ij|) = {top:.3e}"
                 )
             up = gamma > best[live]
             best[live[up]] = gamma[up]

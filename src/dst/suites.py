@@ -356,7 +356,7 @@ def kuelbs_probe_metrics(emb: KuelbsEmbedding, gram: np.ndarray, rng: Rng, trial
         steadman_rel = max(steadman_rel, abs(su(u) - nb**2) / (1.0 + nb**2))
 
     # (u, v)_H against the atomwise sum over the functionals f_k: sum_k w_k f_k(u) conj(f_k(v))
-    c = np.vstack(emb.functionals)
+    c = emb.functionals
     atomwise = ((us @ c.T) * (vs @ c.T).conj()) @ emb.weights
     consistency = float(np.abs(atomwise - gram_inner_rows(emb.gram, us, vs)).max())
     return {
@@ -392,8 +392,8 @@ def _suite_kuelbs(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> list
             metrics = kuelbs_probe_metrics(emb, gram, rng, max(cfg.trials * 4, 8))
 
             # (f_a, f_b)_H' against sum_n w_n f_a(u_n) conj(f_b(u_n)) for the first four functionals
-            fs = np.vstack(emb.functionals[:4])
-            on_seeds = np.vstack(emb.seeds) @ fs.T  # [n, a] = f_a(u_n)
+            fs = emb.functionals[:4]
+            on_seeds = emb.seeds @ fs.T  # [n, a] = f_a(u_n)
             direct = (on_seeds.conj().T * emb.weights) @ on_seeds  # [b, a]
             dual_gram_err = float(np.abs(direct - fs.conj() @ emb.dual_gram @ fs.T).max())
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError
 
@@ -30,6 +31,7 @@ from dst.kuelbs import (
 from dst.linalg import abs_norm, gram_inner_rows, gram_norm_rows, herm, vnorm
 from dst.rng import Rng, substream
 
+EPS = float(np.finfo(np.float64).eps)
 P_GRID = (1.5, 2.0, 3.0, 4.0)
 DIM_GRID = (2, 4, 8, 16)
 
@@ -169,12 +171,18 @@ def test_gram_metric_is_one_read_only_factorization():
 
 def test_embedding_seeds_and_functionals_are_read_only():
     rng = Rng(110)
-    seeded = build_kuelbs(LpSpace(3, 1.5), seeds=[rng.vector(3) for _ in range(4)])
-    for emb in (build_kuelbs(LpSpace(3, 3.0)), seeded):
-        for a in (*emb.seeds, *emb.functionals):
+    seeds = [rng.vector(3) for _ in range(4)]
+    kept = np.vstack(seeds)
+    seeded = build_kuelbs(LpSpace(3, 1.5), seeds=seeds)
+    for emb, m in ((build_kuelbs(LpSpace(3, 3.0)), 3), (seeded, 4)):
+        assert emb.seeds.shape == emb.functionals.shape == (m, 3)
+        for a in (emb.seeds, emb.functionals, *emb.seeds, *emb.functionals):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 1.0
+    for s in seeds:  # the embedding keeps its own copy of the caller's seeds
+        s[:] = 0.0
+    assert np.array_equal(seeded.seeds, kept)
 
 
 def _dense_methods(m, a, us, vs):
@@ -208,6 +216,94 @@ def test_diagonal_gram_scalings_match_the_dense_factors_bit_for_bit(n):
         a, us, vs = rng.matrix(n, n), rng.matrix(3, n), rng.matrix(3, n)
         for name, (fast, dense) in _dense_methods(m, a, us, vs).items():
             assert np.array_equal(fast, dense), (n, name)
+
+
+def _lapack_factors(gram):
+    """GramMetric's fields as LAPACK computes them for ``gram``."""
+    chol = np.linalg.cholesky(gram)
+    evs = np.linalg.eigvalsh(gram)
+    return {"chol": chol, "chol_h": herm(chol), "frame_inv": np.linalg.inv(herm(chol)),
+            "eig_min": evs[0], "eig_max": evs[-1]}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 64, 256])
+def test_diagonal_gram_fields_equal_what_lapack_returns(n):
+    rng = Rng(substream(115, n))
+    grams = [
+        build_kuelbs(LpSpace(n, p), weights=weights).gram
+        for p in (1.2, 1.5, 3.0, 7.0)
+        for weights in (None, np.full(n, 1.0 / n))
+    ]
+    grams += [np.diag(10.0 ** (2.0 * rng.vector(n).real)).astype(complex) for _ in range(3)]
+    for gram in grams:
+        m = GramMetric(gram)
+        assert m.is_diagonal
+        for name, expect in _lapack_factors(gram).items():
+            got = getattr(m, name)
+            assert np.array_equal(got, expect) and np.asarray(got).dtype == np.asarray(expect).dtype, (n, name)
+
+
+def test_canonical_grams_equal_the_weighted_products_byte_for_byte():
+    # build_kuelbs writes diag(w) for canonical seeds instead of forming
+    # c* diag(w) c and u* diag(w) u; the two must agree to the signed zero
+    for n in (1, 3, 16, 64):
+        for p in (1.5, 3.0):
+            for weights in (None, np.full(n, 1.0 / n)):
+                emb = build_kuelbs(LpSpace(n, p), weights=weights)
+                w, c, u = emb.weights, emb.functionals, emb.seeds
+                gram = herm(c) @ (w[:, None] * c)
+                dual_gram = herm(u) @ (w[:, None] * u)
+                assert emb.gram.tobytes() == ((gram + herm(gram)) / 2.0).tobytes()
+                assert emb.dual_gram.tobytes() == ((dual_gram + herm(dual_gram)) / 2.0).tobytes()
+
+
+@pytest.mark.parametrize(
+    "diagonal",
+    [
+        [1.0, 0.0, 2.0],  # a zero entry
+        [1.0, -1e-3, 2.0],  # a negative entry
+        [1.0, 3 * EPS, 1.0],  # exactly at n eps max
+        [1.0, 2 * EPS, 1.0],  # below it
+    ],
+)
+def test_a_singular_diagonal_gram_is_refused_as_before(diagonal):
+    gram = np.diag(diagonal).astype(complex)
+    evs = np.linalg.eigvalsh(gram)
+    message = f"gram matrix is numerically singular (min/max eigenvalue = {evs[0]:.3e}/{evs[-1]:.3e})"
+    with pytest.raises(SingularGram) as info:
+        GramMetric(gram)
+    assert str(info.value) == message
+    assert GramMetric(np.diag(np.array(diagonal) + 1.0).astype(complex)).is_diagonal  # the same layout passes
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_diagonal_gram_is_refused(bad):
+    with pytest.raises(SingularGram):
+        GramMetric(np.diag([1.0, bad, 2.0]).astype(complex))
+
+
+def test_canonical_embedding_is_built_without_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a canonical-seed build called LAPACK")
+
+    for name in ("eigvalsh", "cholesky", "inv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for p in (1.5, 3.0):
+        assert build_kuelbs(LpSpace(17, p), weights=np.full(17, 1.0 / 17)).metric.is_diagonal
+        assert build_kuelbs(LpSpace(17, p)).metric.is_diagonal
+
+
+def test_canonical_embedding_is_built_in_quadratic_memory():
+    # an n x n complex array is 256 KiB at n = 128, so 8 MB holds about 30
+    # of them, while one n x n identity per seed would take 16 n^3 = 34 MB
+    build_kuelbs(LpSpace(128, 3.0))  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        build_kuelbs(LpSpace(128, 3.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_a_single_nonzero_off_diagonal_entry_takes_the_dense_path():
@@ -317,18 +413,21 @@ def test_lp_operator_norm_refuses_p_outside_the_reflexive_range(p):
 
 
 @pytest.mark.parametrize(
-    "a, p",
+    "a, p, names",
     [
-        (np.full((2, 2), 1e308 + 0j), 3.0),  # the true norm, 2e308, overflows
-        (np.full((2, 2), 1.5e308 + 1.5e308j), 1.5),  # so does max |a_ij|
+        (np.full((2, 2), 1e308 + 0j), 3.0, "1.000e+308"),  # the true norm, 2e308, overflows
+        (np.full((2, 2), 1.5e308 + 1.5e308j), 1.5, "1.500e+308"),  # so does max |a_ij|
+        (np.full((2, 2), 1.5e308 + 1.5e308j), 3.0, "1.500e+308"),
     ],
+    ids=["a0-3.0", "a1-1.5", "a2-3.0"],
 )
-def test_lp_operator_norm_out_of_range_raises_toolkit_error(a, p):
+def test_lp_operator_norm_out_of_range_raises_toolkit_error(a, p, names):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceFailure, match="floating-point range") as info:
             lp_operator_norm(a, p)
     assert isinstance(info.value, ToolkitError)
+    assert f"max(|Re a_ij|, |Im a_ij|) = {names}" in str(info.value)
 
 
 @pytest.mark.parametrize("scale", [1e31, 1e-40])

@@ -1,6 +1,6 @@
 """Write a BENCH_<pr>.json from alternating parent/change runs of perfbench.
 
-    python3 tools/bench_pairs.py --parent DIR --out BENCH_16.json [--pairs 10]
+    python3 tools/bench_pairs.py --parent DIR --out BENCH_<pr>.json [--pairs 10]
 
 DIR holds the parent commit's files (``git archive`` or ``git clone``);
 the change is the checkout this script lives in. Both sides run their
@@ -38,6 +38,7 @@ def _perfbench(side: Path, workload: str, seed: int, trace: int) -> dict:
         "correct": result["correct"],
         "failed": result["failed"],
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+        "setup_samples_s": info.get("setup_samples_s"),
         "pass_samples_s": info.get("pass_samples_s"),
     }
 
@@ -86,7 +87,8 @@ def main() -> int:
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pairs.append({side: _perfbench(sides[side], workload, args.seed, 0) for side in order})
-            print(workload, i, {s: round(r["metrics"]["pass_s"], 3) for s, r in pairs[-1].items()}, flush=True)
+            shown = {s: {m: round(r["metrics"][m], 3) for m in ("setup_s", "pass_s")} for s, r in pairs[-1].items()}
+            print(workload, i, shown, flush=True)
         bench["workloads"][workload] = {"summary": _summary(pairs), "pairs": pairs}
     bench["traced_metric_large"] = {s: _perfbench(d, "metric-large", args.seed, 1) for s, d in sides.items()}
     bench["tier1"] = {s: _tier1(d) for s, d in sides.items()}
