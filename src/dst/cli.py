@@ -28,7 +28,7 @@ from .adjoint import (
 )
 from .config import Tolerances, from_env
 from .errors import ConfigError, ToolkitError
-from .fileio import dump_json, load_matrix, matrix_to_obj, measure_to_obj, save_report
+from .fileio import load_matrix, matrix_to_obj, measure_to_obj, save_report, write_json
 from .kuelbs import LpSpace, build_kuelbs
 from .linalg import herm
 from .polar import intertwining_check, polar_decompose
@@ -44,12 +44,10 @@ from .suites import (
 )
 
 def _emit(obj, out_path: str | None) -> None:
-    text = dump_json(obj)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        save_report(obj, out_path)
     else:
-        sys.stdout.write(text)
+        write_json(obj, sys.stdout)
 
 
 def _parse_tol_items(items) -> dict[str, float]:

@@ -6,12 +6,14 @@ The matrix JSON schema is ``{"rows": n, "cols": m, "entries": [[re, im],
 ``array`` and ``coordinate`` formats with ``general`` symmetry, enough
 to read matrices from external tooling; complex matrices are read from
 JSON only. Report JSON is written with sorted keys and a fixed
-layout so identical runs produce identical bytes.
+layout so identical runs produce identical bytes; it is streamed to the
+file, so no copy of the whole text is held in memory.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import struct
 from typing import Any
@@ -29,8 +31,12 @@ __all__ = [
     "measure_to_obj",
     "digest",
     "dump_json",
+    "write_json",
     "save_report",
 ]
+
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
+_WRITE_BATCH = 1024  # encoder chunks joined into one write (about 80 bytes held per chunk)
 
 
 def matrix_to_obj(m) -> dict:
@@ -165,9 +171,18 @@ def digest(m) -> str:
 
 def dump_json(obj: Any) -> str:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return _ENCODER.encode(obj) + "\n"
+
+
+def write_json(obj: Any, fh) -> None:
+    """Write ``dump_json(obj)`` to a text file handle as a stream, holding
+    at most one batch of encoder chunks in memory."""
+    chunks = _ENCODER.iterencode(obj)
+    while batch := list(itertools.islice(chunks, _WRITE_BATCH)):
+        fh.write("".join(batch))
+    fh.write("\n")
 
 
 def save_report(report_obj: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(report_obj))
+        write_json(report_obj, fh)

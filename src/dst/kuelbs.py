@@ -169,7 +169,7 @@ class GramMetric:
 
     Construction is the one positivity gate: a Gram whose smallest
     eigenvalue is at or below n * eps * (largest) raises SingularGram, and
-    so does a diagonal G with a NaN or inf entry.
+    so does a G with a NaN or inf entry.
 
     The diagonal rule: when every nonzero entry of G lies on its diagonal
     (as for a canonical-seed embedding, whose ``seeds`` and ``functionals``
@@ -200,6 +200,8 @@ class GramMetric:
         if diagonal:
             d = np.diagonal(g).real  # the part eigvalsh and cholesky read
             lo, hi = float(d.min()), float(d.max())
+        elif not np.isfinite(g).all():  # eigvalsh would fail to converge on it
+            raise SingularGram("gram matrix has a NaN or inf entry")
         else:
             evs = np.linalg.eigvalsh(g)
             lo, hi = float(evs[0]), float(evs[-1])
@@ -359,7 +361,7 @@ def build_kuelbs(space: LpSpace, seeds=None, weights=None) -> KuelbsEmbedding:
     if weights is None:
         w = _default_weights(m)
     else:
-        w = np.asarray(weights, dtype=np.float64)
+        w = np.array(weights, dtype=np.float64)  # a copy: the embedding freezes it
         if w.shape != (m,):
             raise BadWeights(f"{m} seeds but {w.shape} weights")
         if np.any(w <= 0.0):

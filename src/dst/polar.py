@@ -72,9 +72,9 @@ def isometry_from_svd(dec: SvdResult, *, tols: Tolerances = DEFAULT) -> tuple[np
     rel = tols.rank_threshold_rel(n)
     sigma_max = float(dec.sigma[0]) if n else 0.0
     threshold = rel * sigma_max
-    keep = dec.sigma > threshold
-    u = dec.left[:, keep] @ herm(dec.right[:, keep])
-    return u, int(np.count_nonzero(keep)), rel, threshold
+    rank = int(np.count_nonzero(dec.sigma > threshold))  # sigma descends: the first rank columns
+    u = dec.left[:, :rank] @ herm(dec.right[:, :rank])
+    return u, rank, rel, threshold
 
 
 def polar_from_svd(dec: SvdResult, *, tols: Tolerances = DEFAULT) -> PolarDecomposition:

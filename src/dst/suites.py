@@ -139,8 +139,8 @@ class CaseResult:
         return {
             "id": self.case_id,
             "inputs_digest": self.inputs_digest,
-            "metrics": {k: self.metrics[k] for k in sorted(self.metrics)},
-            "tolerances": {k: self.tolerances[k] for k in sorted(self.tolerances)},
+            "metrics": self.metrics,  # the encoder sorts keys
+            "tolerances": self.tolerances,
             "pass": self.passed,
         }
 
@@ -170,7 +170,7 @@ class Report:
             "total": len(self.cases),
             "passed": sum(1 for c in self.cases if c.passed),
             "all_pass": self.passed,
-            "max_metrics": {k: max_metrics[k] for k in sorted(max_metrics)},
+            "max_metrics": max_metrics,
         }
         if nonfinite:  # named here because max_metrics leaves them out
             summary["nonfinite"] = sorted(nonfinite)

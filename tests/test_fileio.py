@@ -1,5 +1,7 @@
 import hashlib
+import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +14,11 @@ from dst.fileio import (
     matrix_from_obj,
     matrix_to_obj,
     measure_to_obj,
+    save_report,
 )
 from dst.rng import Rng
 from dst.spectral import deformed_of
+from dst.suites import CaseResult, Report, SuiteConfig, run_suite
 
 
 def test_json_roundtrip(tmp_path):
@@ -111,3 +115,46 @@ def test_measure_serialization():
     assert len(obj["atoms"]) == len(f.atoms)
     # canonical text is stable
     assert dump_json(obj) == dump_json(measure_to_obj(f))
+
+
+def _small_report(**kwargs) -> Report:
+    return run_suite("all", SuiteConfig(dims=(2,), trials=1, seed=7), **kwargs)
+
+
+def _nonfinite_report() -> Report:
+    cases = (
+        CaseResult("s/n2/t1", "d1", {"b": float("inf"), "a": 1.0}, {"b": 1e-9, "a": 1e-9}, False),
+        CaseResult("s/n2/t0", "d0", {"b": 0.5, "a": float("nan")}, {"b": 1e-9, "a": 1e-9}, False),
+    )
+    return Report("s", 7, {}, cases)
+
+
+@pytest.mark.parametrize(
+    "make_report",
+    [lambda: _small_report(timestamp="2026-01-02T03:04:05+00:00"), _nonfinite_report],
+    ids=["timestamp", "nonfinite"],
+)
+def test_save_report_writes_what_dump_json_returns(make_report, tmp_path):
+    obj = make_report().to_obj()
+    path = tmp_path / "report.json"
+    save_report(obj, str(path))
+    text = dump_json(obj)
+    assert path.read_bytes() == text.encode("utf-8")
+    # the canonical form: sorted keys, two-space indent, trailing newline
+    assert text == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def test_save_report_streams_in_bounded_memory(tmp_path):
+    small = _small_report()
+    cases = small.cases * -(-2000 // len(small.cases))
+    obj = Report(small.suite, small.seed, small.config, cases).to_obj()
+    path = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        save_report(obj, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cases) >= 2000
+    assert peak < path.stat().st_size / 4, (peak, path.stat().st_size)
+    assert path.read_text(encoding="utf-8") == dump_json(obj)

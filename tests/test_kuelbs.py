@@ -185,6 +185,16 @@ def test_embedding_seeds_and_functionals_are_read_only():
     assert np.array_equal(seeded.seeds, kept)
 
 
+def test_build_kuelbs_leaves_the_callers_weights_writeable():
+    w = np.full(3, 1.0 / 3.0)
+    emb = build_kuelbs(LpSpace(3, 3.0), weights=w)
+    assert w.flags.writeable
+    assert not emb.weights.flags.writeable
+    assert np.array_equal(emb.weights, w)
+    w[0] = 0.5  # the embedding keeps its own copy
+    assert emb.weights[0] == 1.0 / 3.0
+
+
 def _dense_methods(m, a, us, vs):
     """Each GramMetric method's result beside its formula in the dense factors."""
     left, right = m.from_frame_factors(a, us)
@@ -280,6 +290,16 @@ def test_a_singular_diagonal_gram_is_refused_as_before(diagonal):
 def test_a_non_finite_diagonal_gram_is_refused(bad):
     with pytest.raises(SingularGram):
         GramMetric(np.diag([1.0, bad, 2.0]).astype(complex))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [(1, 1), (0, 2)], ids=["diagonal-entry", "off-diagonal-entry"])
+def test_a_non_finite_dense_gram_is_refused(bad, where):
+    g = np.diag([1.0, 1.5, 2.0]).astype(complex)
+    g[0, 1] = g[1, 0] = 0.5  # a nonzero off-diagonal entry: the dense path
+    g[where] = g[where[::-1]] = bad
+    with pytest.raises(SingularGram, match="NaN or inf"):
+        GramMetric(g)
 
 
 def test_canonical_embedding_is_built_without_lapack(monkeypatch):

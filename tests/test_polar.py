@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from dst.ensembles import Ensemble, generate
 from dst.errors import DimensionMismatch, NotSquare
 from dst.linalg import herm, hermitian_eigen, svd
-from dst.polar import intertwining_check, polar_decompose, polar_from_svd
+from dst.polar import intertwining_check, isometry_from_svd, polar_decompose, polar_from_svd
 from dst.rng import Rng
 
 
@@ -102,3 +103,15 @@ def test_errors():
     p = polar_decompose(np.eye(2, dtype=complex))
     with pytest.raises(DimensionMismatch):
         intertwining_check(p, np.eye(3, dtype=complex))
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_isometry_keeps_the_leading_singular_vectors(n):
+    rankdef, = generate(Ensemble("rankdef", n, 1, 9, rank=n // 2))
+    general, = generate(Ensemble("general", n, 1, 9))
+    for a, expected_rank in ((rankdef, n // 2), (general, n)):
+        dec = svd(a)
+        u, rank, _, threshold = isometry_from_svd(dec)
+        assert rank == expected_rank
+        keep = dec.sigma > threshold  # the kept columns, selected by mask
+        assert np.array_equal(u, dec.left[:, keep] @ herm(dec.right[:, keep]))

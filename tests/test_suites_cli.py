@@ -7,7 +7,7 @@ import pytest
 import dst.adjoint
 import dst.suites
 from dst.adjoint import AdjointPair
-from dst.cli import main
+from dst.cli import _emit, main
 from dst.config import Tolerances
 from dst.errors import ConfigError
 from dst.fileio import dump_json, matrix_to_obj
@@ -259,6 +259,26 @@ def test_cli_verify_deterministic_and_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
     assert main(args + ["--report", str(tmp_path / "r3.json"), "--corrupt-gram"]) == 1
+
+
+def test_emit_prints_the_canonical_text(tmp_path, capsys):
+    report = run_suite("kuelbs", SMALL, timestamp="2026-01-02T03:04:05+00:00").to_obj()
+    for obj in (matrix_to_obj(Rng(5).matrix(3, 2)), report):
+        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        _emit(obj, None)
+        assert capsys.readouterr().out == text
+        path = tmp_path / "out.json"
+        _emit(obj, str(path))
+        assert path.read_text(encoding="utf-8") == text
+
+
+def test_verify_prints_the_report_it_saves(tmp_path, capsys):
+    args = ["verify", "--suite", "deformed", "--dims", "2,3", "--trials", "2", "--seed", "7", "--no-timestamp"]
+    path = tmp_path / "report.json"
+    assert main(args + ["--report", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(args) == 0
+    assert capsys.readouterr().out == path.read_text(encoding="utf-8")
 
 
 def test_cli_verify_tol_override(tmp_path, capsys):

@@ -87,7 +87,8 @@ def main() -> int:
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pairs.append({side: _perfbench(sides[side], workload, args.seed, 0) for side in order})
-            shown = {s: {m: round(r["metrics"][m], 3) for m in ("setup_s", "pass_s")} for s, r in pairs[-1].items()}
+            shown = {s: {m: round(r["metrics"][m], 3) for m in ("setup_s", "pass_s", "peak_mb")}
+                     for s, r in pairs[-1].items()}
             print(workload, i, shown, flush=True)
         bench["workloads"][workload] = {"summary": _summary(pairs), "pairs": pairs}
     bench["traced_metric_large"] = {s: _perfbench(d, "metric-large", args.seed, 1) for s, d in sides.items()}
