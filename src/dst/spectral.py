@@ -134,11 +134,7 @@ def _cluster(vals: np.ndarray, rel: float, cut: int = 0) -> tuple[tuple[int, ...
     if 0 < cut < n:
         split[cut - 1] = True
     bounds = (0, *(np.flatnonzero(split) + 1).tolist(), n)
-    # a singleton's mean is its one value; np.mean is kept for merged clusters
-    atoms = tuple(
-        float(vals[lo]) if hi - lo == 1 else float(np.mean(vals[lo:hi])) for lo, hi in zip(bounds, bounds[1:])
-    )
-    return bounds, atoms
+    return bounds, tuple(float(np.mean(vals[lo:hi])) for lo, hi in zip(bounds, bounds[1:]))
 
 
 def spectral_measure(h, *, tols: Tolerances = DEFAULT) -> SpectralMeasure:

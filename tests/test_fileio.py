@@ -15,6 +15,7 @@ from dst.fileio import (
     matrix_to_obj,
     measure_to_obj,
     save_report,
+    write_json,
 )
 from dst.rng import Rng
 from dst.spectral import deformed_of
@@ -144,17 +145,36 @@ def test_save_report_writes_what_dump_json_returns(make_report, tmp_path):
     assert text == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def test_save_report_streams_in_bounded_memory(tmp_path):
-    small = _small_report()
-    cases = small.cases * -(-2000 // len(small.cases))
-    obj = Report(small.suite, small.seed, small.config, cases).to_obj()
-    path = tmp_path / "report.json"
+def _peak_bytes(fn, *args) -> int:
     tracemalloc.start()
     try:
-        save_report(obj, str(path))
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def large_report_obj() -> dict:
+    small = _small_report()
+    cases = small.cases * -(-2000 // len(small.cases))
     assert len(cases) >= 2000
-    assert peak < path.stat().st_size / 4, (peak, path.stat().st_size)
-    assert path.read_text(encoding="utf-8") == dump_json(obj)
+    return Report(small.suite, small.seed, small.config, cases).to_obj()
+
+
+def test_write_json_streams_in_bounded_memory(large_report_obj, tmp_path):
+    path = tmp_path / "report.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        peak = _peak_bytes(write_json, large_report_obj, fh)
+    size = path.stat().st_size
+    assert peak < size / 4, (peak, size)
+    assert path.read_text(encoding="utf-8") == dump_json(large_report_obj)
+
+
+def test_save_report_holds_about_two_copies_of_the_text(large_report_obj, tmp_path):
+    # the pieces and the joined text; one string per encoder token took 6x
+    path = tmp_path / "report.json"
+    peak = _peak_bytes(save_report, large_report_obj, str(path))
+    size = path.stat().st_size
+    assert peak < 2.5 * size, (peak, size)
+    assert path.read_text(encoding="utf-8") == dump_json(large_report_obj)

@@ -12,7 +12,6 @@ from dst.linalg import herm, hermitian_eigen
 from dst.polar import polar_decompose
 from dst.rng import Rng
 from dst.spectral import (
-    _cluster,
     deform,
     deformed_of,
     integrate,
@@ -474,16 +473,3 @@ def test_deformed_calculus_memory_is_quadratic():
     finally:
         tracemalloc.stop()
     assert peak < 20 * n * n * 16
-
-
-def test_cluster_atoms_are_the_cluster_means():
-    vals = np.array([0.0, 1e-12, 3e-12, 0.1, 0.5, 0.7, 0.7 + 1e-10, 0.7 + 3e-10, 3.0, 7.0])
-    for cut in (0, 2, 6):  # no cut, a cut inside the first merged cluster, one inside the second
-        bounds, atoms = _cluster(vals, 1e-8, cut=cut)
-        sizes = np.diff(bounds)
-        assert (sizes == 1).any() and (sizes > 1).any()
-        if cut:
-            assert cut in bounds
-        expected = [np.mean(vals[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-        assert np.array_equal(atoms, expected)
-        assert all(type(x) is float for x in atoms)
