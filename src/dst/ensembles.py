@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadRank, ConfigError
+from .kuelbs import GramMetric
 from .linalg import as_matrix, herm
 from .rng import Rng, substream
 
@@ -76,8 +77,10 @@ def _one(ens: Ensemble, rng: Rng, ell_h: np.ndarray | None) -> np.ndarray:
 
 def generate(ens: Ensemble) -> list[np.ndarray]:
     """All ``count`` matrices of the ensemble, in index order; an
-    h_selfadjoint ensemble factors its Gram once for all draws."""
+    h_selfadjoint ensemble factors its Gram once for all draws, as a
+    :class:`~dst.kuelbs.GramMetric` (no LAPACK call for a diagonal Gram;
+    a Gram that is not positive definite raises SingularGram)."""
     ell_h = None
     if ens.kind == "h_selfadjoint":
-        ell_h = herm(np.linalg.cholesky(as_matrix(ens.gram, square=True)))
+        ell_h = GramMetric(as_matrix(ens.gram, square=True)).chol_h
     return [_one(ens, Rng(substream(ens.seed, k)), ell_h) for k in range(ens.count)]

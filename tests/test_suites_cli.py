@@ -75,7 +75,7 @@ def test_skipped_banach_dims_are_named(tmp_path, capsys):
 # SHA-256 of the default `dst verify --suite all --no-timestamp` report,
 # pinned with Python 3.11, numpy 2.4 and OpenBLAS 0.3.31. Re-pin only with
 # a CHANGES.md entry that gives the largest metric drift.
-GOLDEN_DEFAULT_REPORT = "4e460c0a18e7debabeaf635513853628e4676c9b508a1708751af94df753c9ad"
+GOLDEN_DEFAULT_REPORT = "7c9e52ba50b5a55cf7936eecba1e5eca1bfe58a70f8de601e2fda065e142e60a"
 
 
 def _report_digest(tmp_path, *args) -> str:
@@ -91,7 +91,7 @@ def test_golden_report_digest(tmp_path, capsys):
 
 # The same for the benchmarked run (896 cases), whose kuelbs suite calls
 # lp_operator_norm at dims 2 through 16.
-GOLDEN_BENCH_REPORT = "7242c0c67b11b012d6443ab6b664584e83bd16860118412b5ece503b80a105d2"
+GOLDEN_BENCH_REPORT = "2d1c59e072d692891c04154fba62471731ddc0a2b30a9c82f8df6a8952aedc35"
 
 
 def test_golden_bench_report_digest(tmp_path, capsys):

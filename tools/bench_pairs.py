@@ -10,7 +10,9 @@ and the change first in odd ones, so a drifting host loads both alike.
 Then each side makes one ``--trace 1`` metric-large run (per-layer
 seconds and exact counts) and one Tier-1 run. The file keeps every
 sample next to its summary: per metric, both medians, the pairs the
-change won and the parent's interquartile range.
+change won, the parent's interquartile range and the median over the
+pairs of change/parent, which a host that drifts between pairs moves
+less than it moves either median.
 """
 
 from __future__ import annotations
@@ -55,6 +57,10 @@ def _src_lines(side: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in sorted((side / "src" / "dst").glob("*.py")))
 
 
+def _paired_ratio_median(pairs: list[dict], name: str) -> float:
+    return statistics.median(p["change"]["metrics"][name] / p["parent"]["metrics"][name] for p in pairs)
+
+
 def _summary(pairs: list[dict]) -> dict:
     out = {}
     for name, lower in LOWER_IS_BETTER.items():
@@ -67,6 +73,7 @@ def _summary(pairs: list[dict]) -> dict:
             "change_won": sum((c < p) if lower else (c > p) for p, c in zip(par, chg)),
             "pairs": len(pairs),
             "parent_iqr": q[2] - q[0],
+            "paired_ratio_median": _paired_ratio_median(pairs, name),
         }
     return out
 
@@ -87,9 +94,10 @@ def main() -> int:
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pairs.append({side: _perfbench(sides[side], workload, args.seed, 0) for side in order})
-            shown = {s: {m: round(r["metrics"][m], 3) for m in ("setup_s", "pass_s", "peak_mb")}
-                     for s, r in pairs[-1].items()}
-            print(workload, i, shown, flush=True)
+            shown = ("setup_s", "pass_s", "peak_mb")
+            values = {s: {m: round(r["metrics"][m], 3) for m in shown} for s, r in pairs[-1].items()}
+            ratios = {m: round(_paired_ratio_median(pairs, m), 3) for m in shown}
+            print(workload, i, values, "paired ratio median", ratios, flush=True)
         bench["workloads"][workload] = {"summary": _summary(pairs), "pairs": pairs}
     bench["traced_metric_large"] = {s: _perfbench(d, "metric-large", args.seed, 1) for s, d in sides.items()}
     bench["tier1"] = {s: _tier1(d) for s, d in sides.items()}
