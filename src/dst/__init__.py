@@ -12,7 +12,6 @@ from .config import DEFAULT, Tolerances
 from .errors import ToolkitError
 from .gexpr import evaluate, parse
 from .kuelbs import (
-    DualityFunctional,
     KuelbsEmbedding,
     LpSpace,
     build_kuelbs,
@@ -56,7 +55,6 @@ __all__ = [
     "quadratic_form",
     "variation",
     "LpSpace",
-    "DualityFunctional",
     "KuelbsEmbedding",
     "canonical_duality_map",
     "build_kuelbs",

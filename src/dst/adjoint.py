@@ -389,7 +389,9 @@ def dirichlet_laplacian_demo(
         raise BadGrid(f"operator is {a.shape[0]}x{a.shape[1]}, grid has {n} interior points")
     j0_inv = np.linalg.solve(j0, eye)
     space = LpSpace(n, r)
-    pair = adjoint(BanachOperator(a, GramMetric((j0_inv + herm(j0_inv)) / 2.0), space))
+    gram = (j0_inv + herm(j0_inv)) / 2.0
+    gram.setflags(write=False)  # a fresh array: the metric may keep it uncopied
+    pair = adjoint(BanachOperator(a, GramMetric(gram), space))
     metrics = adjoint_metrics(pair, rng)
     gap = space.norm_rows((pair.astar - j0 @ herm(a) @ j0_inv).T)  # one lr norm per column
     metrics["closed_form"] = float(gap.max()) / (1.0 + float(np.linalg.norm(a)))

@@ -34,14 +34,7 @@ from .linalg import herm
 from .polar import intertwining_check, polar_decompose
 from .rng import Rng, substream
 from .spectral import deformed_of, integrate
-from .suites import (
-    BANACH_MAX_DIM,
-    SUITE_NAMES,
-    TOL_DEFAULTS,
-    SuiteConfig,
-    kuelbs_probe_metrics,
-    run_suite,
-)
+from .suites import SUITE_NAMES, TOL_DEFAULTS, SuiteConfig, kuelbs_probe_metrics, run_suite
 
 def _emit(obj, out_path: str | None) -> None:
     if out_path:
@@ -248,12 +241,6 @@ def _cmd_verify(args) -> int:
         sub = [c for c in report.cases if c.case_id.split("/")[0] == suite]
         ok = sum(1 for c in sub if c.passed)
         print(f"suite {suite}: {ok}/{len(sub)} passed", file=sys.stderr)
-    skipped = [d for d in cfg.dims if d > BANACH_MAX_DIM]
-    if skipped and args.suite in ("all", "banach-spectral"):
-        dims = ",".join(str(d) for d in skipped)
-        print(
-            f"suite banach-spectral: skipped dims {dims} (covers dims <= {BANACH_MAX_DIM})", file=sys.stderr
-        )
     print(f"total: {passed}/{total} passed", file=sys.stderr)
     if not args.report:
         _emit(report.to_obj(), None)
@@ -319,13 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_baire)
 
     sp = sub.add_parser("verify", help="run verification suites")
+    cfg = SuiteConfig()  # the run defaults
     sp.add_argument("--suite", default="all", choices=list(SUITE_NAMES) + ["all"])
-    sp.add_argument("--dims", type=_ints_csv, default=(2, 4, 8))
-    sp.add_argument("--trials", type=int, default=5)
-    sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--p", type=_floats_csv, default=(1.5, 3.0))
-    sp.add_argument("--lambdas", type=_lambdas_csv, default=(1e1, 1e2, 1e3, 1e4))
-    sp.add_argument("--laplacian-ns", type=_ints_csv, default=(8, 32))
+    sp.add_argument("--dims", type=_ints_csv, default=cfg.dims)
+    sp.add_argument("--trials", type=int, default=cfg.trials)
+    sp.add_argument("--seed", type=int, default=cfg.seed)
+    sp.add_argument("--p", type=_floats_csv, default=cfg.ps)
+    sp.add_argument("--lambdas", type=_lambdas_csv, default=cfg.lambdas)
+    sp.add_argument("--laplacian-ns", type=_ints_csv, default=cfg.laplacian_ns)
     sp.add_argument("--report", default=None, help="write the JSON report here")
     sp.add_argument("--tol", action="append", metavar="KEY=VAL", help="suite tolerance override")
     sp.add_argument("--no-timestamp", action="store_true", help="omit the timestamp (CI byte-comparison)")

@@ -82,5 +82,7 @@ def generate(ens: Ensemble) -> list[np.ndarray]:
     a Gram that is not positive definite raises SingularGram)."""
     ell_h = None
     if ens.kind == "h_selfadjoint":
-        ell_h = GramMetric(as_matrix(ens.gram, square=True)).chol_h
+        gram = as_matrix(ens.gram, square=True)
+        gram.setflags(write=False)  # a fresh array: the metric may keep it uncopied
+        ell_h = GramMetric(gram).chol_h
     return [_one(ens, Rng(substream(ens.seed, k)), ell_h) for k in range(ens.count)]

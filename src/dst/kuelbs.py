@@ -2,15 +2,18 @@
 embedding, Steadman duality functionals, and operator-norm diagnostics.
 
 The model Banach space is B = lp on C^n with 1 < p < inf (the reflexive
-range). Functionals are stored as coefficient vectors acting bilinearly,
-f(v) = sum_k c_k v_k, so the canonical duality map of u has coefficients
+range). A functional is its coefficient row c, acting bilinearly as
+f(v) = c @ v; its dual norm is ``LpSpace.dual_norm(c)``. The canonical
+duality map of u has coefficients
 
     c_k = ||u||_p^(2-p) * |u_k|^(p-1) * conj(u_k)/|u_k|
 
-which satisfy f(u) = ||u||_p^2 and ||c||_q = ||u||_p with q = p/(p-1).
+which satisfy c @ u = ||u||_p^2 and ||c||_q = ||u||_p with q = p/(p-1).
 They are evaluated as ||u||_p conj(psi(u)) with the unit-dual-norm
 psi(u) = (u/||u||_p) (|u|/||u||_p)^(p-2) (``LpSpace.duality_rows``),
 which raises only ratios to a power and so holds at any finite scale.
+``canonical_duality_map`` and ``steadman`` map a vector to one row and a
+k×n block to k rows, one per row of the block.
 
 The embedding inner product is built from normalized duality functionals
 f_n of a spanning seed family {u_n} and positive weights t_n summing to 1:
@@ -46,7 +49,6 @@ from .rng import Rng, substream
 
 __all__ = [
     "LpSpace",
-    "DualityFunctional",
     "GramMetric",
     "KuelbsEmbedding",
     "LpNormEstimate",
@@ -120,40 +122,23 @@ class LpSpace:
         return norms, (block / ny) * power
 
 
-@dataclass(frozen=True)
-class DualityFunctional:
-    """A functional f(v) = coeffs . v attached to its source vector u."""
-
-    coeffs: np.ndarray
-    source: np.ndarray
-    space: LpSpace
-
-    def __post_init__(self):
-        self.coeffs.setflags(write=False)
-        self.source.setflags(write=False)
-
-    def __call__(self, v) -> complex:
-        v = as_vector(v)
-        if v.shape[0] != self.space.dim:
-            raise DimensionMismatch("functional/vector dimension mismatch")
-        return complex(self.coeffs @ v)
-
-    @property
-    def dual_norm(self) -> float:
-        return self.space.dual_norm(self.coeffs)
+def _rows(u, dim: int) -> np.ndarray:
+    """A checked vector, or k×n block with one vector per row, of length ``dim``."""
+    x = as_matrix(u) if np.ndim(u) == 2 else as_vector(u)
+    if x.shape[-1] != dim:
+        raise DimensionMismatch(f"vector dim {x.shape[-1]} != space dim {dim}")
+    return x
 
 
-def canonical_duality_map(u, space: LpSpace) -> DualityFunctional:
-    """Standard lp duality functional of a nonzero vector:
-    ||u||_p conj(psi(u)), with psi the space's :meth:`LpSpace.duality_rows`."""
-    u = as_vector(u)
-    if u.shape[0] != space.dim:
-        raise DimensionMismatch(f"vector dim {u.shape[0]} != space dim {space.dim}")
-    nrm, psi = space.duality_rows(u)
-    if nrm == 0.0:
+def canonical_duality_map(u, space: LpSpace) -> np.ndarray:
+    """Coefficient row ||u||_p conj(psi(u)) of the standard lp duality
+    functional of u, with psi the space's :meth:`LpSpace.duality_rows`; of
+    a k×n block, one row per row of u. A zero row raises ZeroVector."""
+    u = _rows(u, space.dim)
+    norms, psi = space.duality_rows(u)
+    if not np.all(norms):
         raise ZeroVector("the duality map is undefined at 0")
-    coeffs = nrm * psi.conj()
-    return DualityFunctional(coeffs=coeffs, source=u.copy(), space=space)
+    return np.asarray(norms)[..., None] * psi.conj()
 
 
 @dataclass(frozen=True)
@@ -325,7 +310,7 @@ class KuelbsEmbedding:
         v = as_vector(v)
         if u.shape[0] != self.space.dim or v.shape[0] != self.space.dim:
             raise DimensionMismatch("vector dimension does not match the embedding")
-        return complex(np.vdot(v, self.gram @ u))
+        return complex(self.metric.inner_rows(u, v))
 
     def h_norm(self, u) -> float:
         val = self.h_inner(u, u)
@@ -403,23 +388,24 @@ def build_kuelbs(space: LpSpace, seeds=None, weights=None) -> KuelbsEmbedding:
         raise DegenerateSeeds(str(exc)) from exc
 
 
-def steadman(k: KuelbsEmbedding, u) -> DualityFunctional:
-    """Steadman duality functional S_u(v) = (||u||_B^2 / ||u||_H^2) (v, u)_H
-    of u for the embedding's inner product.
+def steadman(k: KuelbsEmbedding, u) -> np.ndarray:
+    """Coefficient row (||u||_B^2 / ||u||_H^2) conj(G u) of the Steadman
+    duality functional S_u(v) = (||u||_B^2 / ||u||_H^2) (v, u)_H of u for
+    the embedding's inner product; of a k×n block, one row per row of u.
+    A zero row raises ZeroVector.
 
     By construction S_u(u) = ||u||_B^2, which forces ||S_u||_B' >= ||u||_B;
     the reverse inequality is not guaranteed by this explicit global
     formula and is reported, never asserted.
     """
-    u = as_vector(u)
-    if u.shape[0] != k.space.dim:
-        raise DimensionMismatch("vector dimension does not match the embedding")
-    nb = k.space.norm(u)
-    if nb == 0.0:
+    u = _rows(u, k.space.dim)
+    us = u.reshape(-1, u.shape[-1])
+    nb = k.space.norm_rows(us)
+    if not np.all(nb):
         raise ZeroVector("the Steadman map is undefined at 0")
-    h2 = k.h_norm(u) ** 2
-    coeffs = (nb**2 / h2) * (k.gram @ u).conj()
-    return DualityFunctional(coeffs=coeffs, source=u.copy(), space=k.space)
+    m = k.metric
+    scale = nb**2 / m.norm_rows(us) ** 2
+    return (scale[:, None] * m.apply(us.T).T.conj()).reshape(u.shape)
 
 
 @dataclass(frozen=True)

@@ -242,7 +242,7 @@ def integrate(g, measure: SpectralMeasure, phi=None):
 
 @dataclass(frozen=True)
 class QuadraticFormResult:
-    """Atom-wise terms lambda_i^2 * <dM_i phi, psi> and their sum.
+    """Atom-wise terms lambda_i^2 * f(dM_i phi) and their sum.
 
     Terms are reported as complex numbers: against a deformed measure the
     atom-wise pairing need not be real or sign-definite.
@@ -253,37 +253,20 @@ class QuadraticFormResult:
     total: complex
 
 
-def quadratic_form(
-    measure: SpectralMeasure,
-    phi,
-    pairing: str = "standard",
-    *,
-    gram: np.ndarray | None = None,
-    functional=None,
-) -> QuadraticFormResult:
-    """Quadratic form Sum_i lambda_i^2 * (dM_i phi, psi) of a measure.
+def quadratic_form(measure: SpectralMeasure, phi, functional=None) -> QuadraticFormResult:
+    """Quadratic form Sum_i lambda_i^2 * f(dM_i phi) of a measure, for a
+    functional given as its coefficient row c, f(x) = c @ x.
 
-    pairing selects psi: "standard" pairs against phi in the Euclidean
-    inner product, "gram" against phi in the inner product (x, y) = y* G x,
-    and "steadman" applies the supplied duality functional to dM_i phi.
+    The default c = conj(phi) is the Euclidean pairing (dM_i phi, phi); the
+    row conj(G phi) pairs in the inner product (x, y) = y* G x, and the row
+    that ``steadman`` returns is the Steadman pairing.
     """
     phi = _phi_for(measure, phi)
-    if pairing == "standard":
-        pair = lambda x: complex(np.vdot(phi, x))
-    elif pairing == "gram":
-        if gram is None:
-            raise ValueError("pairing='gram' requires the gram matrix")
-        g = as_matrix(gram, square=True)
-        if g.shape[0] != measure.dim:
-            raise DimensionMismatch("gram dimension does not match the measure")
-        pair = lambda x: complex(np.vdot(phi, g @ x))
-    elif pairing == "steadman":
-        if functional is None:
-            raise ValueError("pairing='steadman' requires a duality functional")
-        pair = lambda x: complex(functional(x))
-    else:
-        raise ValueError(f"unknown pairing {pairing!r}")
-    terms = tuple((lam**2) * pair(v) for lam, v in zip(measure.lambdas, measure.atom_vectors(phi)))
+    c = phi.conj() if functional is None else as_vector(functional)
+    if c.shape[0] != measure.dim:
+        raise DimensionMismatch(f"functional has dim {c.shape[0]}, measure dim is {measure.dim}")
+    pairs = measure.atom_vectors(phi) @ c
+    terms = tuple((lam**2) * complex(v) for lam, v in zip(measure.lambdas, pairs))
     return QuadraticFormResult(lambdas=measure.lambdas, terms=terms, total=complex(sum(terms)))
 
 

@@ -145,10 +145,10 @@ def test_07_duality_identities():
                 u = rng.vector(dim)
                 nb = sp.norm(u)
                 f = canonical_duality_map(u, sp)
-                assert abs(f(u) - nb**2) <= 1e-10 * (1.0 + nb**2)
-                assert abs(f.dual_norm - nb) <= 1e-10 * (1.0 + nb)
+                assert abs(f @ u - nb**2) <= 1e-10 * (1.0 + nb**2)
+                assert abs(sp.dual_norm(f) - nb) <= 1e-10 * (1.0 + nb)
                 s = steadman(emb, u)
-                assert abs(s(u) - nb**2) <= 1e-10 * (1.0 + nb**2)
+                assert abs(s @ u - nb**2) <= 1e-10 * (1.0 + nb**2)
     announce(7, "canonical pairing/dual-norm identities and Steadman identity")
 
 

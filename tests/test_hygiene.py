@@ -3,7 +3,8 @@
 Every name a module exports resolves, no module imports a name it never
 uses (a deletion that leaves its imports behind fails here), the
 operator and suite modules leave the lp geometry to ``LpSpace`` and the
-Gram factors to ``GramMetric``, only ``h_polar`` touches the operator's
+Gram factors to ``GramMetric``, no module but ``GramMetric`` multiplies by
+a Gram, only ``h_polar`` touches the operator's
 polar memo, and the README's library tour runs as written.
 """
 
@@ -101,6 +102,31 @@ def test_only_the_metric_applies_the_gram_factors(stem):
         )
     )
     assert not solves, f"dst/{stem}.py solves against a Gram at lines {solves}"
+
+
+@pytest.mark.parametrize("stem", MODULES)
+def test_only_the_metric_multiplies_by_a_gram(stem):
+    # G u, v* G u and every other product with a Gram come from GramMetric's
+    # methods: no @, np.dot or np.vdot outside that class has an operand reading .gram
+    tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
+    inside = {id(n) for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "GramMetric" for n in ast.walk(c)}
+
+    def reads_gram(expr):
+        return any(isinstance(n, ast.Attribute) and n.attr == "gram" for n in ast.walk(expr))
+
+    def operands(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            return node.left, node.right
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.dot", "np.vdot"):
+            return node.args
+        return ()
+
+    products = sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in inside and any(reads_gram(x) for x in operands(node))
+    )
+    assert not products, f"dst/{stem}.py multiplies by a .gram itself at lines {products}"
 
 
 @pytest.mark.parametrize("stem", MODULES)

@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dst.adjoint
+import dst.ensembles
+from dst.adjoint import dirichlet_laplacian_demo
 from dst.ensembles import Ensemble, generate
 from dst.errors import (
     BadWeights,
@@ -49,17 +52,17 @@ def test_lp_space_validation():
 def test_duality_hilbert_case():
     sp = LpSpace(2, 2.0)
     f = canonical_duality_map(np.array([3.0, 4.0], dtype=complex), sp)
-    assert np.allclose(f.coeffs, [3.0, 4.0])
-    assert f(np.array([3.0, 4.0], dtype=complex)) == pytest.approx(25.0)
+    assert np.allclose(f, [3.0, 4.0])
+    assert f @ np.array([3.0, 4.0], dtype=complex) == pytest.approx(25.0)
 
 
 def test_duality_p4_hand_case():
     sp = LpSpace(2, 4.0)
     u = np.array([1.0, 1.0], dtype=complex)
     f = canonical_duality_map(u, sp)
-    assert np.allclose(f.coeffs, 2.0**-0.5)
-    assert f(u) == pytest.approx(2.0**0.5)  # = ||u||_4^2
-    assert f.dual_norm == pytest.approx(2.0**0.25)  # = ||u||_4
+    assert np.allclose(f, 2.0**-0.5)
+    assert f @ u == pytest.approx(2.0**0.5)  # = ||u||_4^2
+    assert sp.dual_norm(f) == pytest.approx(2.0**0.25)  # = ||u||_4
 
 
 def test_duality_identities_random_grid():
@@ -71,8 +74,8 @@ def test_duality_identities_random_grid():
                 u = rng.vector(dim)
                 f = canonical_duality_map(u, sp)
                 nb = sp.norm(u)
-                assert abs(f(u) - nb**2) <= 1e-10 * (1 + nb**2)
-                assert abs(f.dual_norm - nb) <= 1e-10 * (1 + nb)
+                assert abs(f @ u - nb**2) <= 1e-10 * (1 + nb**2)
+                assert abs(sp.dual_norm(f) - nb) <= 1e-10 * (1 + nb)
 
 
 def test_duality_rejects_zero():
@@ -92,9 +95,42 @@ def test_duality_map_is_scale_free(n, p, k, seed):
     u = Rng(seed).vector(n)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        scaled = canonical_duality_map(2.0**k * u, sp).coeffs
-    expect = 2.0**k * canonical_duality_map(u, sp).coeffs
+        scaled = canonical_duality_map(2.0**k * u, sp)
+    expect = 2.0**k * canonical_duality_map(u, sp)
     assert np.abs(scaled - expect).max() <= 1e-15 * np.abs(expect).max()
+
+
+def test_duality_map_of_a_block_is_the_map_of_each_row():
+    sp = LpSpace(5, 3.0)
+    us = Rng(118).matrix(9, 5)
+    assert np.array_equal(canonical_duality_map(us, sp), np.vstack([canonical_duality_map(u, sp) for u in us]))
+    with pytest.raises(DimensionMismatch):
+        canonical_duality_map(us[:, :4], sp)
+
+
+@pytest.mark.parametrize("seeds", ["canonical", "dense"])
+def test_steadman_of_a_block_is_steadman_of_each_row(seeds):
+    sp = LpSpace(5, 3.0)
+    emb = build_kuelbs(sp) if seeds == "canonical" else build_kuelbs(sp, seeds=Rng(117).matrix(7, 5))
+    us = Rng(118).matrix(9, 5)
+    block, rows = steadman(emb, us), np.vstack([steadman(emb, u) for u in us])
+    if emb.metric.is_diagonal:
+        assert np.array_equal(block, rows)
+    else:  # BLAS may round G u of a block and of one row apart in the last bits
+        assert np.abs(block - rows).max() <= 4 * EPS * np.abs(rows).max()
+    with pytest.raises(DimensionMismatch):
+        steadman(emb, us[:, :4])
+
+
+@pytest.mark.parametrize("row", [0, 4, 8])
+def test_a_zero_row_anywhere_in_a_block_raises(row):
+    sp = LpSpace(4, 3.0)
+    us = Rng(120).matrix(9, 4)
+    us[row] = 0.0
+    with pytest.raises(ZeroVector):
+        canonical_duality_map(us, sp)
+    with pytest.raises(ZeroVector):
+        steadman(build_kuelbs(sp), us)
 
 
 def test_build_takes_tiny_seeds_and_refuses_zero_ones():
@@ -127,7 +163,7 @@ def test_build_l4_basis():
     assert np.allclose(emb.gram, np.eye(2) / 2)
     e1 = np.array([1.0, 0.0], dtype=complex)
     s = steadman(emb, e1)
-    assert s(e1) == pytest.approx(1.0)  # = ||e1||_4^2
+    assert s @ e1 == pytest.approx(1.0)  # = ||e1||_4^2
 
 
 def test_build_rejects_degenerate_and_bad_weights():
@@ -214,6 +250,21 @@ def test_embedding_freezes_its_own_gram():
     for emb in (build_kuelbs(LpSpace(3, 3.0)), build_kuelbs(LpSpace(3, 1.5), seeds=Rng(116).matrix(4, 3))):
         assert not emb.gram.flags.writeable
         assert emb.metric.gram is emb.gram
+
+
+def test_callers_hand_the_metric_frozen_temporaries(monkeypatch):
+    # a Gram made for one GramMetric is frozen first, so the metric keeps it uncopied
+    seen = []
+
+    def spy(gram):
+        seen.append(gram.flags.writeable)
+        return GramMetric(gram)
+
+    monkeypatch.setattr(dst.ensembles, "GramMetric", spy)
+    monkeypatch.setattr(dst.adjoint, "GramMetric", spy)
+    generate(Ensemble("h_selfadjoint", 4, 2, 7, gram=build_kuelbs(LpSpace(4, 3.0)).gram))
+    dirichlet_laplacian_demo(8, rng=Rng(119))
+    assert seen == [False, False]
 
 
 def _dense_methods(m, a, us, vs):
@@ -402,8 +453,8 @@ def test_steadman_identity_and_lower_bound():
             u = rng.vector(4)
             s = steadman(emb, u)
             nb = vnorm(u, p)
-            assert abs(s(u) - nb**2) <= 1e-10 * (1 + nb**2)
-            assert s.dual_norm >= nb - 1e-10
+            assert abs(s @ u - nb**2) <= 1e-10 * (1 + nb**2)
+            assert emb.space.dual_norm(s) >= nb - 1e-10
         with pytest.raises(ZeroVector):
             steadman(emb, np.zeros(4, dtype=complex))
 
@@ -414,7 +465,7 @@ def test_steadman_hilbert_case_matches_canonical_map():
     u = Rng(109).vector(n)
     s = steadman(emb, u)
     f = canonical_duality_map(u, emb.space)
-    assert np.allclose(s.coeffs, f.coeffs)
+    assert np.allclose(s, f)
 
 
 def test_lp_operator_norm_diagonal_and_identity():

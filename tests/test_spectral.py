@@ -316,11 +316,9 @@ def test_quadratic_form_pairings():
     f = deformed_of(a)
     phi = Rng(74).vector(4)
     g = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
-    got = quadratic_form(f, phi, pairing="gram", gram=g)
+    got = quadratic_form(f, phi, functional=(g @ phi).conj())
     manual = sum((lam**2) * complex(np.vdot(phi, g @ (df @ phi))) for lam, df in f.atoms)
     assert got.total == pytest.approx(manual)
-    with pytest.raises(ValueError):
-        quadratic_form(f, phi, pairing="nope")
     with pytest.raises(DimensionMismatch):
         quadratic_form(f, np.ones(3, dtype=complex))
 
@@ -333,12 +331,17 @@ def test_quadratic_form_steadman_pairing():
     phi = Rng(76).vector(4)
     emb = build_kuelbs(LpSpace(4, 3.0))
     s_phi = steadman(emb, phi)
-    got = quadratic_form(f, phi, pairing="steadman", functional=s_phi)
-    manual = sum((lam**2) * complex(s_phi(df @ phi)) for lam, df in f.atoms)
+    got = quadratic_form(f, phi, functional=s_phi)
+    manual = sum((lam**2) * complex(s_phi @ (df @ phi)) for lam, df in f.atoms)
     assert got.total == pytest.approx(manual)
     assert len(got.terms) == len(f.atoms)
-    with pytest.raises(ValueError):
-        quadratic_form(f, phi, pairing="steadman")
+
+
+def test_quadratic_form_refuses_a_functional_of_the_wrong_length():
+    f = deformed_of(Rng(77).matrix(4, 4))
+    phi = Rng(78).vector(4)
+    with pytest.raises(DimensionMismatch):
+        quadratic_form(f, phi, functional=np.ones(3, dtype=complex))
 
 
 def test_variation_examples():

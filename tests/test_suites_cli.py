@@ -7,7 +7,7 @@ import pytest
 import dst.adjoint
 import dst.suites
 from dst.adjoint import AdjointPair
-from dst.cli import _emit, main
+from dst.cli import _emit, build_parser, main
 from dst.config import Tolerances
 from dst.errors import ConfigError
 from dst.fileio import dump_json, matrix_to_obj
@@ -54,28 +54,35 @@ def test_jobs_flag_is_refused(capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
-def test_run_that_checks_nothing_fails(capsys):
+def test_run_that_checks_nothing_fails():
     with pytest.raises(ConfigError):
         run_suite("deformed", SuiteConfig(dims=()))
-    assert main(["verify", "--suite", "banach-spectral", "--dims", "32"]) == 1
-    assert "banach-spectral only covers dims <= 16" in capsys.readouterr().err
 
 
-def test_skipped_banach_dims_are_named(tmp_path, capsys):
+def test_banach_spectral_runs_above_dim_16(tmp_path, capsys):
     report = tmp_path / "r.json"
     argv = [
-        "verify", "--suite", "all", "--dims", "32", "--trials", "1", "--p", "3",
-        "--laplacian-ns", "8", "--lambdas", "1e1,1e2", "--no-timestamp", "--report", str(report),
+        "verify", "--suite", "banach-spectral", "--dims", "32", "--trials", "1", "--p", "3",
+        "--no-timestamp", "--report", str(report),
     ]
     assert main(argv) == 0
-    assert "suite banach-spectral: skipped dims 32 (covers dims <= 16)" in capsys.readouterr().err
-    assert not any(c["id"].startswith("banach-spectral/") for c in json.loads(report.read_text())["cases"])
+    assert "suite banach-spectral: 1/1 passed" in capsys.readouterr().err
+    cases = json.loads(report.read_text())["cases"]
+    assert [c["id"] for c in cases] == ["banach-spectral/p3.0/n32/t0"] and cases[0]["pass"]
+
+
+def test_verify_defaults_are_the_suite_config_defaults():
+    args = build_parser().parse_args(["verify"])
+    cfg = SuiteConfig()
+    assert (args.dims, args.trials, args.seed, args.p, args.lambdas, args.laplacian_ns) == (
+        cfg.dims, cfg.trials, cfg.seed, cfg.ps, cfg.lambdas, cfg.laplacian_ns,
+    )
 
 
 # SHA-256 of the default `dst verify --suite all --no-timestamp` report,
 # pinned with Python 3.11, numpy 2.4 and OpenBLAS 0.3.31. Re-pin only with
 # a CHANGES.md entry that gives the largest metric drift.
-GOLDEN_DEFAULT_REPORT = "7c9e52ba50b5a55cf7936eecba1e5eca1bfe58a70f8de601e2fda065e142e60a"
+GOLDEN_DEFAULT_REPORT = "258b7a8fbeade39e891bcc5412b55ceb0f521700a8ed44288c1ffb53860aeb57"
 
 
 def _report_digest(tmp_path, *args) -> str:
@@ -91,7 +98,7 @@ def test_golden_report_digest(tmp_path, capsys):
 
 # The same for the benchmarked run (896 cases), whose kuelbs suite calls
 # lp_operator_norm at dims 2 through 16.
-GOLDEN_BENCH_REPORT = "2d1c59e072d692891c04154fba62471731ddc0a2b30a9c82f8df6a8952aedc35"
+GOLDEN_BENCH_REPORT = "761a323f55823fbabbd1f9b8ee13f1f55b200a71debc2c9e909596e9b1e47b14"
 
 
 def test_golden_bench_report_digest(tmp_path, capsys):
