@@ -32,6 +32,10 @@ discrete 1-D Laplacian J0 (the metric of the dual Sobolev pairing). The
 demo takes the same generic ``adjoint`` and ``adjoint_metrics`` as any
 other operator; the closed form A* = J0 A^H inv(J0) of that metric is
 kept only as a cross-check against the generic A*.
+
+An operator's matrix may be a stack of matrices; every operator function
+but ``baire_convergence_study`` then takes one LAPACK call per step for
+the stack and gives each residual or norm as an array over it.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import BadGrid, DimensionMismatch
 from .kuelbs import GramMetric, KuelbsEmbedding, LpSpace
-from .linalg import SvdResult, as_matrix, herm, svd
+from .linalg import SvdResult, as_matrix, as_stack, fro, herm, svd
 from .polar import PolarDecomposition, polar_from_svd
 from .rng import Rng
 from .spectral import SpectralMeasure, deform, deformation_from_svd
@@ -88,7 +92,7 @@ class BanachOperator:
 
     def __post_init__(self):
         m, n = self.matrix, self.space.dim
-        if m.shape[0] != m.shape[1] or m.shape[0] != n:
+        if m.shape[-2] != m.shape[-1] or m.shape[-1] != n:
             raise DimensionMismatch(f"operator {m.shape} does not act on a space of dim {n}")
         if self.metric.gram.shape[0] != n:
             raise DimensionMismatch(f"metric of dim {self.metric.gram.shape[0]} on a space of dim {n}")
@@ -96,8 +100,8 @@ class BanachOperator:
 
 
 def banach_operator(matrix, embedding: KuelbsEmbedding) -> BanachOperator:
-    """The operator ``matrix`` on the embedding's lp space and metric."""
-    return BanachOperator(as_matrix(matrix, square=True), embedding.metric, embedding.space)
+    """The operator ``matrix`` (or stack of them) on the embedding's lp space and metric."""
+    return BanachOperator(as_stack(matrix, square=True), embedding.metric, embedding.space)
 
 
 @dataclass(frozen=True)
@@ -113,7 +117,7 @@ class AdjointPair:
     def contract_rows(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Unchecked | (A u, v)_H - (u, A* v)_H | for each row pair of two k×n blocks."""
         m = self.operator.metric
-        return np.abs(m.inner_rows(us @ self.operator.matrix.T, vs) - m.inner_rows(us, vs @ self.astar.T))
+        return np.abs(m.inner_rows(us @ self.operator.matrix.mT, vs) - m.inner_rows(us, vs @ self.astar.mT))
 
 
 def adjoint(op: BanachOperator) -> AdjointPair:
@@ -139,24 +143,28 @@ def adjoint_axioms(pair: AdjointPair, *, probes: Sequence[np.ndarray] = ()) -> A
     """Check accretivity, natural selfadjointness, and the inverse bound.
 
     The accretive minimum sweeps an H-orthonormal basis (the columns of
-    inv(L*)) plus any supplied probe vectors, as one block.
+    inv(L*)) plus any supplied probe vectors, as one block; for a stack,
+    ``probes`` holds one block of probe rows per matrix.
     """
     astar_a = pair.astar @ pair.operator.matrix
     metric = pair.operator.metric
-    n = astar_a.shape[0]
+    n = astar_a.shape[-1]
 
     # one block: the basis, then the probes, as rows
-    us = np.vstack([metric.basis, as_matrix(probes)]) if len(probes) else metric.basis
+    us = metric.basis
+    if len(probes):
+        us = np.concatenate([np.broadcast_to(us, astar_a.shape), as_stack(probes)], axis=-2)
     den = metric.inner_rows(us, us).real
-    num = metric.inner_rows(us @ astar_a.T, us).real
+    num = metric.inner_rows(us @ astar_a.mT, us).real
     pos = den > 0.0
-    accretive_min = float((num[pos] / den[pos]).min()) if pos.any() else 0.0
+    ratio = np.where(pos, num / np.where(pos, den, 1.0), np.inf).min(axis=-1)
+    accretive_min = np.where(pos.any(axis=-1), ratio, 0.0)[()]
 
     second = metric.adjoint_of(astar_a)
-    ns_resid = float(np.linalg.norm(second - astar_a)) / (1.0 + float(np.linalg.norm(astar_a)))
+    ns_resid = fro(second - astar_a) / (1.0 + fro(astar_a))
 
     inv_op = np.linalg.solve(np.eye(n) + astar_a, np.eye(n, dtype=np.complex128))
-    inverse_norm = float(np.linalg.norm(metric.to_frame(inv_op), 2))
+    inverse_norm = np.linalg.norm(metric.to_frame(inv_op), 2, axis=(-2, -1))
     return AdjointAxioms(
         accretive_min=accretive_min,
         natural_selfadjoint_residual=ns_resid,
@@ -164,25 +172,25 @@ def adjoint_axioms(pair: AdjointPair, *, probes: Sequence[np.ndarray] = ()) -> A
     )
 
 
-def adjoint_metrics(pair: AdjointPair, rng: Rng) -> dict[str, float]:
+def adjoint_metrics(pair: AdjointPair, draws: np.ndarray) -> dict[str, float | np.ndarray]:
     """Contract, involution and axiom metrics of one metric adjoint pair.
 
-    Draws six contract probe pairs (u, v) from ``rng``, each residual
-    scaled by 1 + ||A||_F ||u|| ||v||, then four probes for the accretive
-    minimum; the involution applies the generic :func:`adjoint` to A*.
+    ``draws`` is a 16×n block of probe rows (of a stack, one block per
+    matrix): six contract probe pairs (u, v), each residual scaled by
+    1 + ||A||_F ||u|| ||v||, then four probes for the accretive minimum.
+    The involution applies the generic :func:`adjoint` to A*.
     """
     op = pair.operator
     a = op.matrix
-    scale_a = float(np.linalg.norm(a))
-    draws = rng.matrix(16, op.space.dim)  # six (u, v) contract pairs, then four probes
-    us, vs = draws[0:12:2], draws[1:12:2]
-    den = 1.0 + scale_a * np.linalg.norm(us, axis=1) * np.linalg.norm(vs, axis=1)
-    contract = float((pair.contract_rows(us, vs) / den).max())
+    scale_a = fro(a)
+    us, vs = draws[..., 0:12:2, :], draws[..., 1:12:2, :]
+    den = 1.0 + np.asarray(scale_a)[..., None] * np.linalg.norm(us, axis=-1) * np.linalg.norm(vs, axis=-1)
+    contract = (pair.contract_rows(us, vs) / den).max(axis=-1)
     second = adjoint(BanachOperator(pair.astar, op.metric, op.space))
-    ax = adjoint_axioms(pair, probes=draws[12:])
+    ax = adjoint_axioms(pair, probes=draws[..., 12:, :])
     return {
         "contract": contract,
-        "involution": float(np.linalg.norm(second.astar - a)) / (1.0 + scale_a),
+        "involution": fro(second.astar - a) / (1.0 + scale_a),
         "accretive_min": ax.accretive_min,
         "natural_selfadjoint": ax.natural_selfadjoint_residual,
         "inverse_norm": ax.inverse_norm,
@@ -249,8 +257,8 @@ class ResolventProbe:
         u = self.polar.U
         ur = u @ self.resolvent
         algebraic = self.lam * u - self.lam**2 * ur
-        scale = 1.0 + float(np.linalg.norm(self.a_lambda)) + self.lam * float(np.linalg.norm(u)) + self.lam**2 * float(np.linalg.norm(ur))
-        return float(np.linalg.norm(self.a_lambda - algebraic)) / scale
+        scale = 1.0 + fro(self.a_lambda) + self.lam * fro(u) + self.lam**2 * fro(ur)
+        return fro(self.a_lambda - algebraic) / scale
 
 
 def baire_approximant(op: BanachOperator, lam: float, *, tols: Tolerances = DEFAULT) -> ResolventProbe:
@@ -269,7 +277,7 @@ def intertwining_residual(op: BanachOperator, probe: ResolventProbe) -> float:
     n = op.space.dim
     lhs = op.matrix @ probe.resolvent
     rhs = np.linalg.solve(probe.lam * np.eye(n) + probe.polar.Tbar, op.matrix)
-    return float(np.linalg.norm(lhs - rhs)) / (1.0 + float(np.linalg.norm(lhs)))
+    return fro(lhs - rhs) / (1.0 + fro(lhs))
 
 
 @dataclass(frozen=True)
@@ -323,7 +331,7 @@ def baire_convergence_study(
 @dataclass(frozen=True)
 class BanachDeformedResult:
     measure: SpectralMeasure
-    reconstruction_residual: float
+    reconstruction_residual: float | np.ndarray
 
 
 def banach_deformed_spectral(op: BanachOperator, *, tols: Tolerances = DEFAULT) -> BanachDeformedResult:
@@ -342,9 +350,7 @@ def banach_deformed_spectral(op: BanachOperator, *, tols: Tolerances = DEFAULT) 
     u, e_frame, threshold = deformation_from_svd(_frame_svd(op), tols=tols)
     left, right = m.from_frame_factors(e_frame.left, e_frame.right)
     measure = deform(m.from_frame(u), replace(e_frame, left=left, right=right), support_tol=threshold, tols=tols)
-    resid = float(np.linalg.norm(measure.reconstruct() - op.matrix)) / (
-        1.0 + float(np.linalg.norm(op.matrix))
-    )
+    resid = fro(measure.reconstruct() - op.matrix) / (1.0 + fro(op.matrix))
     return BanachDeformedResult(measure=measure, reconstruction_residual=resid)
 
 
@@ -392,7 +398,7 @@ def dirichlet_laplacian_demo(
     gram = (j0_inv + herm(j0_inv)) / 2.0
     gram.setflags(write=False)  # a fresh array: the metric may keep it uncopied
     pair = adjoint(BanachOperator(a, GramMetric(gram), space))
-    metrics = adjoint_metrics(pair, rng)
+    metrics = adjoint_metrics(pair, rng.matrix(16, n))
     gap = space.norm_rows((pair.astar - j0 @ herm(a) @ j0_inv).T)  # one lr norm per column
     metrics["closed_form"] = float(gap.max()) / (1.0 + float(np.linalg.norm(a)))
     return pair, metrics

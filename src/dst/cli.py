@@ -172,7 +172,7 @@ def _cmd_adjoint(args) -> int:
         "p": args.p,
         "dim": args.dim,
         "astar": matrix_to_obj(pair.astar),
-        **_adjoint_obj(adjoint_metrics(pair, Rng(substream(args.seed, 2)))),
+        **_adjoint_obj(adjoint_metrics(pair, Rng(substream(args.seed, 2)).matrix(16, args.dim))),
     }
     _emit(obj, args.out)
     return 0

@@ -55,34 +55,26 @@ class Ensemble:
             raise ConfigError("h_selfadjoint ensembles need a gram matrix")
 
 
-def _one(ens: Ensemble, rng: Rng, ell_h: np.ndarray | None) -> np.ndarray:
-    n = ens.dim
-    if ens.kind == "general":
-        return rng.matrix(n, n)
-    if ens.kind == "hermitian":
-        r = rng.matrix(n, n)
-        return (r + herm(r)) / 2.0
-    if ens.kind == "negdef":
-        r = rng.matrix(n, n)
-        return -(r @ herm(r) + _NEGDEF_SHIFT * np.eye(n))
-    if ens.kind == "rankdef":
-        b = rng.matrix(n, ens.rank)
-        c = rng.matrix(ens.rank, n)
-        return b @ c
-    # h_selfadjoint; ell_h is L* of G = L L*
-    r = rng.matrix(n, n)
-    h = (r + herm(r)) / 2.0
-    return np.linalg.solve(ell_h, h @ ell_h)
-
-
-def generate(ens: Ensemble) -> list[np.ndarray]:
-    """All ``count`` matrices of the ensemble, in index order; an
+def generate(ens: Ensemble) -> np.ndarray:
+    """All ``count`` matrices of the ensemble as one (count, n, n) stack,
+    in index order, each equal bit for bit to its draw alone; an
     h_selfadjoint ensemble factors its Gram once for all draws, as a
     :class:`~dst.kuelbs.GramMetric` (no LAPACK call for a diagonal Gram;
     a Gram that is not positive definite raises SingularGram)."""
-    ell_h = None
-    if ens.kind == "h_selfadjoint":
-        gram = as_matrix(ens.gram, square=True)
-        gram.setflags(write=False)  # a fresh array: the metric may keep it uncopied
-        ell_h = GramMetric(gram).chol_h
-    return [_one(ens, Rng(substream(ens.seed, k)), ell_h) for k in range(ens.count)]
+    n, r = ens.dim, ens.rank
+    rows, cols = (2, n * r) if ens.kind == "rankdef" else (n, n)  # rankdef draws B (n x r), then C (r x n)
+    draws = np.stack([Rng(substream(ens.seed, k)).matrix(rows, cols) for k in range(ens.count)])
+    if ens.kind == "general":
+        return draws
+    if ens.kind == "rankdef":
+        return draws[:, 0].reshape(-1, n, r) @ draws[:, 1].reshape(-1, r, n)
+    if ens.kind == "negdef":
+        return -(draws @ herm(draws) + _NEGDEF_SHIFT * np.eye(n))
+    h = (draws + herm(draws)) / 2.0
+    if ens.kind == "hermitian":
+        return h
+    # h_selfadjoint: inv(L*) H L* with L* of G = L L*
+    gram = as_matrix(ens.gram, square=True)
+    gram.setflags(write=False)  # a fresh array: the metric may keep it uncopied
+    ell_h = GramMetric(gram).chol_h
+    return np.linalg.solve(ell_h, h @ ell_h)

@@ -168,7 +168,8 @@ class GramMetric:
     inv(G), and under the same rule they apply the diagonals of G, L* and
     inv(L*) as O(n^2) scalings; the products and the solve they replace
     add only exact zeros to each entry, so both forms agree bit for bit.
-    Any other G is factored by LAPACK and applied densely.
+    Any other G is factored by LAPACK and applied densely. The methods
+    also take stacks of matrices or row blocks.
     """
 
     gram: np.ndarray
@@ -304,17 +305,6 @@ class KuelbsEmbedding:
         for a in (self.gram, self.dual_gram, self.weights, self.seeds, self.functionals):
             a.setflags(write=False)
         object.__setattr__(self, "metric", GramMetric(self.gram))  # shares the frozen gram
-
-    def h_inner(self, u, v) -> complex:
-        u = as_vector(u)
-        v = as_vector(v)
-        if u.shape[0] != self.space.dim or v.shape[0] != self.space.dim:
-            raise DimensionMismatch("vector dimension does not match the embedding")
-        return complex(self.metric.inner_rows(u, v))
-
-    def h_norm(self, u) -> float:
-        val = self.h_inner(u, u)
-        return math.sqrt(max(val.real, 0.0))
 
 
 def _default_weights(count: int) -> np.ndarray:

@@ -6,6 +6,8 @@ at every entry point, and decomposition results are returned as frozen
 dataclasses whose arrays are marked read-only. Factorizations are backed
 by LAPACK through ``numpy.linalg``; the accuracy contracts asserted by the
 test suite are what this module promises, not any particular algorithm.
+``svd``, ``hermitian_eigen``, ``fro`` and ``herm`` also take a stack of
+matrices (..., m, n), with results equal bit for bit to each matrix's.
 """
 
 from __future__ import annotations
@@ -28,11 +30,13 @@ __all__ = [
     "EigenSystem",
     "SvdResult",
     "as_matrix",
+    "as_stack",
     "as_vector",
     "hermitian_eigen",
     "svd",
     "vnorm",
     "abs_norm",
+    "fro",
     "gram_inner_rows",
     "gram_norm_rows",
     "herm",
@@ -44,16 +48,24 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def as_matrix(a, square: bool = False) -> np.ndarray:
-    """Validate and convert to a complex128 matrix (finite entries, 2-D)."""
+def as_stack(a, square: bool = False) -> np.ndarray:
+    """Validate and convert to a complex128 matrix or stack of matrices,
+    shape (..., m, n), with finite entries."""
     m = np.array(a, dtype=np.complex128, order="C")
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise DimensionMismatch(f"expected a 2-D matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-2] < 1 or m.shape[-1] < 1:
+        raise DimensionMismatch(f"expected a matrix or a stack of matrices, got shape {m.shape}")
     if not np.all(np.isfinite(m.view(np.float64))):
         raise ValueError("matrix entries must be finite")
-    if square and m.shape[0] != m.shape[1]:
-        raise NotSquare(f"expected a square matrix, got {m.shape[0]}x{m.shape[1]}")
+    if square and m.shape[-2] != m.shape[-1]:
+        raise NotSquare(f"expected a square matrix, got {m.shape[-2]}x{m.shape[-1]}")
     return m
+
+
+def as_matrix(a, square: bool = False) -> np.ndarray:
+    """Validate and convert to a complex128 matrix (finite entries, 2-D)."""
+    if np.ndim(a) != 2:
+        raise DimensionMismatch(f"expected a 2-D matrix, got shape {np.shape(a)}")
+    return as_stack(a, square)
 
 
 def as_vector(v) -> np.ndarray:
@@ -66,8 +78,17 @@ def as_vector(v) -> np.ndarray:
 
 
 def herm(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose (of each matrix of a stack)."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def fro(m: np.ndarray) -> float | np.ndarray:
+    """Unchecked Frobenius norm of a matrix (a float) or of each of a stack:
+    ``np.linalg.norm``'s two dot products, so equal to it bit for bit."""
+    flat = np.ascontiguousarray(m).reshape(*m.shape[:-2], 1, -1)
+    re, im = flat.real, flat.imag
+    out = np.sqrt((re @ re.mT + im @ im.mT)[..., 0, 0])
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -82,7 +103,7 @@ class EigenSystem:
         _frozen(self.vectors)
 
     def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ herm(self.vectors)
+        return (self.vectors * self.values[..., None, :]) @ herm(self.vectors)
 
 
 @dataclass(frozen=True)
@@ -99,11 +120,11 @@ class SvdResult:
         _frozen(self.right)
 
     def reconstruct(self) -> np.ndarray:
-        return (self.left * self.sigma) @ herm(self.right)
+        return (self.left * self.sigma[..., None, :]) @ herm(self.right)
 
 
 def hermitian_eigen(m, *, tols: Tolerances = DEFAULT) -> EigenSystem:
-    """Diagonalize a Hermitian matrix.
+    """Diagonalize a Hermitian matrix, or each matrix of a stack in one call.
 
     The accepted relative Hermiticity defect is
     ``||M - M*||_F <= tols.hermitian_tol() * ||M||_F``; the symmetrized
@@ -111,21 +132,22 @@ def hermitian_eigen(m, *, tols: Tolerances = DEFAULT) -> EigenSystem:
 
     Raises NotSquare / NotHermitian.
     """
-    m = as_matrix(m, square=True)
+    m = as_stack(m, square=True)
     limit = tols.hermitian_tol()
-    scale = np.linalg.norm(m)
-    defect = np.linalg.norm(m - herm(m))
-    if defect > limit * max(scale, 1e-300):
+    scale, defect = np.asarray(fro(m)), np.asarray(fro(m - herm(m)))
+    bad = defect > limit * np.maximum(scale, 1e-300)
+    if bad.any():
+        k = np.argmax(bad)  # the first matrix of a stack that fails
         raise NotHermitian(
-            f"Hermiticity defect {defect:.3e} exceeds {limit:.1e} * ||M|| = {limit * scale:.3e}"
+            f"Hermiticity defect {defect.flat[k]:.3e} exceeds {limit:.1e} * ||M|| = {limit * scale.flat[k]:.3e}"
         )
     w, v = np.linalg.eigh((m + herm(m)) / 2.0)
     return EigenSystem(values=np.asarray(w, dtype=np.float64), vectors=v)
 
 
 def svd(m) -> SvdResult:
-    """Full SVD of a rectangular matrix (thin form)."""
-    m = as_matrix(m)
+    """Full SVD of a rectangular matrix, or of a stack in one call (thin form)."""
+    m = as_stack(m)
     try:
         w, s, vh = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
@@ -145,8 +167,9 @@ def abs_norm(a: np.ndarray, p: float) -> float | np.ndarray:
     """Unchecked kernel of :func:`vnorm`, from the moduli ``a = |x|``.
 
     Reduces over the last axis: a vector of moduli gives a float, a k×n
-    block one norm per row (as an array), each equal bit for bit to the
-    norm of that row alone. A non-finite entry gives a non-finite norm.
+    block (or a stack of them) one norm per row (as an array), each equal
+    bit for bit to the norm of that row alone. A non-finite entry gives a
+    non-finite norm.
     """
     if p == math.inf:
         out = a.max(axis=-1)
@@ -162,7 +185,7 @@ def abs_norm(a: np.ndarray, p: float) -> float | np.ndarray:
             # the root per row as a scalar power: the array power can round
             # differently in the last bit
             sums = (b**p).sum(axis=-1)
-            root = sums ** (1.0 / p) if sums.ndim == 0 else np.array([s ** (1.0 / p) for s in sums.tolist()])
+            root = np.array([s ** (1.0 / p) for s in sums.ravel().tolist()]).reshape(sums.shape)
             out = top * root
     return float(out) if out.ndim == 0 else out
 

@@ -10,6 +10,9 @@ measure downstream relies on.
 Near an exact rank boundary (sigma ~ threshold) the computed ``U`` is
 tolerance-dependent; callers that care should pass
 ``tols=Tolerances(rank_rel=...)``.
+
+Each function also takes a stack of matrices (or its SVD), with one
+LAPACK call for the stack; ``rank`` and ``threshold`` become arrays.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import DimensionMismatch, NotSquare
-from .linalg import SvdResult, as_matrix, herm, svd
+from .linalg import SvdResult, as_matrix, as_stack, herm, svd
 
 __all__ = ["PolarDecomposition", "polar_decompose", "isometry_from_svd", "polar_from_svd", "intertwining_check"]
 
@@ -44,9 +47,9 @@ class PolarDecomposition:
     U: np.ndarray
     T: np.ndarray
     Tbar: np.ndarray
-    rank: int
+    rank: int | np.ndarray
     tol: float
-    threshold: float
+    threshold: float | np.ndarray
 
     def __post_init__(self):
         for a in (self.U, self.T, self.Tbar):
@@ -55,7 +58,7 @@ class PolarDecomposition:
 
 def polar_decompose(a, *, tols: Tolerances = DEFAULT) -> PolarDecomposition:
     """Polar-decompose a square matrix via its SVD (see :func:`polar_from_svd`)."""
-    return polar_from_svd(svd(as_matrix(a, square=True)), tols=tols)
+    return polar_from_svd(svd(as_stack(a, square=True)), tols=tols)
 
 
 def isometry_from_svd(dec: SvdResult, *, tols: Tolerances = DEFAULT) -> tuple[np.ndarray, int, float, float]:
@@ -64,16 +67,21 @@ def isometry_from_svd(dec: SvdResult, *, tols: Tolerances = DEFAULT) -> tuple[np
     Returns (U, rank, tol, threshold) with U = W P_r V*, where P_r zeroes
     singular values sigma_i <= threshold = tol * sigma_max. The relative
     cutoff ``tol`` is ``tols.rank_threshold_rel(n)``: ``rank_rel``, or
-    n*eps when that is None, times ``scale``.
+    n*eps when that is None, times ``scale``. A stack of one rank forms
+    every U in one product, any other stack each U from its own views.
     """
     if dec.left.shape != dec.right.shape:
         raise NotSquare(f"SVD of a non-square matrix: W is {dec.left.shape}, V is {dec.right.shape}")
-    n = dec.sigma.shape[0]
-    rel = tols.rank_threshold_rel(n)
-    sigma_max = float(dec.sigma[0]) if n else 0.0
-    threshold = rel * sigma_max
-    rank = int(np.count_nonzero(dec.sigma > threshold))  # sigma descends: the first rank columns
-    u = dec.left[:, :rank] @ herm(dec.right[:, :rank])
+    rel = tols.rank_threshold_rel(dec.sigma.shape[-1])
+    threshold = rel * dec.sigma[..., 0]
+    rank = np.count_nonzero(dec.sigma > threshold[..., None], axis=-1)  # sigma descends: the first rank columns
+    if rank.ndim == 0:
+        threshold, rank = float(threshold), int(rank)
+    if np.all(rank == np.max(rank)):
+        r = int(np.max(rank))
+        u = dec.left[..., :r] @ herm(dec.right[..., :r])
+    else:
+        u = np.stack([w[:, :r] @ herm(v[:, :r]) for w, v, r in zip(dec.left, dec.right, rank.tolist())])
     return u, rank, rel, threshold
 
 
@@ -85,8 +93,9 @@ def polar_from_svd(dec: SvdResult, *, tols: Tolerances = DEFAULT) -> PolarDecomp
     also want the spectral resolution of T read it off ``dec`` itself.
     """
     u, rank, rel, threshold = isometry_from_svd(dec, tols=tols)
-    t = _hermitize((dec.right * dec.sigma) @ herm(dec.right))
-    tbar = _hermitize((dec.left * dec.sigma) @ herm(dec.left))
+    s = dec.sigma[..., None, :]
+    t = _hermitize((dec.right * s) @ herm(dec.right))
+    tbar = _hermitize((dec.left * s) @ herm(dec.left))
     return PolarDecomposition(U=u, T=t, Tbar=tbar, rank=rank, tol=rel, threshold=threshold)
 
 

@@ -37,7 +37,7 @@ from .config import DEFAULT, Tolerances
 from .errors import DimensionMismatch, NegativeSupport
 from .gexpr import GExpr, evaluate
 from .gexpr import parse as parse_g
-from .linalg import SvdResult, as_matrix, as_vector, herm, hermitian_eigen, svd
+from .linalg import SvdResult, as_stack, as_vector, herm, hermitian_eigen, svd
 from .polar import isometry_from_svd
 
 __all__ = [
@@ -57,8 +57,9 @@ __all__ = [
 class SpectralMeasure:
     """Atoms (lambda_i, M_i), lambdas strictly increasing, stored factored.
 
-    Columns ``bounds[i]:bounds[i+1]`` of ``left`` (and the same rows of
-    ``right``) belong to atom i, so M_i = left[:, c_i] @ right[c_i, :].
+    ``values[j]`` is the atom of column j of ``left`` (and row j of
+    ``right``); the columns ``bounds[i]:bounds[i+1]`` of atom i are those
+    sharing its value, so M_i = left[:, c_i] @ right[c_i, :].
 
     A plain measure has left = V and right = V*: the M_i are Hermitian
     orthogonal projectors P_i summing to the identity. Measures produced
@@ -72,24 +73,35 @@ class SpectralMeasure:
     rank deficient; ``support`` excludes atoms at or below ``support_tol``
     because U annihilates ker(T) and those atoms carry no mass. The
     measure makes no uniqueness claim beyond this canonical construction.
+
+    A stack of measures has leading axes on every array and on
+    ``support_tol``; its atoms and ``bounds`` run over each measure in
+    turn, and ``support`` is of one measure only.
     """
 
-    lambdas: tuple[float, ...]
-    bounds: tuple[int, ...]
+    values: np.ndarray
     left: np.ndarray
     right: np.ndarray
-    support_tol: float = 0.0
+    support_tol: float | np.ndarray = 0.0
     U: np.ndarray | None = None
     source: SpectralMeasure | None = None
 
     def __post_init__(self):
-        for a in (self.left, self.right, self.U):
+        for a in (self.values, self.left, self.right, self.U):
             if a is not None:
                 a.setflags(write=False)
 
     @property
     def dim(self) -> int:
-        return self.left.shape[0]
+        return self.left.shape[-2]
+
+    @property
+    def bounds(self) -> tuple[int, ...]:
+        return (*np.flatnonzero(self._starts()).tolist(), self.values.size)
+
+    @property
+    def lambdas(self) -> tuple[float, ...]:
+        return tuple(self.values[self._starts()].tolist())
 
     @property
     def support(self) -> tuple[float, ...]:
@@ -102,43 +114,58 @@ class SpectralMeasure:
         This costs O(n^3) memory; sums against the measure should go
         through ``integrate`` or ``reconstruct`` instead.
         """
-        b = self.bounds
-        return tuple(
-            (lam, self.left[:, lo:hi] @ self.right[lo:hi]) for lam, lo, hi in zip(self.lambdas, b, b[1:])
-        )
+        b, n = self.bounds, self.dim
+        left, right = np.moveaxis(self.left, -2, 0).reshape(n, -1), self.right.reshape(-1, n)
+        return tuple((lam, left[:, lo:hi] @ right[lo:hi]) for lam, lo, hi in zip(self.lambdas, b, b[1:]))
 
-    def _contract(self, values, phi=None) -> np.ndarray:
-        """Sum_i values[i] M_i, or that sum applied to the vector phi."""
-        w = np.repeat(values, np.diff(self.bounds))
+    def _starts(self) -> np.ndarray:
+        """Whether each column begins an atom (distinct floats never differ by 0)."""
+        return np.diff(self.values, axis=-1, prepend=np.nan) != 0.0
+
+    def _contract(self, w, phi=None) -> np.ndarray:
+        """Sum_j w[j] left[:, j] right[j, :] for per-column weights w, or
+        that sum applied to phi."""
         if phi is None:
-            return (self.left * w) @ self.right
-        return self.left @ (w * (self.right @ phi))
+            return (self.left * w[..., None, :]) @ self.right
+        return _matvec(self.left, w * _matvec(self.right, phi))
 
     def atom_vectors(self, phi) -> np.ndarray:
         """Rows M_i phi, one per atom, without forming any M_i."""
-        return np.add.reduceat(self.left * (self.right @ phi), self.bounds[:-1], axis=1).T
+        cols = self.left * _matvec(self.right, phi)[..., None, :]  # then the columns of each measure in turn
+        return np.add.reduceat(np.moveaxis(cols, -2, 0).reshape(self.dim, -1), self.bounds[:-1], axis=1).T
 
     def reconstruct(self) -> np.ndarray:
-        return self._contract(self.lambdas)
+        return self._contract(self.values)
 
 
-def _cluster(vals: np.ndarray, rel: float, cut: int = 0) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """Cluster bounds and atoms of ascending values.
+def _matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x for a matrix and a vector, or for each pair of two stacks."""
+    return (m @ x[..., None])[..., 0]
+
+
+def _cluster(vals: np.ndarray, rel: float, cut=None) -> np.ndarray:
+    """The atom of each of the ascending values (..., n).
 
     Neighbours within ``rel * (1 + |lambda|)`` of each other merge into
-    one cluster whose atom is their mean; ``0 < cut < n`` forces a bound
-    before index ``cut``.
+    one cluster whose atom is their mean; a bound is forced before index
+    ``cut`` (one per row of a stack) when 0 < cut < n.
     """
-    n = vals.shape[0]
-    split = np.diff(vals) > rel * (1.0 + np.maximum(np.abs(vals[:-1]), np.abs(vals[1:])))
-    if 0 < cut < n:
-        split[cut - 1] = True
-    bounds = (0, *(np.flatnonzero(split) + 1).tolist(), n)
-    return bounds, tuple(float(np.mean(vals[lo:hi])) for lo, hi in zip(bounds, bounds[1:]))
+    n = vals.shape[-1]
+    split = np.diff(vals, axis=-1) > rel * (1.0 + np.maximum(np.abs(vals[..., :-1]), np.abs(vals[..., 1:])))
+    if cut is not None:
+        split |= np.arange(1, n) == np.asarray(cut)[..., None]
+    atoms = np.array(vals)  # a cluster of one value is its own mean
+    first = np.flatnonzero(np.insert(split, 0, True, axis=-1))
+    sizes = np.diff(first, append=atoms.size)
+    rows, merged = vals.reshape(-1, n), atoms.reshape(-1, n)
+    for start, size in zip(first[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
+        row, lo = divmod(start, n)
+        merged[row, lo : lo + size] = np.mean(rows[row, lo : lo + size])
+    return atoms
 
 
 def spectral_measure(h, *, tols: Tolerances = DEFAULT) -> SpectralMeasure:
-    """Atomic spectral measure of a Hermitian matrix.
+    """Atomic spectral measure of a Hermitian matrix (or a stack of them).
 
     Adjacent eigenvalues within ``tols.cluster_tol() * (1 + |lambda|)`` of
     each other merge into a single projector whose atom is their mean. The
@@ -150,14 +177,13 @@ def spectral_measure(h, *, tols: Tolerances = DEFAULT) -> SpectralMeasure:
     value when eigenvalue gaps below 1e-8 are meaningful.
     """
     es = hermitian_eigen(h, tols=tols)
-    bounds, lambdas = _cluster(es.values, tols.cluster_tol())
-    return SpectralMeasure(lambdas=lambdas, bounds=bounds, left=es.vectors, right=herm(es.vectors))
+    return SpectralMeasure(values=_cluster(es.values, tols.cluster_tol()), left=es.vectors, right=herm(es.vectors))
 
 
 def deformation_from_svd(dec: SvdResult, *, tols: Tolerances = DEFAULT) -> tuple[np.ndarray, SpectralMeasure, float]:
     """What :func:`deform` takes, read off the SVD A = W S V* of a square
-    matrix: the polar isometry U (``isometry_from_svd``), the spectral
-    measure E of T = V S V*, and the rank threshold.
+    matrix (or of a stack): the polar isometry U (``isometry_from_svd``),
+    the spectral measure E of T = V S V*, and the rank threshold.
 
     E ascends and clusters by the rule of :func:`spectral_measure`, except
     that a cluster bound is forced at the rank cut: the columns of V past
@@ -165,28 +191,29 @@ def deformation_from_svd(dec: SvdResult, *, tols: Tolerances = DEFAULT) -> tuple
     straddles it.
     """
     u, rank, _, threshold = isometry_from_svd(dec, tols=tols)
-    n = dec.sigma.shape[0]
-    vecs = np.ascontiguousarray(dec.right[:, ::-1])
-    bounds, lambdas = _cluster(dec.sigma[::-1], tols.cluster_tol(), cut=n - rank)
-    return u, SpectralMeasure(lambdas=lambdas, bounds=bounds, left=vecs, right=herm(vecs)), threshold
+    vecs = np.ascontiguousarray(dec.right[..., ::-1])
+    values = _cluster(dec.sigma[..., ::-1], tols.cluster_tol(), cut=dec.sigma.shape[-1] - rank)
+    return u, SpectralMeasure(values=values, left=vecs, right=herm(vecs)), threshold
 
 
-def deform(u, e: SpectralMeasure, *, support_tol: float = 0.0, tols: Tolerances = DEFAULT) -> SpectralMeasure:
-    """Push a nonnegative measure through a partial isometry: F = U E.
+def deform(u, e: SpectralMeasure, *, support_tol=0.0, tols: Tolerances = DEFAULT) -> SpectralMeasure:
+    """Push a nonnegative measure through a partial isometry: F = U E
+    (of a stack, each U through its measure).
 
     ``e`` must be supported in [0, inf) up to roundoff (it normally comes
     from a PSD matrix); an atom below ``-support_rel * (1 + lambda_max)``
     raises NegativeSupport. Slightly negative atoms are clamped to 0.
     """
-    u = as_matrix(u, square=True)
-    if u.shape[0] != e.dim:
-        raise DimensionMismatch(f"U is {u.shape[0]}x{u.shape[1]}, measure dim is {e.dim}")
-    lam_min = e.lambdas[0]  # lambdas ascend
-    if lam_min < -tols.support_tol() * (1.0 + max(abs(lam_min), abs(e.lambdas[-1]))):
-        raise NegativeSupport(f"atom at lambda = {lam_min:.6e} is below zero")
+    u = as_stack(u, square=True)
+    if u.shape != e.left.shape:
+        raise DimensionMismatch(f"U has shape {u.shape}, the measure's basis {e.left.shape}")
+    v = e.values
+    lam_min, lam_max = v[..., 0], v[..., -1]  # values ascend
+    low = lam_min < -tols.support_tol() * (1.0 + np.maximum(np.abs(lam_min), np.abs(lam_max)))
+    if np.any(low):
+        raise NegativeSupport(f"atom at lambda = {np.min(lam_min):.6e} is below zero")
     return SpectralMeasure(
-        lambdas=tuple(max(lam, 0.0) for lam in e.lambdas),
-        bounds=e.bounds,
+        values=np.where(v < 0.0, 0.0, v),
         left=u @ e.left,
         right=e.right,
         support_tol=support_tol,
@@ -196,7 +223,8 @@ def deform(u, e: SpectralMeasure, *, support_tol: float = 0.0, tols: Tolerances 
 
 
 def deformed_of(a, *, tols: Tolerances = DEFAULT) -> SpectralMeasure:
-    """Canonical deformed measure of an arbitrary square matrix.
+    """Canonical deformed measure of an arbitrary square matrix, or the
+    stack of those of a stack of matrices.
 
     One SVD A = W S V* gives the polar isometry U and the spectral
     measure E of the positive factor T = V S V* (``deformation_from_svd``);
@@ -206,7 +234,7 @@ def deformed_of(a, *, tols: Tolerances = DEFAULT) -> SpectralMeasure:
     their own atoms: a singular A keeps its zero cluster in ``source`` but
     reports only the nonzero spectrum of T as support.
     """
-    u, e, threshold = deformation_from_svd(svd(as_matrix(a, square=True)), tols=tols)
+    u, e, threshold = deformation_from_svd(svd(as_stack(a, square=True)), tols=tols)
     return deform(u, e, support_tol=threshold, tols=tols)
 
 
@@ -222,22 +250,26 @@ def _as_scalar_function(g) -> Callable[[float], complex]:
 
 
 def _phi_for(measure: SpectralMeasure, phi) -> np.ndarray:
-    phi = as_vector(phi)
-    if phi.shape[0] != measure.dim:
-        raise DimensionMismatch(f"phi has dim {phi.shape[0]}, measure dim is {measure.dim}")
+    """A checked vector, or one row per measure of a stack."""
+    phi = as_vector(phi) if np.ndim(phi) == 1 else as_stack(phi)
+    if phi.shape != measure.values.shape:
+        raise DimensionMismatch(f"phi has shape {phi.shape}, the measure takes {measure.values.shape}")
     return phi
 
 
 def integrate(g, measure: SpectralMeasure, phi=None):
     """Sum g against a measure: Sum_i g(lambda_i) dM_i (optionally applied to phi).
 
-    Works on plain and deformed measures. On a deformed measure this
-    equals U g(T). Raises EvalError when g is undefined at an atom (for
-    example log at lambda = 0 on a singular input).
+    Works on plain and deformed measures, and on stacks of them (with one
+    phi per measure). On a deformed measure this equals U g(T). Raises
+    EvalError when g is undefined at an atom (for example log at
+    lambda = 0 on a singular input).
     """
     fn = _as_scalar_function(g)
-    values = np.array([fn(lam) for lam in measure.lambdas], dtype=np.complex128)
-    return measure._contract(values, None if phi is None else _phi_for(measure, phi))
+    starts = measure._starts()
+    at_atoms = np.array([fn(lam) for lam in measure.values[starts].tolist()], dtype=np.complex128)
+    w = at_atoms[np.cumsum(starts) - 1].reshape(starts.shape)  # each column takes its atom's value
+    return measure._contract(w, None if phi is None else _phi_for(measure, phi))
 
 
 @dataclass(frozen=True)
@@ -270,6 +302,10 @@ def quadratic_form(measure: SpectralMeasure, phi, functional=None) -> QuadraticF
     return QuadraticFormResult(lambdas=measure.lambdas, terms=terms, total=complex(sum(terms)))
 
 
-def variation(measure: SpectralMeasure, phi) -> float:
-    """Total variation Sum_i ||dM_i phi||_2 of the atomized vector measure."""
-    return float(np.linalg.norm(measure.atom_vectors(_phi_for(measure, phi)), axis=1).sum())
+def variation(measure: SpectralMeasure, phi) -> float | np.ndarray:
+    """Total variation Sum_i ||dM_i phi||_2 of the atomized vector measure;
+    of a stack, one per measure, with one phi per measure."""
+    norms = np.linalg.norm(measure.atom_vectors(_phi_for(measure, phi)), axis=1)
+    counts = measure._starts().reshape(-1, measure.dim).sum(axis=1)
+    out = np.array([part.sum() for part in np.split(norms, np.cumsum(counts)[:-1])])  # as each alone
+    return float(out[0]) if measure.values.ndim == 1 else out.reshape(measure.values.shape[:-1])

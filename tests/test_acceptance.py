@@ -131,7 +131,7 @@ def test_06_kuelbs_embedding():
             rng = Rng(substream(SEED, 700 + dim * 10 + int(p * 10)))
             for _ in range(1000):
                 u = rng.vector(dim)
-                assert emb.h_norm(u) <= vnorm(u, p) + 1e-12
+                assert emb.metric.norm_rows(u) <= vnorm(u, p) + 1e-12
     announce(6, "embedding gram PD and ||u||_H <= ||u||_B, 1000 draws per (p, dim)")
 
 
@@ -189,8 +189,8 @@ def test_09_baire_approximation():
                     assert probe.identity_residual() <= 1e-10
                     worst = 0.0
                     for phi in phis:
-                        err = emb.h_norm(probe.a_lambda @ phi - a @ phi)
-                        bound = emb.h_norm(gp.Tbar @ (a @ phi)) / lam
+                        err = emb.metric.norm_rows(probe.a_lambda @ phi - a @ phi)
+                        bound = emb.metric.norm_rows(gp.Tbar @ (a @ phi)) / lam
                         assert err <= bound * (1.0 + 1e-6)
                         worst = max(worst, err)
                     errors.append(worst)

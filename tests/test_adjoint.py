@@ -6,6 +6,7 @@ import pytest
 
 from dst.adjoint import (
     AdjointPair,
+    adjoint_metrics,
     BanachOperator,
     adjoint,
     adjoint_axioms,
@@ -213,8 +214,8 @@ def test_baire_resolvent_contraction_and_error_bound():
             assert intertwining_residual(op, probe) <= 1e-10
             for _ in range(3):
                 phi = rng.vector(5)
-                err = emb.h_norm(probe.a_lambda @ phi - a @ phi)
-                bound = emb.h_norm(gp.Tbar @ (a @ phi)) / lam
+                err = emb.metric.norm_rows(probe.a_lambda @ phi - a @ phi)
+                bound = emb.metric.norm_rows(gp.Tbar @ (a @ phi)) / lam
                 assert err <= bound * (1 + 1e-6)
 
 
@@ -511,3 +512,24 @@ def test_generic_adjoint_in_the_laplacian_metric_is_the_closed_form(n):
     assert np.linalg.norm(pair.astar - closed) <= 1e-10 * np.linalg.norm(closed)
     gap = max(vnorm(pair.astar[:, j] - closed[:, j], 3.0) for j in range(n)) / (1 + np.linalg.norm(a))
     assert m["closed_form"] == pytest.approx(gap, rel=1e-6)
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_a_stack_of_operators_gives_each_its_own_metrics(dense):
+    rng = Rng(301)
+    seeds = [rng.vector(5) for _ in range(7)] if dense else None
+    emb = build_kuelbs(LpSpace(5, 3.0), seeds=seeds)
+    stack = rng.matrix(3 * 5, 5).reshape(3, 5, 5)
+    draws = rng.matrix(3 * 16, 5).reshape(3, 16, 5)
+    op = banach_operator(stack, emb)
+    metrics = adjoint_metrics(adjoint(op), draws)
+    probe = baire_approximant(op, 10.0)
+    resid = banach_deformed_spectral(op).reconstruction_residual
+    for k, a in enumerate(stack):
+        one = banach_operator(a, emb)
+        assert {key: v[k] for key, v in metrics.items()} == adjoint_metrics(adjoint(one), draws[k])
+        assert np.array_equal(h_polar(op).T[k], h_polar(one).T)
+        one_probe = baire_approximant(one, 10.0)
+        assert probe.identity_residual()[k] == one_probe.identity_residual()
+        assert intertwining_residual(op, probe)[k] == intertwining_residual(one, one_probe)
+        assert resid[k] == banach_deformed_spectral(one).reconstruction_residual

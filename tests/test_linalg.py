@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dst.errors import InvalidP, NotHermitian, NotSquare
-from dst.linalg import abs_norm, gram_inner_rows, gram_norm_rows, herm, hermitian_eigen, svd, vnorm
+from dst.linalg import abs_norm, fro, gram_inner_rows, gram_norm_rows, herm, hermitian_eigen, svd, vnorm
 from dst.rng import Rng
 
 
@@ -141,3 +141,45 @@ def test_gram_rows_match_per_vector_forms():
     for u, v, got, nrm in zip(us, vs, inner, norms):
         assert got == pytest.approx(np.vdot(v, gram @ u), rel=1e-14)
         assert nrm == pytest.approx(math.sqrt(np.vdot(u, gram @ u).real), rel=1e-14)
+
+
+def test_herm_of_a_stack_is_the_herm_of_each_matrix():
+    stack = Rng(5).matrix(3 * 4, 5).reshape(3, 4, 5)
+    out = herm(stack)
+    assert out.shape == (3, 5, 4)
+    assert all(np.array_equal(out[k], stack[k].conj().T) for k in range(3))
+    m = stack[0]  # a 2-D result keeps its values and its layout
+    assert np.array_equal(herm(m), m.conj().T) and herm(m).strides == m.conj().T.strides
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_stacked_lapack_calls_equal_the_calls_per_matrix(n):
+    # the suites' premise: one call on a (20, n, n) stack is the loop of
+    # single calls, bit for bit, and fro is np.linalg.norm of each matrix
+    a = Rng(n).matrix(20 * n, n).reshape(20, n, n)
+    b = Rng(n + 100).matrix(20 * n, n).reshape(20, n, n)
+    h = (a + herm(a)) / 2.0
+    w, s, vh = np.linalg.svd(a)
+    x = np.linalg.solve(a, b)
+    evals, evecs = np.linalg.eigh(h)
+    norms = fro(a)
+    for k in range(20):
+        for got, want in zip((w[k], s[k], vh[k]), np.linalg.svd(a[k])):
+            assert np.array_equal(got, want)
+        assert np.array_equal(x[k], np.linalg.solve(a[k], b[k]))
+        for got, want in zip((evals[k], evecs[k]), np.linalg.eigh(h[k])):
+            assert np.array_equal(got, want)
+        assert norms[k] == np.linalg.norm(a[k]) == fro(a[k])
+
+
+def test_svd_and_eigen_of_a_stack_are_those_of_each_matrix():
+    a = Rng(9).matrix(4 * 5, 5).reshape(4, 5, 5)
+    dec, es = svd(a), hermitian_eigen(a @ herm(a))
+    for k in range(4):
+        one = svd(a[k])
+        for field in ("left", "sigma", "right"):
+            assert np.array_equal(getattr(dec, field)[k], getattr(one, field))
+        assert np.array_equal(es.vectors[k], hermitian_eigen(a[k] @ herm(a[k])).vectors)
+    assert np.allclose(dec.reconstruct(), a, atol=1e-13) and np.allclose(es.reconstruct(), a @ herm(a), atol=1e-12)
+    with pytest.raises(NotHermitian):  # one bad matrix refuses the stack
+        hermitian_eigen(np.stack([a[0] @ herm(a[0]), a[1]]))

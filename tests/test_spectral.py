@@ -476,3 +476,29 @@ def test_deformed_calculus_memory_is_quadratic():
     finally:
         tracemalloc.stop()
     assert peak < 20 * n * n * 16
+
+
+def _stacked_cases():
+    # one shared rank, then ranks 3 and 6 mixed in one stack
+    rankdef = generate(Ensemble("rankdef", 6, 4, 201, rank=3))
+    mixed = np.concatenate([rankdef[:2], generate(Ensemble("general", 6, 2, 202))])
+    return [rankdef, mixed]
+
+
+@pytest.mark.parametrize("stack", _stacked_cases(), ids=["one-rank", "mixed-rank"])
+def test_a_stack_of_measures_is_the_measure_of_each_matrix(stack):
+    f = deformed_of(stack)
+    phi = Rng(203).matrix(len(stack), 6)
+    p = polar_decompose(stack)
+    lhs, at_phi, var = integrate("exp(-lambda)", f), integrate("sqrt(lambda)", f, phi), variation(f.source, phi)
+    for k, a in enumerate(stack):
+        one = deformed_of(a)
+        assert np.array_equal(f.values[k], one.values) and np.array_equal(f.U[k], one.U)
+        assert np.array_equal(f.left[k], one.left) and np.array_equal(f.source.left[k], one.source.left)
+        assert f.support_tol[k] == one.support_tol and p.rank[k] == polar_decompose(a).rank
+        assert np.array_equal(lhs[k], integrate("exp(-lambda)", one))
+        assert np.array_equal(at_phi[k], integrate("sqrt(lambda)", one, phi[k]))
+        assert var[k] == variation(one.source, phi[k])
+    assert [lam for lam, _ in f.atoms] == [lam for a in stack for lam, _ in deformed_of(a).atoms]
+    with pytest.raises(DimensionMismatch):  # one phi per measure of the stack
+        integrate("lambda", f, phi[0])

@@ -120,9 +120,10 @@ def test_run_suite_builds_each_embedding_once_per_call(monkeypatch):
 
 
 def test_deformed_suite_diagonalizes_each_negdef_input_once(lapack_calls):
-    # deformed_of takes SVDs only; the negdef classical measure is the one eigh
+    # deformed_of takes SVDs only; the negdef classical measures are one
+    # stacked eigh per dim, of that dim's 3 trials
     run_suite("deformed", SuiteConfig(dims=(2, 5), trials=3))
-    assert lapack_calls["eigh"] == 2 * 3
+    assert [shape for name, shape in lapack_calls.shapes if name == "eigh"] == [(3, 2, 2), (3, 5, 5)]
 
 
 def test_summary_names_nonfinite_metrics():

@@ -7,12 +7,13 @@ the change is the checkout this script lives in. Both sides run their
 own, unmodified ``perfbench/run.py``. For each workload, pair i runs both
 sides with ``--trace 0`` on the same seed, the parent first in even pairs
 and the change first in odd ones, so a drifting host loads both alike.
-Then each side makes one ``--trace 1`` metric-large run (per-layer
-seconds and exact counts) and one Tier-1 run. The file keeps every
-sample next to its summary: per metric, both medians, the pairs the
-change won, the parent's interquartile range and the median over the
-pairs of change/parent, which a host that drifts between pairs moves
-less than it moves either median.
+Then each side makes one ``--trace 1`` run of every workload (per-layer
+seconds and exact counts; a stacked LAPACK call counts once) and one
+Tier-1 run. The file keeps every sample next to its summary: per metric,
+both medians, the pairs the change won, the parent's interquartile range
+and the median over the pairs of change/parent, which a host that
+drifts between pairs moves less than it moves either median. It also
+keeps each side's perfbench ``env`` line (BLAS build and thread count).
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ def _perfbench(side: Path, workload: str, seed: int, trace: int) -> dict:
     out = subprocess.run(cmd, cwd=side, capture_output=True, text=True, check=False).stdout.splitlines()
     result = json.loads(out[-1])
     info = next((json.loads(line.split(" info ", 1)[1]) for line in out if " info " in line), {})
+    env = next((json.loads(line[len("env "):]) for line in out if line.startswith("env ")), {})
     return {
+        "env": env,
         "correct": result["correct"],
         "failed": result["failed"],
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
@@ -98,8 +101,11 @@ def main() -> int:
             values = {s: {m: round(r["metrics"][m], 3) for m in shown} for s, r in pairs[-1].items()}
             ratios = {m: round(_paired_ratio_median(pairs, m), 3) for m in shown}
             print(workload, i, values, "paired ratio median", ratios, flush=True)
+        for pair in pairs:
+            for side, run in pair.items():
+                bench.setdefault("env", {})[side] = run.pop("env")
         bench["workloads"][workload] = {"summary": _summary(pairs), "pairs": pairs}
-    bench["traced_metric_large"] = {s: _perfbench(d, "metric-large", args.seed, 1) for s, d in sides.items()}
+    bench["traced"] = {w: {s: _perfbench(d, w, args.seed, 1) for s, d in sides.items()} for w in WORKLOADS}
     bench["tier1"] = {s: _tier1(d) for s, d in sides.items()}
     bench["src_dst_lines"] = {s: _src_lines(d) for s, d in sides.items()}
     args.out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
