@@ -47,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import BadGrid, DimensionMismatch
+from .errors import BadGrid, DimensionMismatch, InvalidInput
 from .kuelbs import GramMetric, KuelbsEmbedding, LpSpace
 from .linalg import SvdResult, as_matrix, as_stack, fro, herm, svd
 from .polar import PolarDecomposition, polar_from_svd
@@ -222,7 +222,7 @@ def h_polar(op: BanachOperator, *, tols: Tolerances = DEFAULT) -> PolarDecomposi
 
 
 def lambda_schedule(lambdas: Sequence[float]) -> tuple[float, ...]:
-    """The resolvent parameters as floats, refused (ValueError) unless the
+    """The resolvent parameters as floats, refused (InvalidInput) unless the
     schedule is non-empty, ascending, and every lam is positive and finite
     with a finite 1/lam: an empty schedule checks nothing, a lam whose
     1/lam overflows turns the 1/lam error bound into inf, which anything
@@ -230,12 +230,12 @@ def lambda_schedule(lambdas: Sequence[float]) -> tuple[float, ...]:
     """
     lams = tuple(float(x) for x in lambdas)
     if not lams:
-        raise ValueError("lambda schedule is empty, so it would check nothing")
+        raise InvalidInput("lambda schedule is empty, so it would check nothing")
     for lam in lams:
         if not (0.0 < lam < math.inf and math.isfinite(1.0 / lam)):  # also rejects NaN
-            raise ValueError(f"lambda must be positive and finite with a finite 1/lambda, got {lam!r}")
+            raise InvalidInput(f"lambda must be positive and finite with a finite 1/lambda, got {lam!r}")
     if sorted(lams) != list(lams):
-        raise ValueError("lambda schedule must be ascending")
+        raise InvalidInput("lambda schedule must be ascending")
     return lams
 
 
@@ -303,13 +303,13 @@ def baire_convergence_study(
     one phi), and one product with A; no n x n resolvent is formed. The rows
     depend on T and Tbar alone, which no threshold cuts, so the study
     takes no tolerances and shares the operator's default H-polar. A
-    bound that overflows at the smallest lambda is refused (ValueError),
+    bound that overflows at the smallest lambda is refused (InvalidInput),
     since an infinite bound holds for any error.
     """
     lams = lambda_schedule(lambdas)
     if lams[-1] > 1e8:
         # beyond this the subtraction lam*A*R*phi - A*phi floors at eps*lam
-        raise ValueError("lambda schedule capped at 1e8")
+        raise InvalidInput("lambda schedule capped at 1e8")
     m, space = op.metric, op.space
     gp = h_polar(op)
     n = space.dim
@@ -319,7 +319,7 @@ def baire_convergence_study(
     a_phi = phi_block @ op.matrix.T
     bound = float((h_to_b * m.norm_rows(a_phi @ gp.Tbar.T)).max())  # times 1/lam
     if not math.isfinite(bound / lams[0]):  # an infinite bound holds for any error
-        raise ValueError(f"error bound {bound!r} / lambda overflows at lambda {lams[0]!r}")
+        raise InvalidInput(f"error bound {bound!r} / lambda overflows at lambda {lams[0]!r}")
     rows = []
     for lam in lams:
         r_phi = np.linalg.solve(lam * np.eye(n) + gp.T, phi_block.T)  # columns are R phi

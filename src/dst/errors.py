@@ -9,6 +9,12 @@ class ToolkitError(Exception):
     """Base class for every error raised by this package."""
 
 
+class InvalidInput(ToolkitError, ValueError):
+    """A value the toolkit refuses: a NaN or inf entry, an empty or
+    unordered lambda schedule, an error bound that overflows. It is also a
+    ValueError, so a caller that catches ValueError still catches it."""
+
+
 class NotSquare(ToolkitError):
     pass
 

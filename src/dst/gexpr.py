@@ -20,13 +20,14 @@ branches for log and sqrt.
 from __future__ import annotations
 
 import cmath
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Union
 
 from .errors import EvalError, ExprSyntaxError, UnknownFunction, UnknownIdentifier
 
-__all__ = ["GExpr", "Number", "Var", "Neg", "BinOp", "Call", "parse", "evaluate"]
+__all__ = ["GExpr", "Number", "Var", "Neg", "BinOp", "Call", "parse", "evaluate", "compile_expr"]
 
 
 @dataclass(frozen=True)
@@ -189,35 +190,59 @@ def parse(src: str) -> GExpr:
 
 def evaluate(e: GExpr, lam: complex) -> complex:
     """Evaluate at ``lambda = lam`` in complex arithmetic."""
+    return compile_expr(e)(lam)
+
+
+def compile_expr(e: GExpr) -> Callable[[complex], complex]:
+    """``lam -> evaluate(e, lam)`` with the tree walked once, for an
+    expression evaluated at many points: the same operations in the same
+    order, so the same bits and the same errors."""
     if isinstance(e, Number):
-        return e.value
+        value = e.value
+        return lambda lam: value
     if isinstance(e, Var):
-        return complex(lam)
+        return complex
     if isinstance(e, Neg):
-        return -evaluate(e.operand, lam)
+        operand = compile_expr(e.operand)
+        return lambda lam: -operand(lam)
     if isinstance(e, Call):
-        arg = evaluate(e.arg, lam)
-        try:
-            return FUNCTIONS[e.name](arg)
-        except (OverflowError, ValueError) as exc:
-            raise EvalError(f"{e.name} failed at {arg}: {exc}") from exc
+        name, arg, fn = e.name, compile_expr(e.arg), FUNCTIONS[e.name]
+
+        def call(lam):
+            z = arg(lam)
+            try:
+                return fn(z)
+            except (OverflowError, ValueError) as exc:
+                raise EvalError(f"{name} failed at {z}: {exc}") from exc
+
+        return call
     if isinstance(e, BinOp):
-        a = evaluate(e.left, lam)
-        b = evaluate(e.right, lam)
-        try:
-            if e.op == "+":
-                return a + b
-            if e.op == "-":
-                return a - b
-            if e.op == "*":
-                return a * b
-            if e.op == "/":
-                if b == 0:
-                    raise EvalError("division by zero")
-                return a / b
-            if e.op == "^":
-                return a**b
-        except (OverflowError, ValueError, ZeroDivisionError) as exc:
-            raise EvalError(f"arithmetic failure in {e.op!r}: {exc}") from exc
+        op, left, right = e.op, compile_expr(e.left), compile_expr(e.right)
+        if op not in _BINARY:
+            raise TypeError(f"not a GExpr node: {e!r}")
+        apply = _BINARY[op]
+
+        def binary(lam):
+            a, b = left(lam), right(lam)
+            try:
+                return apply(a, b)
+            except (OverflowError, ValueError, ZeroDivisionError) as exc:
+                raise EvalError(f"arithmetic failure in {op!r}: {exc}") from exc
+
+        return binary
     raise TypeError(f"not a GExpr node: {e!r}")
 
+
+def _divide(a: complex, b: complex) -> complex:
+    if b == 0:
+        raise EvalError("division by zero")
+    return a / b
+
+
+_BINARY: dict[str, Callable[[complex, complex], complex]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _divide,
+    "^": operator.pow,
+}

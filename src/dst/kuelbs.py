@@ -44,7 +44,7 @@ from .errors import (
     SingularGram,
     ZeroVector,
 )
-from .linalg import abs_norm, as_matrix, as_vector, gram_inner_rows, herm, vnorm
+from .linalg import abs_norm, as_matrix, as_stack, as_vector, fro, gram_inner_rows, herm, vnorm
 from .rng import Rng, substream
 
 __all__ = [
@@ -400,7 +400,10 @@ def steadman(k: KuelbsEmbedding, u) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LpNormEstimate:
-    value: float
+    """``value`` and the unit ``maximizer`` that attains it; of a stack, one
+    entry (or row) per matrix."""
+
+    value: float | np.ndarray
     method: str
     maximizer: np.ndarray
 
@@ -414,20 +417,27 @@ _LP_NORM_MAX_ITER = 100
 _LP_NORM_MERGE = 1e-4
 
 
+def _scalar(v: np.ndarray) -> float | np.ndarray:
+    """A float for the 0-d result of a single matrix, else the array."""
+    return float(v) if np.ndim(v) == 0 else v
+
+
 def _ritz_start(a: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """One Rayleigh-Ritz step toward the top right singular vector of ``a``,
-    in O(n^2 k) for k = len(others): Q = qr(b* b S) with b = a / max|a_ij|
-    (b* b cannot overflow) and S the other starts as columns, then Q w for
-    w the top right singular vector of the n×k matrix b Q."""
-    top = float(np.abs(a).max())
-    b = a / top if top > 0.0 else a
+    """One Rayleigh-Ritz step toward the top right singular vector of each
+    matrix of a stack ``a``, in O(n^2 k) for k = len(others): Q = qr(b* b S)
+    with b = a / max|a_ij| (b* b cannot overflow) and S the other starts
+    as columns, then Q w for w the top right singular vector of the n×k
+    matrix b Q."""
+    top = np.abs(a).max(axis=(-2, -1))
+    b = a / np.where(top > 0.0, top, 1.0)[:, None, None]
     q, _ = np.linalg.qr(herm(b) @ (b @ others.T))
     _, _, wh = np.linalg.svd(b @ q, full_matrices=False)
-    return q @ wh[0].conj()
+    return (q @ wh[:, 0, :, None].conj())[..., 0]
 
 
 def lp_operator_norm(a, p: float) -> LpNormEstimate:
-    """Estimate (from below) the lp -> lp operator norm of a square matrix.
+    """Estimate (from below) the lp -> lp operator norm of a square matrix,
+    or of each matrix of a stack (..., n, n) in one iteration.
 
     p = 2 is exact via the SVD (method "svd"). Otherwise Boyd's power
     iteration (LAA 9, 1974) runs from up to 11 starts at once, iterated as
@@ -435,78 +445,126 @@ def lp_operator_norm(a, p: float) -> LpNormEstimate:
     (SIMAX 21, 2000) (method "power"): up to 3 canonical vectors, the flat
     vector, a Ritz vector for the top right singular vector (one subspace
     step from the other starts, ``_ritz_start``) and 6 pseudo-random
-    vectors, as the rows of one k×n array, so each step is one matrix
-    product and no n×n matrix is factored. Each start stops on its own test
-    (gamma = 0, or ||z||_q <= Re<z, x> (1 + 1e-14)) or after 100 steps, or
-    when its next iterate is parallel to that of a better going start,
-    1 - |<x_i, x_j>| / (||x_i||_2 ||x_j||_2) <= 1e-4 for a start j with the
-    larger gamma (on a tie, the lower index), as the block estimator drops
-    parallel columns. A step maps e^{it} x to e^{it} F(x) with the same
-    gamma, so parallel iterates share their future and nearly parallel ones
-    approach the same fixed point; the stopped start keeps its best gamma.
-    Against running every start to its own test, the estimate moved by
-    -2.2e-13 to +1.3e-15 relative on 480 general draws (n <= 128, p in
-    {1.1, 1.5, 3, 8}), and a call on one of the four n = 256, p = 3 Lax
-    operators of the ``metric-large`` benchmark takes 194 to 365
-    row-steps (one block row for one step), not 690 to 1094.
+    vectors, as the rows of one k×n array per matrix, so each step is one
+    matrix product and no n×n matrix is factored. Each start stops on its
+    own test (gamma = 0, or ||z||_q <= Re<z, x> (1 + 1e-14)) or after 100
+    steps, or when its next iterate is parallel to that of a better going
+    start, 1 - |<x_i, x_j>| / (||x_i||_2 ||x_j||_2) <= 1e-4 for a start j
+    with the larger gamma (on a tie, the lower index), as the block
+    estimator drops parallel columns. A step maps e^{it} x to e^{it} F(x)
+    with the same gamma, so parallel iterates share their future and
+    nearly parallel ones approach the same fixed point; the stopped start
+    keeps its best gamma. Against running every start to its own test,
+    the estimate moved by -2.2e-13 to +1.3e-15 relative on 480 general
+    draws (n <= 128, p in {1.1, 1.5, 3, 8}), and a call on one of the
+    four n = 256, p = 3 Lax operators of the ``metric-large`` benchmark
+    takes 194 to 365 row-steps (one block row for one step), not 690 to
+    1094.
+
+    A stack is one (count, k, n) block. Each matrix stops and merges its
+    starts on its own; a start leaves the block once it has stopped in
+    every matrix, and a matrix once none of its starts is going, so a
+    single matrix (a stack of one) loses each start as it stops. A lone
+    going row inside a wider block rounds as a row of a matrix product,
+    not as a vector-matrix product, so a stack's values can differ from
+    the single calls in the last bits (32 of the 80 operators of the
+    benchmarked ``dst verify`` run moved, by at most 1.2e-14 relative).
+
     ``value`` is the best gamma over all starts and steps and ``maximizer``
-    the unit vector that attained it. Each half step is one
-    ``duality_rows`` call of ``LpSpace(n, p)`` or its dual, which raises
-    only ratios to a power, so the iteration works at any scale whose
-    norms are finite; an operator whose iterates overflow raises
-    ConvergenceFailure. A p that ``LpSpace`` refuses raises InvalidP.
+    the unit vector that attained it (of a stack: arrays, one entry per
+    matrix). Each half step is one ``duality_rows`` call of
+    ``LpSpace(n, p)`` or its dual, which raises only ratios to a power, so
+    the iteration works at any scale whose norms are finite; an operator
+    whose live iterates overflow raises ConvergenceFailure. A p that
+    ``LpSpace`` refuses raises InvalidP.
     """
-    a = as_matrix(a, square=True)
-    n = a.shape[0]
+    a = as_stack(a, square=True)
+    lead, n = a.shape[:-2], a.shape[-1]
     space = LpSpace(n, p)
     if p == 2.0:
         _, s, vh = np.linalg.svd(a)
-        return LpNormEstimate(value=float(s[0]), method="svd", maximizer=vh[0].conj())
+        return LpNormEstimate(value=_scalar(s[..., 0]), method="svd", maximizer=vh[..., 0, :].conj())
     dual = LpSpace(n, space.q)
+    a = a.reshape(-1, n, n)
+    count = a.shape[0]
     head = np.vstack([np.eye(n, dtype=np.complex128)[: min(n, 3)], np.ones((1, n), dtype=np.complex128)])
     tail = Rng(substream(_LP_NORM_SEED, n)).matrix(_LP_NORM_STARTS, n)
+    others = np.vstack([head, tail])
     with np.errstate(over="ignore", invalid="ignore"):  # an |a_ij| that overflows is refused below
-        ritz = _ritz_start(a, np.vstack([head, tail]))
-    starts = np.vstack([head, ritz, tail])
-    x = starts / space.norm_rows(starts)[:, None]
+        ritz = _ritz_start(a, others)
+    starts = np.insert(np.broadcast_to(others, (count, *others.shape)), len(head), ritz, axis=1)
+    x = starts / space.norm_rows(starts)[..., None]
 
-    # rows of x are the live iterates; best_* are per start, indexed by live
-    at, conj_a = a.T, a.conj()
-    live = np.arange(x.shape[0])
-    best = np.zeros(x.shape[0])
+    # x[i, j] is an iterate for the matrix held[i], of the start whose
+    # best_* entry is at flat index pos[i, j], going while live[i, j] (None
+    # while every entry is going, as it always is for a single matrix)
+    best = np.zeros(x.shape[:2])
     best_x = x.copy()
+    pos = np.arange(best.size).reshape(best.shape)
+    live = None
+    held, held_conj = a, a.conj()
+
+    def drop(keep: np.ndarray) -> None:
+        """Go on with the entries ``keep`` marks; drop the starts and the
+        matrices left with none."""
+        nonlocal x, gamma, pos, live, held, held_conj
+        row, col = keep.any(axis=1), keep.any(axis=0)
+        if not row.all():  # copies the matrices, so only when one is done
+            held, held_conj = held[row], held_conj[row]
+            keep, x, gamma, pos = keep[row], x[row], gamma[row], pos[row]
+        if not col.all():
+            keep, x, gamma, pos = keep[:, col], x[:, col], gamma[:, col], pos[:, col]
+        live = None if keep.all() else keep
+
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_LP_NORM_MAX_ITER):
-            gamma, psi = space.duality_rows(x @ at)  # rows are ||A x||_p and psi(A x)
-            z = psi @ conj_a  # rows are A* psi
+            gamma, psi = space.duality_rows(x @ held.mT)  # rows are ||A x||_p and psi(A x)
+            z = psi @ held_conj  # rows are A* psi
             zq, x_next = dual.duality_rows(z)
-            if not (np.isfinite(gamma).all() and np.isfinite(zq).all()):
-                top = float(np.abs(a.view(np.float64)).max())  # |a_ij| itself may overflow
+            finite = np.isfinite(gamma) & np.isfinite(zq)
+            if live is not None:
+                finite |= ~live
+            if not finite.all():
+                bad = held[np.argmax(~finite.all(axis=1))]  # the first matrix that failed
+                top = float(np.abs(bad.view(np.float64)).max())  # |a_ij| itself may overflow
                 raise ConvergenceFailure(
                     f"lp norm iteration left the floating-point range at p = {p}"
                     f" for an operator with max(|Re a_ij|, |Im a_ij|) = {top:.3e}"
                 )
-            up = gamma > best[live]
-            best[live[up]] = gamma[up]
-            best_x[live[up]] = x[up]
-            stalled = zq <= (z.conj() * x).sum(axis=1).real * (1.0 + 1e-14)
+            up = gamma > np.take(best, pos)
+            if live is not None:
+                up &= live
+            at = pos[up]
+            best.flat[at] = gamma[up]
+            best_x.reshape(-1, n)[at] = x[up]
+            stalled = zq <= (z.conj() * x).sum(axis=-1).real * (1.0 + 1e-14)
             going = (gamma != 0.0) & ~stalled
+            if live is not None:
+                going &= live
             if not going.any():
                 break
-            live, gamma, x = live[going], gamma[going], x_next[going]
+            x = x_next
+            if live is not None or not going.all():
+                drop(going)
+            if x.shape[1] == 1:  # one start per matrix: nothing to merge
+                continue
             # a start whose next iterate is parallel to that of a better one
-            # (larger gamma, or equal gamma and a lower index) stops
-            c = x.conj() @ x.T
-            norms = np.sqrt(c.real.diagonal())
-            parallel = np.abs(c) >= (1.0 - _LP_NORM_MERGE) * np.outer(norms, norms)
-            if np.count_nonzero(parallel) > len(live):  # not just each row with itself
-                better = (gamma[None, :] > gamma[:, None]) | (
-                    (gamma[None, :] == gamma[:, None]) & np.tri(len(live), k=-1, dtype=bool)
+            # of its matrix (larger gamma, or equal gamma and a lower index) stops
+            c = x.conj() @ x.mT
+            norms = np.sqrt(c.real.diagonal(axis1=-2, axis2=-1))
+            parallel = np.abs(c) >= (1.0 - _LP_NORM_MERGE) * (norms[:, :, None] * norms[:, None, :])
+            if live is not None:
+                parallel &= live[:, :, None] & live[:, None, :]
+            if np.count_nonzero(parallel) > (x.shape[0] * x.shape[1] if live is None else np.count_nonzero(live)):
+                better = (gamma[:, None, :] > gamma[:, :, None]) | (
+                    (gamma[:, None, :] == gamma[:, :, None]) & np.tri(x.shape[1], k=-1, dtype=bool)
                 )
-                keep = ~(parallel & better).any(axis=1)
-                live, x = live[keep], x[keep]
-    k = int(np.argmax(best))
-    return LpNormEstimate(value=float(best[k]), method="power", maximizer=best_x[k])
+                keep = ~(parallel & better).any(axis=-1)
+                drop(keep if live is None else keep & live)
+    pick = np.arange(count), np.argmax(best, axis=1)
+    return LpNormEstimate(
+        value=_scalar(best[pick].reshape(lead)), method="power", maximizer=best_x[pick].reshape(*lead, n)
+    )
 
 
 @dataclass(frozen=True)
@@ -516,15 +574,17 @@ class LaxDiagnostic:
     ``bound`` is sqrt(cond(G)) * dim^|1/2 - 1/p|, derived from the Gram
     factorization and the p<->2 norm equivalence on C^n; the measured
     ``ratio = norm_h / norm_b`` always sits below it (norm_b is estimated
-    from below, so the reported ratio is an upper estimate).
+    from below, so the reported ratio is an upper estimate). Of a stack,
+    every field but ``bound`` and ``method`` is an array, one entry per
+    matrix.
     """
 
-    is_h_selfadjoint: bool
-    norm_h: float
-    norm_b: float
-    ratio: float
+    is_h_selfadjoint: bool | np.ndarray
+    norm_h: float | np.ndarray
+    norm_b: float | np.ndarray
+    ratio: float | np.ndarray
     bound: float
-    selfadjoint_residual: float
+    selfadjoint_residual: float | np.ndarray
     method: str
 
 
@@ -534,26 +594,22 @@ _SELFADJOINT_REL = 1e-10
 
 
 def lax_diagnostic(k: KuelbsEmbedding, a, *, tols: Tolerances = DEFAULT) -> LaxDiagnostic:
-    a = as_matrix(a, square=True)
-    n = k.space.dim
-    if a.shape[0] != n:
+    """The Lax report of a square matrix, or of each matrix of a stack
+    (..., n, n) with one ``lp_operator_norm`` call for the whole stack."""
+    a = as_stack(a, square=True)
+    if a.shape[-1] != k.space.dim:
         raise DimensionMismatch("operator dimension does not match the embedding")
     m = k.metric
     ga = m.apply(a)
-    scale = 1.0 + float(np.linalg.norm(ga))
-    resid = float(np.linalg.norm(ga - herm(ga))) / scale
-    is_h = resid <= _SELFADJOINT_REL * max(1.0, tols.scale)
-
-    norm_h = float(np.linalg.norm(m.to_frame(a), 2))
+    resid = fro(ga - herm(ga)) / (1.0 + fro(ga))
+    norm_h = _scalar(np.linalg.norm(m.to_frame(a), 2, axis=(-2, -1)))
     est = lp_operator_norm(a, k.space.p)
-    bound = math.sqrt(m.eig_max / m.eig_min) * k.space.distortion
-    ratio = norm_h / est.value if est.value > 0 else 0.0
     return LaxDiagnostic(
-        is_h_selfadjoint=is_h,
+        is_h_selfadjoint=resid <= _SELFADJOINT_REL * max(1.0, tols.scale),
         norm_h=norm_h,
         norm_b=est.value,
-        ratio=ratio,
-        bound=bound,
+        ratio=_scalar(norm_h / np.where(est.value > 0, est.value, math.inf)),
+        bound=math.sqrt(m.eig_max / m.eig_min) * k.space.distortion,
         selfadjoint_residual=resid,
         method=est.method,
     )

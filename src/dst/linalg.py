@@ -21,6 +21,7 @@ from .config import DEFAULT, Tolerances
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
+    InvalidInput,
     InvalidP,
     NotHermitian,
     NotSquare,
@@ -55,7 +56,7 @@ def as_stack(a, square: bool = False) -> np.ndarray:
     if m.ndim < 2 or m.shape[-2] < 1 or m.shape[-1] < 1:
         raise DimensionMismatch(f"expected a matrix or a stack of matrices, got shape {m.shape}")
     if not np.all(np.isfinite(m.view(np.float64))):
-        raise ValueError("matrix entries must be finite")
+        raise InvalidInput("matrix entries must be finite")
     if square and m.shape[-2] != m.shape[-1]:
         raise NotSquare(f"expected a square matrix, got {m.shape[-2]}x{m.shape[-1]}")
     return m
@@ -73,7 +74,7 @@ def as_vector(v) -> np.ndarray:
     if x.ndim != 1 or x.shape[0] < 1:
         raise DimensionMismatch(f"expected a 1-D vector, got shape {x.shape}")
     if not np.all(np.isfinite(x.view(np.float64))):
-        raise ValueError("vector entries must be finite")
+        raise InvalidInput("vector entries must be finite")
     return x
 
 

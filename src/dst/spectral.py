@@ -35,7 +35,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import DimensionMismatch, NegativeSupport
-from .gexpr import GExpr, evaluate
+from .gexpr import GExpr, compile_expr
 from .gexpr import parse as parse_g
 from .linalg import SvdResult, as_stack, as_vector, herm, hermitian_eigen, svd
 from .polar import isometry_from_svd
@@ -240,10 +240,9 @@ def deformed_of(a, *, tols: Tolerances = DEFAULT) -> SpectralMeasure:
 
 def _as_scalar_function(g) -> Callable[[float], complex]:
     if isinstance(g, str):
-        ast = parse_g(g)
-        return lambda lam: evaluate(ast, lam)
+        return compile_expr(parse_g(g))
     if isinstance(g, GExpr):
-        return lambda lam: evaluate(g, lam)
+        return compile_expr(g)
     if callable(g):
         return lambda lam: complex(g(lam))
     raise TypeError(f"g must be text, a parsed expression, or a callable; got {type(g)!r}")

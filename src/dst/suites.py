@@ -40,9 +40,9 @@ from .adjoint import (
 )
 from .config import DEFAULT, Tolerances
 from .ensembles import Ensemble, generate
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInput
 from .fileio import digest
-from .gexpr import evaluate
+from .gexpr import compile_expr
 from .gexpr import parse as parse_g
 from .kuelbs import KuelbsEmbedding, LpSpace, build_kuelbs, canonical_duality_map, lax_diagnostic, steadman
 from .linalg import EigenSystem, fro, gram_norm_rows, herm, hermitian_eigen
@@ -238,7 +238,8 @@ def _g_of_psd(es: EigenSystem, ast) -> np.ndarray:
     """g(T) through an eigendecomposition (of each matrix of a stack),
     clamping roundoff negatives."""
     psd = np.where(es.values < 0.0, 0.0, es.values)
-    vals = np.array([evaluate(ast, v) for v in psd.ravel().tolist()], dtype=np.complex128).reshape(psd.shape)
+    g = compile_expr(ast)
+    vals = np.array([g(v) for v in psd.ravel().tolist()], dtype=np.complex128).reshape(psd.shape)
     return (es.vectors * vals[..., None, :]) @ herm(es.vectors)
 
 
@@ -420,16 +421,13 @@ def _suite_kuelbs(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> list
                 "h_selfadjoint", dim, max(2, cfg.trials // 2),
                 _stream(cfg, f"kuelbs/lax/{p}/{dim}"), gram=emb.gram,
             )
-            lax_margin = -math.inf
-            lax_selfadj = True
-            for a in generate(ens):
-                diag = lax_diagnostic(emb, a, tols=tols)
-                lax_margin = max(lax_margin, diag.ratio - diag.bound)
-                lax_selfadj = lax_selfadj and diag.is_h_selfadjoint
+            diag = lax_diagnostic(emb, generate(ens), tols=tols)
+            lax_margin = float((diag.ratio - diag.bound).max())
 
             metrics.update(gram_min_eig=gram_min, dual_gram=dual_gram_err, lax_margin=lax_margin)
             cases.append(
-                _case(cfg, f"kuelbs/p{p}/n{dim}", gram, metrics, limits, gram_min > 0.0, lax_selfadj)
+                _case(cfg, f"kuelbs/p{p}/n{dim}", gram, metrics, limits, gram_min > 0.0,
+                      bool(diag.is_h_selfadjoint.all()))
             )
     return cases
 
@@ -488,7 +486,7 @@ def _suite_baire(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> list[
             with np.errstate(over="ignore"):  # an infinite bound holds for any error, so it is refused
                 overflow = ~np.isfinite(bnd.max(axis=1) / lams[0] * slack)
             if overflow.any():
-                raise ValueError(
+                raise InvalidInput(
                     f"baire/p{p}/n{dim}/t{int(np.argmax(overflow))}: error bound / lambda overflows"
                     f" at lambda {lams[0]!r}"
                 )

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dst.errors import EvalError, ExprSyntaxError, UnknownFunction, UnknownIdentifier
-from dst.gexpr import BinOp, Call, Neg, Number, Var, evaluate, parse
+from dst.gexpr import FUNCTIONS, BinOp, Call, Neg, Number, Var, compile_expr, evaluate, parse
 
 
 def ev(src, lam=0.0):
@@ -179,3 +179,42 @@ def test_polynomials_match_horner(coeffs, lam):
         want = want * lam + c
     assert got.real == pytest.approx(want, rel=1e-13, abs=1e-10)
     assert got.imag == pytest.approx(0.0, abs=1e-12)
+
+
+def _walk(e, lam):
+    """Reference evaluation: a walk of the tree at each point."""
+    if isinstance(e, Number):
+        return e.value
+    if isinstance(e, Var):
+        return complex(lam)
+    if isinstance(e, Neg):
+        return -_walk(e.operand, lam)
+    if isinstance(e, Call):
+        return FUNCTIONS[e.name](_walk(e.arg, lam))
+    a, b = _walk(e.left, lam), _walk(e.right, lam)
+    return {"+": a + b, "-": a - b, "*": a * b}[e.op] if e.op in "+-*" else (a / b if e.op == "/" else a**b)
+
+
+@pytest.mark.parametrize("src", CORPUS)
+def test_a_compiled_expression_walks_the_tree_bit_for_bit(src):
+    g = compile_expr(parse(src))
+    for lam in (0.7, 1e-300, 3.25, 1e3, 2.0 + 0.5j):
+        try:
+            want = _walk(parse(src), lam)
+        except (ArithmeticError, ValueError):
+            with pytest.raises(EvalError):
+                g(lam)
+            continue
+        got = g(lam)
+        assert (got.real.hex(), got.imag.hex()) == (complex(want).real.hex(), complex(want).imag.hex())
+
+
+def test_a_compiled_expression_raises_what_evaluate_raises():
+    for src, lam, message in (
+        ("1/lambda", 0.0, "division by zero"),
+        ("log(lambda)", 0.0, r"log\(0\) is undefined"),
+        ("sqrt(exp(lambda))", 1e3, "exp failed at"),
+        ("exp(exp(exp(lambda)))", 50.0, "exp failed at"),
+    ):
+        with pytest.raises(EvalError, match=message):
+            compile_expr(parse(src))(lam)

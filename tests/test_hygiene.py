@@ -1,7 +1,8 @@
 """Static checks of the package source and the README.
 
 Every name a module exports resolves, no module imports a name it never
-uses (a deletion that leaves its imports behind fails here), the
+uses (a deletion that leaves its imports behind fails here), no module
+raises a bare ``ValueError`` (a refusal is an ``InvalidInput``), the
 operator and suite modules leave the lp geometry to ``LpSpace`` and the
 Gram factors to ``GramMetric``, no module but ``GramMetric`` multiplies by
 a Gram, only ``h_polar`` touches the operator's
@@ -51,6 +52,16 @@ def test_no_unused_imports(stem):
     used |= set(_exports(stem))  # re-exports
     unused = sorted(imported - used)
     assert not unused, f"dst/{stem}.py imports {unused} and never uses them"
+
+
+@pytest.mark.parametrize("stem", MODULES)
+def test_no_bare_value_error_is_raised(stem):
+    # a refusal is an InvalidInput: a ToolkitError that is still a ValueError
+    tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
+    raised = [node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+              for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc is not None]
+    bare = sorted(node.lineno for node in raised if isinstance(node, ast.Name) and node.id == "ValueError")
+    assert not bare, f"dst/{stem}.py raises a bare ValueError at lines {bare}"
 
 
 @pytest.mark.parametrize("stem", ["adjoint", "suites"])

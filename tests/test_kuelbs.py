@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -638,15 +639,18 @@ def test_lp_operator_norm_stops_starts_that_have_merged(monkeypatch):
     real = LpSpace.duality_rows
 
     def spy(self, block):
-        rows.append(block.shape[0])
+        rows.append(int(np.prod(block.shape[:-1])))  # every row of the (count, k, n) block
         return real(self, block)
 
     monkeypatch.setattr(LpSpace, "duality_rows", spy)
     emb = build_kuelbs(LpSpace(64, 3.0))
     h = generate(Ensemble("h_selfadjoint", 64, 1, 115, gram=emb.gram))[0]
-    # rows through both half steps: 1144 and 360 with the merge, 1232 and
-    # 1046 when every start runs to its own stop test
-    for a, limit in ((Rng(115).matrix(64, 64), 1180), (h, 450)):
+    g = Rng(115).matrix(64, 64)
+    # rows through both half steps: 1144, 360 and 1878 (the stack carries
+    # the stopped rows of one matrix while the other needs their starts)
+    # with the merge; 1232, 1046 and 2568 when every start runs to its own
+    # stop test
+    for a, limit in ((g, 1180), (h, 450), (np.stack([g, h]), 1950)):
         rows.clear()
         lp_operator_norm(a, 3.0)
         assert sum(rows) <= limit
@@ -658,16 +662,115 @@ def test_lp_operator_norm_stops_starts_that_have_merged(monkeypatch):
     st.sampled_from([1.1, 1.5, 3.0, 8.0]),
     st.booleans(),
     st.integers(0, 2**32 - 1),
+    st.booleans(),
 )
-def test_lp_operator_norm_is_at_least_the_spectral_radius(n, p, hermitian, seed):
+def test_lp_operator_norm_is_at_least_the_spectral_radius(n, p, hermitian, seed, stacked):
     # ||A||_p >= |lambda| for every eigenvalue (A x = lambda x gives
     # ||A x||_p = |lambda| ||x||_p); the estimate, a lower bound of ||A||_p,
-    # reaches the spectral radius on these draws
+    # reaches the spectral radius on these draws, alone or as the second
+    # matrix of a stack
     a = Rng(seed).matrix(n, n)
     if hermitian:
         a = (a + herm(a)) / 2.0
     rho = float(np.abs(np.linalg.eigvals(a)).max())
-    assert lp_operator_norm(a, p).value >= rho * (1.0 - 1e-12)
+    if stacked:
+        value = lp_operator_norm(np.stack([Rng(seed + 1).matrix(n, n), a]), p).value[1]
+    else:
+        value = lp_operator_norm(a, p).value
+    assert value >= rho * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("kind", ["general", "h_selfadjoint"])
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("n", [2, 4, 16])
+def test_a_stack_estimates_each_matrix_as_its_own_call_does(kind, n, p):
+    gram = build_kuelbs(LpSpace(n, p)).gram if kind == "h_selfadjoint" else None
+    draws = generate(Ensemble(kind, n, 6, 4000 + 10 * n + int(p), gram=gram))
+    stack = np.concatenate([draws, draws[:1]])  # a repeated matrix merges no start with its twin
+    est = lp_operator_norm(stack, p)
+    assert est.method == "power" and est.value.shape == (7,) and est.maximizer.shape == (7, n)
+    for a, value, x in zip(stack, est.value, est.maximizer):
+        assert value == pytest.approx(lp_operator_norm(a, p).value, rel=1e-13)
+        assert vnorm(x, p) == pytest.approx(1.0, rel=1e-12)
+        assert vnorm(a @ x, p) == pytest.approx(value, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("n", [2, 16, 64])
+def test_a_stack_of_one_has_the_shapes_of_a_stack(n, p):
+    a = Rng(116 + n).matrix(n, n)
+    one, single = lp_operator_norm(a[None], p), lp_operator_norm(a, p)
+    assert isinstance(single.value, float) and single.maximizer.shape == (n,)
+    assert np.array_equal(one.value, [single.value]) and np.array_equal(one.maximizer, single.maximizer[None])
+
+
+# value (as float.hex) and the leading 16 hex digits of the sha256 of the
+# maximizer's bytes, as the iteration gave them before it took stacks
+_SINGLE_MATRIX_BITS = {
+    (16, 1.5): ("0x1.95eb5577e8876p+2", "31daaff3c63957ce"),
+    (16, 3.0): ("0x1.9ce02f63210f1p+2", "b87bec02438a180a"),
+    (64, 1.5): ("0x1.d61fca99af686p+3", "e21f90c76772220b"),
+    (64, 3.0): ("0x1.d8bfd1ad59130p+3", "0519a0c564257fde"),
+}
+
+
+@pytest.mark.parametrize(("n", "p"), sorted(_SINGLE_MATRIX_BITS))
+def test_a_single_matrix_keeps_its_bits(n, p):
+    est = lp_operator_norm(Rng(116 + n).matrix(n, n), p)
+    got = (est.value.hex(), hashlib.sha256(est.maximizer.tobytes()).hexdigest()[:16])
+    assert got == _SINGLE_MATRIX_BITS[n, p]
+
+
+@pytest.mark.parametrize("where", [0, 1])
+def test_an_operator_that_overflows_inside_a_stack_raises(where):
+    big = np.full((2, 2), 1e308 + 0j)  # its lp norm, 2e308 at p = 3, overflows
+    stack = np.insert(Rng(117).matrix(2, 2)[None], where, big, axis=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceFailure, match=r"max\(\|Re a_ij\|, \|Im a_ij\|\) = 1.000e\+308"):
+            lp_operator_norm(stack, 3.0)
+
+
+def test_a_stopped_start_that_the_block_still_carries_never_raises(monkeypatch):
+    # in diag(0, 1) the start e_1 stops at once (A e_1 = 0) while a general
+    # matrix keeps e_1 going, so the block carries its zero row; the spy
+    # turns the norm of every zero row after the first step into NaN, as an
+    # iterate that left the floating-point range would read
+    real, calls = LpSpace.duality_rows, []
+
+    def spy(self, block):
+        norms, psi = real(self, block)
+        calls.append(self.p)
+        if len(calls) > 2 and self.p == 3.0:
+            norms = np.where(np.abs(block).max(axis=-1) == 0.0, math.nan, norms)
+        return norms, psi
+
+    a = np.diag([0.0, 1.0]).astype(complex)
+    b = Rng(118).matrix(2, 2)
+    monkeypatch.setattr(LpSpace, "duality_rows", spy)
+    est = lp_operator_norm(np.stack([a, b]), 3.0)
+    assert len(calls) > 4  # the carried zero row went through at least one more step
+    monkeypatch.undo()
+    assert est.value[0] == 1.0
+    assert est.value[1] == pytest.approx(lp_operator_norm(b, 3.0).value, rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_lax_diagnostic_of_a_stack_is_the_diagnostic_of_each_matrix(p):
+    emb = build_kuelbs(LpSpace(8, p))
+    stack = generate(Ensemble("h_selfadjoint", 8, 5, 119, gram=emb.gram))
+    stack[4] += np.triu(np.ones((8, 8)), 1)  # not H-selfadjoint
+    diag = lax_diagnostic(emb, stack)
+    assert diag.method == "power" and diag.is_h_selfadjoint.tolist() == [True] * 4 + [False]
+    for idx, a in enumerate(stack):
+        one = lax_diagnostic(emb, a)
+        assert isinstance(one.norm_h, float) and isinstance(one.is_h_selfadjoint, bool)
+        # the Frobenius and frame 2-norms of a stack are those of each matrix, bit for bit
+        assert (diag.norm_h[idx], diag.selfadjoint_residual[idx], diag.bound) == (
+            one.norm_h, one.selfadjoint_residual, one.bound
+        )
+        assert diag.norm_b[idx] == pytest.approx(one.norm_b, rel=1e-13)
+        assert diag.ratio[idx] == pytest.approx(one.ratio, rel=1e-13)
 
 
 def test_lax_identity_and_selfadjoint_ensemble():

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dst.errors import InvalidP, NotHermitian, NotSquare
+from dst.errors import InvalidInput, InvalidP, NotHermitian, NotSquare, ToolkitError
+from dst.kuelbs import lp_operator_norm
 from dst.linalg import abs_norm, fro, gram_inner_rows, gram_norm_rows, herm, hermitian_eigen, svd, vnorm
+from dst.polar import polar_decompose
 from dst.rng import Rng
 
 
@@ -183,3 +185,22 @@ def test_svd_and_eigen_of_a_stack_are_those_of_each_matrix():
     assert np.allclose(dec.reconstruct(), a, atol=1e-13) and np.allclose(es.reconstruct(), a @ herm(a), atol=1e-12)
     with pytest.raises(NotHermitian):  # one bad matrix refuses the stack
         hermitian_eigen(np.stack([a[0] @ herm(a[0]), a[1]]))
+
+
+NAN_MATRIX = [[math.nan, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: lp_operator_norm(NAN_MATRIX, 3.0),
+        lambda: polar_decompose(NAN_MATRIX),
+        lambda: vnorm([1.0, math.inf], 2.0),
+        lambda: vnorm([math.nan, 0.0], 3.0),
+    ],
+    ids=["lp_operator_norm", "polar_decompose", "vnorm-inf", "vnorm-nan"],
+)
+def test_a_non_finite_entry_raises_a_toolkit_error(call):
+    with pytest.raises(ToolkitError) as info:
+        call()
+    assert isinstance(info.value, InvalidInput) and isinstance(info.value, ValueError)

@@ -4,7 +4,13 @@ per-metric moves of two reports."""
 import copy
 import importlib.util
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
+
+import dst
 
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "report_diff.py"
@@ -72,3 +78,26 @@ def test_a_missing_case_is_named_on_its_side(tmp_path):
 def test_usage_without_two_reports(capsys):
     assert report_diff.main(["one.json"]) == 2
     assert "report_diff.py A.json B.json" in capsys.readouterr().err
+
+
+def _verify_at(threads: int, path: Path) -> dict:
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": str(Path(dst.__file__).parents[1])}
+    argv = ["verify", "--suite", "banach-spectral", "--dims", "64", "--trials", "2", "--no-timestamp",
+            "--report", str(path)]
+    subprocess.run([sys.executable, "-m", "dst", *argv], env=env, check=True, capture_output=True)
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def test_blas_threads_move_no_metric_beyond_its_tolerance(tmp_path):
+    # above n ~ 48 the report bytes may depend on the BLAS thread count;
+    # the cases, their pass flags and each metric to within its tolerance may not
+    one, two = _verify_at(1, tmp_path / "one.json"), _verify_at(2, tmp_path / "two.json")
+    lines = report_diff.diff(one, two)[0]
+    assert lines[:3] == ["only in A: 0 cases", "only in B: 0 cases", "pass flips: 0"]
+    moves = {m[1]: float(m[2]) for m in (re.match(r"metric (\w+): .* max abs (\S+),", ln) for ln in lines) if m}
+    limits = {}
+    for case in one["cases"]:
+        for name, tol in case["tolerances"].items():
+            limits[name] = min(tol, limits.get(name, tol))
+    assert set(moves) == set(limits) == {"funcalc_identity", "reconstruction_lp"}
+    assert all(moves[name] <= limits[name] for name in moves), (moves, limits)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import dst.adjoint
+import dst.kuelbs
 import dst.suites
 from dst.adjoint import AdjointPair
 from dst.cli import _emit, build_parser, main
@@ -98,7 +99,7 @@ def test_golden_report_digest(tmp_path, capsys):
 
 # The same for the benchmarked run (896 cases), whose kuelbs suite calls
 # lp_operator_norm at dims 2 through 16.
-GOLDEN_BENCH_REPORT = "761a323f55823fbabbd1f9b8ee13f1f55b200a71debc2c9e909596e9b1e47b14"
+GOLDEN_BENCH_REPORT = "94c8932f6f704ebc08a366e0d430ca26669f5eb98738bc45cfff5feac5b7b773"
 
 
 def test_golden_bench_report_digest(tmp_path, capsys):
@@ -117,6 +118,20 @@ def test_run_suite_builds_each_embedding_once_per_call(monkeypatch):
     assert sorted(built) == [(1.5, 2), (1.5, 4), (3.0, 2), (3.0, 4)]
     run_suite("all", cfg)  # nothing is kept between calls
     assert len(built) == 8
+
+
+def test_kuelbs_suite_estimates_each_configurations_lax_operators_in_one_call(monkeypatch):
+    shapes = []
+    estimate = dst.kuelbs.lp_operator_norm
+
+    def spy(a, p):
+        shapes.append((p, np.shape(a)))
+        return estimate(a, p)
+
+    monkeypatch.setattr(dst.kuelbs, "lp_operator_norm", spy)
+    cfg = SuiteConfig(dims=(2, 4), trials=4)
+    assert run_suite("kuelbs", cfg).passed
+    assert shapes == [(p, (2, dim, dim)) for p in cfg.ps for dim in cfg.dims]
 
 
 def test_deformed_suite_diagonalizes_each_negdef_input_once(lapack_calls):

@@ -69,7 +69,7 @@ def _summary(pairs: list[dict]) -> dict:
     for name, lower in LOWER_IS_BETTER.items():
         par = [p["parent"]["metrics"][name] for p in pairs]
         chg = [p["change"]["metrics"][name] for p in pairs]
-        q = statistics.quantiles(par, n=4)
+        q = statistics.quantiles(par, n=4) if len(par) > 1 else (0.0, 0.0, 0.0)  # one pair has no spread
         out[name] = {
             "parent_median": statistics.median(par),
             "change_median": statistics.median(chg),
