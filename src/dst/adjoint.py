@@ -131,7 +131,8 @@ class AdjointAxioms:
 
     accretive_min                 -- min of Re(A*A u, u)_H / (u, u)_H
     natural_selfadjoint_residual  -- ||(A*A)* - A*A||_F / (1 + ||A*A||_F)
-    inverse_norm                  -- H-operator norm of inv(I + A*A)
+    inverse_norm                  -- H-operator norm of inv(I + A*A), inf
+                                     when I + A*A is singular
     """
 
     accretive_min: float
@@ -142,29 +143,32 @@ class AdjointAxioms:
 def adjoint_axioms(pair: AdjointPair, *, probes: Sequence[np.ndarray] = ()) -> AdjointAxioms:
     """Check accretivity, natural selfadjointness, and the inverse bound.
 
+    Two of the three are read off one frame matrix F = L* A*A inv(L*).
     The accretive minimum sweeps an H-orthonormal basis (the columns of
-    inv(L*)) plus any supplied probe vectors, as one block; for a stack,
-    ``probes`` holds one block of probe rows per matrix.
+    inv(L*)), whose quotients (A*A u_i, u_i)_H are the entries Re F_ii,
+    plus any supplied probe vectors; for a stack, ``probes`` holds one
+    block of probe rows per matrix. The inverse bound is the H-norm of
+    inv(I + A*A), which is 1 / sigma_min(I + F); a singular I + A*A has
+    no bounded inverse, and its inverse_norm is inf.
     """
     astar_a = pair.astar @ pair.operator.matrix
     metric = pair.operator.metric
-    n = astar_a.shape[-1]
+    frame = metric.to_frame(astar_a)
 
-    # one block: the basis, then the probes, as rows
-    us = metric.basis
+    accretive_min = np.diagonal(frame, axis1=-2, axis2=-1).real.min(axis=-1)
     if len(probes):
-        us = np.concatenate([np.broadcast_to(us, astar_a.shape), as_stack(probes)], axis=-2)
-    den = metric.inner_rows(us, us).real
-    num = metric.inner_rows(us @ astar_a.mT, us).real
-    pos = den > 0.0
-    ratio = np.where(pos, num / np.where(pos, den, 1.0), np.inf).min(axis=-1)
-    accretive_min = np.where(pos.any(axis=-1), ratio, 0.0)[()]
+        us = as_stack(probes)  # the probes, as rows
+        den = metric.inner_rows(us, us).real
+        num = metric.inner_rows(us @ astar_a.mT, us).real
+        pos = den > 0.0
+        accretive_min = np.minimum(accretive_min, np.where(pos, num / np.where(pos, den, 1.0), np.inf).min(axis=-1))
 
     second = metric.adjoint_of(astar_a)
     ns_resid = fro(second - astar_a) / (1.0 + fro(astar_a))
 
-    inv_op = np.linalg.solve(np.eye(n) + astar_a, np.eye(n, dtype=np.complex128))
-    inverse_norm = np.linalg.norm(metric.to_frame(inv_op), 2, axis=(-2, -1))
+    # I is added in the frame, where L* I inv(L*) = I holds exactly
+    with np.errstate(divide="ignore"):
+        inverse_norm = 1.0 / np.linalg.norm(np.eye(frame.shape[-1]) + frame, -2, axis=(-2, -1))
     return AdjointAxioms(
         accretive_min=accretive_min,
         natural_selfadjoint_residual=ns_resid,
@@ -208,6 +212,11 @@ def h_polar(op: BanachOperator, *, tols: Tolerances = DEFAULT) -> PolarDecomposi
     the Cholesky frame: T and Tbar are H-selfadjoint H-PSD, U an
     H-partial-isometry; rank, tol and threshold are the frame's.
 
+    U and Tbar are pulled back to coordinates. T keeps its frame spectral
+    resolution: ``sigma`` and ``V`` are the frame matrix's, ``metric`` is
+    the operator's, and T = inv(L*) V diag(sigma) V* L* is formed on first
+    read.
+
     Computed once per operator and tolerance set: later calls with equal
     ``tols`` return the same read-only :class:`PolarDecomposition`, which
     the Baire study and approximant share. This is the only writer of the
@@ -217,7 +226,7 @@ def h_polar(op: BanachOperator, *, tols: Tolerances = DEFAULT) -> PolarDecomposi
     if gp is None:
         p = polar_from_svd(_frame_svd(op), tols=tols)
         pull = op.metric.from_frame
-        gp = op._polars[tols] = replace(p, U=pull(p.U), T=pull(p.T), Tbar=pull(p.Tbar))
+        gp = op._polars[tols] = replace(p, U=pull(p.U), Tbar=pull(p.Tbar), metric=op.metric)
     return gp
 
 
@@ -263,11 +272,14 @@ class ResolventProbe:
 
 def baire_approximant(op: BanachOperator, lam: float, *, tols: Tolerances = DEFAULT) -> ResolventProbe:
     """Bounded approximant of A at a resolvent parameter lam that
-    :func:`lambda_schedule` accepts (positive, lam and 1/lam finite)."""
+    :func:`lambda_schedule` accepts (positive, lam and 1/lam finite).
+
+    The resolvent is inv(L*) V diag(1/(lam + sigma)) V* L*, from the
+    spectral resolution of T that the H-polar keeps; nothing is solved.
+    """
     (lam,) = lambda_schedule((lam,))
     gp = h_polar(op, tols=tols)
-    n = op.space.dim
-    resolvent = np.linalg.solve(lam * np.eye(n) + gp.T, np.eye(n, dtype=np.complex128))
+    resolvent = op.metric.from_frame((gp.V / (lam + gp.sigma)[..., None, :]) @ herm(gp.V))
     a_lambda = lam * (op.matrix @ resolvent)
     return ResolventProbe(lam=lam, resolvent=resolvent, a_lambda=a_lambda, polar=gp)
 
@@ -298,11 +310,14 @@ def baire_convergence_study(
     (1/lam) ||Tbar A phi||_H scaled by the H -> lp equivalence constant
     of the Gram factorization, so every row satisfies error <= bound.
     Rows come back in schedule order, which must be valid for
-    :func:`lambda_schedule` (non-empty and ascending). Each lambda costs
-    one LU of lam I + T, solved against the phi columns only (at least
-    one phi), and one product with A; no n x n resolvent is formed. The rows
-    depend on T and Tbar alone, which no threshold cuts, so the study
-    takes no tolerances and shares the operator's default H-polar. A
+    :func:`lambda_schedule` (non-empty and ascending). The resolvent
+    inv(lam I + T) = inv(L*) V diag(1/(lam + sigma)) V* L* comes from the
+    H-polar's spectral resolution of T: V* L* phi is formed once, and each
+    lambda costs a rescaling, a product with inv(L*) V and one with A,
+    against the phi columns only (at least one phi); nothing is solved and
+    no n x n resolvent is formed. The rows depend on T and Tbar alone,
+    which no threshold cuts, so the study takes no tolerances and shares
+    the operator's default H-polar. A
     bound that overflows at the smallest lambda is refused (InvalidInput),
     since an infinite bound holds for any error.
     """
@@ -312,7 +327,6 @@ def baire_convergence_study(
         raise InvalidInput("lambda schedule capped at 1e8")
     m, space = op.metric, op.space
     gp = h_polar(op)
-    n = space.dim
     # ||x||_p <= l2_to_p ||x||_2 and ||x||_2 <= ||x||_H / sqrt(min eig G)
     h_to_b = space.l2_to_p / math.sqrt(m.eig_min)
     phi_block = as_matrix(phis)  # rows are the phi
@@ -320,9 +334,11 @@ def baire_convergence_study(
     bound = float((h_to_b * m.norm_rows(a_phi @ gp.Tbar.T)).max())  # times 1/lam
     if not math.isfinite(bound / lams[0]):  # an infinite bound holds for any error
         raise InvalidInput(f"error bound {bound!r} / lambda overflows at lambda {lams[0]!r}")
+    left, right = m.from_frame_factors(gp.V, herm(gp.V))
+    v_phi = right @ phi_block.T  # columns are V* L* phi
     rows = []
     for lam in lams:
-        r_phi = np.linalg.solve(lam * np.eye(n) + gp.T, phi_block.T)  # columns are R phi
+        r_phi = left @ (v_phi / (lam + gp.sigma)[:, None])  # columns are R phi
         err = space.norm_rows(lam * (op.matrix @ r_phi).T - a_phi)
         rows.append(ConvergenceRow(lam=lam, max_error=float(err.max()), bound=bound / lam))
     return rows

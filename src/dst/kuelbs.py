@@ -602,7 +602,11 @@ def lax_diagnostic(k: KuelbsEmbedding, a, *, tols: Tolerances = DEFAULT) -> LaxD
     m = k.metric
     ga = m.apply(a)
     resid = fro(ga - herm(ga)) / (1.0 + fro(ga))
-    norm_h = _scalar(np.linalg.norm(m.to_frame(a), 2, axis=(-2, -1)))
+    frame = m.to_frame(a)
+    # ||a||_H is the frame's top singular value, the root of the top
+    # eigenvalue of its Gram, which keeps full relative accuracy
+    top = np.linalg.eigvalsh(herm(frame) @ frame)[..., -1]
+    norm_h = _scalar(np.sqrt(np.maximum(top, 0.0)))
     est = lp_operator_norm(a, k.space.p)
     return LaxDiagnostic(
         is_h_selfadjoint=resid <= _SELFADJOINT_REL * max(1.0, tols.scale),

@@ -18,12 +18,17 @@ LAPACK call for the stack; ``rank`` and ``threshold`` become arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import DimensionMismatch, NotSquare
 from .linalg import SvdResult, as_matrix, as_stack, herm, svd
+
+if TYPE_CHECKING:
+    from .kuelbs import GramMetric
 
 __all__ = ["PolarDecomposition", "polar_decompose", "isometry_from_svd", "polar_from_svd", "intertwining_check"]
 
@@ -37,23 +42,40 @@ class PolarDecomposition:
     """Factors of A = U T = Tbar U.
 
     U:         partial isometry, zero on ker(T)
-    T:         Hermitian PSD factor (A*A)^(1/2)
     Tbar:      Hermitian PSD factor (AA*)^(1/2)
+    sigma:     singular values of A, descending
+    V:         right singular vectors of A (columns), so T = V diag(sigma) V*
     rank:      number of singular values above the threshold
     tol:       relative rank tolerance actually used
     threshold: absolute singular-value cutoff, tol * sigma_max
+    metric:    for an H-polar, the GramMetric whose frame sigma and V
+               belong to (T is V diag(sigma) V* pulled back); else None
+
+    T, the Hermitian PSD factor (A*A)^(1/2), is kept as its spectral
+    resolution (sigma, V) and formed, read-only, on first read; later
+    reads return the same array.
     """
 
     U: np.ndarray
-    T: np.ndarray
     Tbar: np.ndarray
+    sigma: np.ndarray
+    V: np.ndarray
     rank: int | np.ndarray
     tol: float
     threshold: float | np.ndarray
+    metric: GramMetric | None = None
 
     def __post_init__(self):
-        for a in (self.U, self.T, self.Tbar):
+        for a in (self.U, self.Tbar, self.sigma, self.V):
             a.setflags(write=False)
+
+    @cached_property
+    def T(self) -> np.ndarray:
+        t = _hermitize((self.V * self.sigma[..., None, :]) @ herm(self.V))
+        if self.metric is not None:
+            t = self.metric.from_frame(t)
+        t.setflags(write=False)
+        return t
 
 
 def polar_decompose(a, *, tols: Tolerances = DEFAULT) -> PolarDecomposition:
@@ -88,15 +110,13 @@ def isometry_from_svd(dec: SvdResult, *, tols: Tolerances = DEFAULT) -> tuple[np
 def polar_from_svd(dec: SvdResult, *, tols: Tolerances = DEFAULT) -> PolarDecomposition:
     """Polar factors of a square matrix from its SVD A = W S V*.
 
-    U, rank and threshold come from :func:`isometry_from_svd`; T = V S V*
-    and Tbar = W S W*. The result does not keep ``dec``; callers that
-    also want the spectral resolution of T read it off ``dec`` itself.
+    U, rank and threshold come from :func:`isometry_from_svd`; Tbar =
+    W S W*. The result keeps ``dec``'s S and V as the spectral resolution
+    of T = V S V*, which it forms on first read.
     """
     u, rank, rel, threshold = isometry_from_svd(dec, tols=tols)
-    s = dec.sigma[..., None, :]
-    t = _hermitize((dec.right * s) @ herm(dec.right))
-    tbar = _hermitize((dec.left * s) @ herm(dec.left))
-    return PolarDecomposition(U=u, T=t, Tbar=tbar, rank=rank, tol=rel, threshold=threshold)
+    tbar = _hermitize((dec.left * dec.sigma[..., None, :]) @ herm(dec.left))
+    return PolarDecomposition(U=u, Tbar=tbar, sigma=dec.sigma, V=dec.right, rank=rank, tol=rel, threshold=threshold)
 
 
 def intertwining_check(p: PolarDecomposition, a) -> float:

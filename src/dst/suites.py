@@ -477,7 +477,7 @@ def _suite_baire(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> list[
             a = generate(ens)
             op = banach_operator(a, embs[p, dim])
             gp = h_polar(op, tols=tols)
-            t_h_norm = np.linalg.norm(m.to_frame(gp.T), 2, axis=(-2, -1))
+            t_h_norm = gp.sigma[..., 0]  # ||T||_H, the frame's largest singular value
             sigma = np.linalg.svd(a, compute_uv=False)
             full_rank = sigma[:, -1] > _FULL_RANK_CUT * sigma[:, 0]
             phis = _draws(ens, 30_000, 4)  # rows are the phi

@@ -21,12 +21,14 @@ from dst.adjoint import (
     lambda_schedule,
 )
 from dst.config import DEFAULT, Tolerances
+from dst.ensembles import Ensemble, generate
 from dst.errors import BadGrid, DimensionMismatch, SingularGram
 from dst.kuelbs import KuelbsEmbedding, LpSpace, build_kuelbs
 from dst.linalg import abs_norm, gram_norm_rows, herm, svd, vnorm
 from dst.polar import PolarDecomposition, polar_decompose
 from dst.rng import Rng
 from dst.spectral import deform, deformation_from_svd, deformed_of, integrate
+from dst.suites import Report, SuiteConfig, _case
 
 
 EPS = float(np.finfo(np.float64).eps)
@@ -533,3 +535,120 @@ def test_a_stack_of_operators_gives_each_its_own_metrics(dense):
         assert probe.identity_residual()[k] == one_probe.identity_residual()
         assert intertwining_residual(op, probe)[k] == intertwining_residual(one, one_probe)
         assert resid[k] == banach_deformed_spectral(one).reconstruction_residual
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """The number of ``numpy.linalg.solve`` calls made while the test runs."""
+    calls = []
+    orig = np.linalg.solve
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return calls
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+def test_polar_resolvents_and_axioms_solve_nothing(solve_calls, dense):
+    rng = Rng(240)
+    emb = build_kuelbs(LpSpace(6, 3.0), seeds=[rng.vector(6) for _ in range(8)] if dense else None)
+    op = banach_operator(rng.matrix(6, 6), emb)
+    pair = adjoint(op)  # a dense Gram's adjoint is one solve against G
+    solve_calls.clear()
+    h_polar(op)
+    baire_convergence_study(op, rng.matrix(3, 6), (1e1, 1e2, 1e3))
+    probes = [baire_approximant(op, lam) for lam in (1e1, 1e2)]
+    assert solve_calls == []
+    adjoint_axioms(pair, probes=rng.matrix(2, 6))
+    # the natural-selfadjoint check takes the generic adjoint of A*A,
+    # which solves against a dense Gram; the inverse bound solves nothing
+    assert len(solve_calls) == int(dense)
+    solve_calls.clear()
+    for probe in probes:
+        intertwining_residual(op, probe)  # the independent oracle keeps its solve
+    assert solve_calls == [(6, 6), (6, 6)]
+
+
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_approximant_resolvent_is_the_solved_resolvent(n):
+    # both forms carry about eps cond(L*) cond(lam I + T) of rounding, so the
+    # dense Gram (cond 5.6e8 at n = 64) is held to 1e-12 only at small n
+    rng = Rng(241 + n)
+    embs = [build_kuelbs(LpSpace(n, 3.0))]
+    if n <= 8:
+        embs.append(build_kuelbs(LpSpace(n, 3.0), seeds=[rng.vector(n) for _ in range(n + 2)]))
+    for emb in embs:
+        for a in (rng.matrix(n, n), generate(Ensemble("rankdef", n, 1, 242, rank=max(1, n // 2)))[0]):
+            op = banach_operator(a, emb)
+            t = h_polar(op).T
+            for lam in (1e1, 1e2, 1e3, 1e4, 1e8):
+                solved = np.linalg.solve(lam * np.eye(n) + t, np.eye(n, dtype=np.complex128))
+                got = baire_approximant(op, lam).resolvent
+                assert np.linalg.norm(got - solved) <= 1e-12 * np.linalg.norm(solved)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+def test_axioms_of_a_stack_are_each_matrix_axioms(dense):
+    rng = Rng(243)
+    emb = build_kuelbs(LpSpace(5, 1.5), seeds=[rng.vector(5) for _ in range(7)] if dense else None)
+    stack = rng.matrix(4 * 5, 5).reshape(4, 5, 5)
+    probes = rng.matrix(4 * 3, 5).reshape(4, 3, 5)
+    probes[1, 2] = 0.0  # a zero probe has no quotient and is skipped
+    pair = adjoint(banach_operator(stack, emb))
+    for with_probes in (False, True):
+        ax = adjoint_axioms(pair, probes=probes if with_probes else ())
+        for k, a in enumerate(stack):
+            one = adjoint_axioms(adjoint(banach_operator(a, emb)), probes=probes[k] if with_probes else ())
+            assert ax.accretive_min[k] == one.accretive_min
+            assert ax.natural_selfadjoint_residual[k] == one.natural_selfadjoint_residual
+            assert ax.inverse_norm[k] == one.inverse_norm
+
+
+@pytest.mark.parametrize("n", [4, 32])
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+def test_inverse_norm_is_one_over_the_least_frame_singular_value(n, dense):
+    # oracle: an SVD of the coordinate matrix L* (I + A*A) inv(L*), with L
+    # from numpy's own Cholesky of G and the identity added before the map
+    rng = Rng(244 + n)
+    emb = build_kuelbs(LpSpace(n, 3.0), seeds=[rng.vector(n) for _ in range(n + 2)] if dense else None)
+    ell_h = herm(np.linalg.cholesky(emb.gram))
+    for _ in range(3):
+        pair = adjoint(banach_operator(rng.matrix(n, n), emb))
+        coords = ell_h @ (np.eye(n) + pair.astar @ pair.operator.matrix) @ np.linalg.inv(ell_h)
+        expect = 1.0 / np.linalg.svd(coords, compute_uv=False)[-1]
+        ax = adjoint_axioms(pair)
+        assert ax.inverse_norm == pytest.approx(expect, rel=1e-9)
+        assert ax.inverse_norm <= 1.0 + 1e-10
+
+
+def test_accretive_basis_sweep_is_the_frame_diagonal():
+    # basis row u_i = inv(L*) e_i: (A*A u_i, u_i)_H / (u_i, u_i)_H = (L* A*A inv(L*))_ii
+    rng = Rng(245)
+    emb = build_kuelbs(LpSpace(6, 3.0), seeds=[rng.vector(6) for _ in range(8)])
+    a = rng.matrix(6, 6)
+    pair = adjoint(banach_operator(a, emb))
+    us = emb.metric.basis
+    ata = pair.astar @ a
+    quotients = [np.vdot(u, emb.gram @ (ata @ u)).real / np.vdot(u, emb.gram @ u).real for u in us]
+    assert adjoint_axioms(pair).accretive_min == pytest.approx(min(quotients), rel=1e-12)
+
+
+def test_singular_i_plus_astar_a_reports_an_infinite_inverse_norm():
+    # A = I with A* = -I: I + A*A = 0 has no inverse; the bound is inf, so
+    # its gate fails by name and the report lists it as non-finite
+    emb = build_kuelbs(LpSpace(3, 3.0))
+    eye = np.eye(3, dtype=np.complex128)
+    pair = AdjointPair(banach_operator(eye, emb), astar=-eye)
+    ax = adjoint_axioms(pair)
+    assert ax.inverse_norm == math.inf
+    assert ax.accretive_min == pytest.approx(-1.0)
+    metrics = adjoint_metrics(pair, Rng(246).matrix(16, 3))
+    cfg = SuiteConfig()
+    bounded = metrics["inverse_norm"] <= 1.0 + cfg.tolerance("adjoint.inverse")
+    case = _case(cfg, "adjoint/singular", eye, metrics, {}, bounded)
+    assert not case.passed
+    summary = Report("adjoint", 0, {}, (case,)).to_obj()["summary"]
+    assert summary["nonfinite"] == ["adjoint/singular:inverse_norm"]

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from dst.adjoint import banach_operator, h_polar
 from dst.ensembles import Ensemble, generate
 from dst.errors import DimensionMismatch, NotSquare
+from dst.kuelbs import LpSpace, build_kuelbs
 from dst.linalg import herm, hermitian_eigen, svd
 from dst.polar import intertwining_check, isometry_from_svd, polar_decompose, polar_from_svd
 from dst.rng import Rng
@@ -115,3 +117,46 @@ def test_isometry_keeps_the_leading_singular_vectors(n):
         assert rank == expected_rank
         keep = dec.sigma > threshold  # the kept columns, selected by mask
         assert np.array_equal(u, dec.left[:, keep] @ herm(dec.right[:, keep]))
+
+
+def _parent_t(dec) -> np.ndarray:
+    """T = V S V*, hermitized, as formed eagerly from the SVD."""
+    t = (dec.right * dec.sigma[..., None, :]) @ herm(dec.right)
+    return (t + herm(t)) / 2.0
+
+
+@pytest.mark.parametrize("kind", ["general", "rankdef"])
+@pytest.mark.parametrize("count", [1, 3], ids=["single", "stack"])
+def test_t_formed_on_first_read_is_the_eager_t(kind, count):
+    stack = generate(Ensemble(kind, 12, count, 51, rank=5 if kind == "rankdef" else None))
+    a = stack[0] if count == 1 else stack
+    dec = svd(a)
+    p = polar_decompose(a)
+    assert np.array_equal(p.sigma, dec.sigma) and np.array_equal(p.V, dec.right)
+    assert p.metric is None and "T" not in vars(p)  # not formed yet
+    t = p.T
+    assert np.array_equal(t, _parent_t(dec))
+    assert p.T is t  # a second read returns the same array
+    for arr in (t, p.U, p.Tbar, p.sigma, p.V):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
+
+
+@pytest.mark.parametrize("kind", ["general", "rankdef"])
+@pytest.mark.parametrize("count", [1, 3], ids=["single", "stack"])
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+def test_h_polar_t_formed_on_first_read_is_the_pulled_back_eager_t(kind, count, dense):
+    rng = Rng(52)
+    emb = build_kuelbs(LpSpace(12, 3.0), seeds=[rng.vector(12) for _ in range(14)] if dense else None)
+    stack = generate(Ensemble(kind, 12, count, 53, rank=5 if kind == "rankdef" else None))
+    a = stack[0] if count == 1 else stack
+    m = emb.metric
+    dec = svd(m.to_frame(a))
+    gp = h_polar(banach_operator(a, emb))
+    assert gp.metric is m and "T" not in vars(gp)
+    assert np.array_equal(gp.sigma, dec.sigma) and np.array_equal(gp.V, dec.right)
+    t = gp.T
+    assert np.array_equal(t, m.from_frame(_parent_t(dec)))
+    assert gp.T is t
+    with pytest.raises(ValueError):
+        t[(0,) * t.ndim] = 1.0

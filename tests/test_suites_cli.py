@@ -83,7 +83,7 @@ def test_verify_defaults_are_the_suite_config_defaults():
 # SHA-256 of the default `dst verify --suite all --no-timestamp` report,
 # pinned with Python 3.11, numpy 2.4 and OpenBLAS 0.3.31. Re-pin only with
 # a CHANGES.md entry that gives the largest metric drift.
-GOLDEN_DEFAULT_REPORT = "258b7a8fbeade39e891bcc5412b55ceb0f521700a8ed44288c1ffb53860aeb57"
+GOLDEN_DEFAULT_REPORT = "9f5dbe4e67a6c5823422fd1bf758a7f74cf0547907c5310c3286855df5757b3d"
 
 
 def _report_digest(tmp_path, *args) -> str:
@@ -99,7 +99,7 @@ def test_golden_report_digest(tmp_path, capsys):
 
 # The same for the benchmarked run (896 cases), whose kuelbs suite calls
 # lp_operator_norm at dims 2 through 16.
-GOLDEN_BENCH_REPORT = "94c8932f6f704ebc08a366e0d430ca26669f5eb98738bc45cfff5feac5b7b773"
+GOLDEN_BENCH_REPORT = "3a5b88705c8f3843f4c6934a5068577e21e5873c56af577f97998f674d16fb37"
 
 
 def test_golden_bench_report_digest(tmp_path, capsys):

@@ -12,7 +12,11 @@ seconds and exact counts; a stacked LAPACK call counts once) and one
 Tier-1 run. The file keeps every sample next to its summary: per metric,
 both medians, the pairs the change won, the parent's interquartile range
 and the median over the pairs of change/parent, which a host that
-drifts between pairs moves less than it moves either median. It also
+drifts between pairs moves less than it moves either median. Next to
+these, ``rule_met`` says whether the change won at least nine tenths of
+the pairs with a median gain wider than the parent's interquartile
+range, and ``pass_s`` gets ``pass_min_median``, per side the median over
+runs of each run's fastest pass. Both are informational. The file also
 keeps each side's perfbench ``env`` line (BLAS build and thread count).
 """
 
@@ -64,20 +68,34 @@ def _paired_ratio_median(pairs: list[dict], name: str) -> float:
     return statistics.median(p["change"]["metrics"][name] / p["parent"]["metrics"][name] for p in pairs)
 
 
+def _pass_min_median(pairs: list[dict], side: str) -> float | None:
+    """The median over runs of each run's fastest timed pass (None without samples)."""
+    mins = [min(p[side]["pass_samples_s"]) for p in pairs if p[side].get("pass_samples_s")]
+    return statistics.median(mins) if mins else None
+
+
 def _summary(pairs: list[dict]) -> dict:
     out = {}
     for name, lower in LOWER_IS_BETTER.items():
         par = [p["parent"]["metrics"][name] for p in pairs]
         chg = [p["change"]["metrics"][name] for p in pairs]
         q = statistics.quantiles(par, n=4) if len(par) > 1 else (0.0, 0.0, 0.0)  # one pair has no spread
+        par_med, chg_med = statistics.median(par), statistics.median(chg)
+        won = sum((c < p) if lower else (c > p) for p, c in zip(par, chg))
+        gain = (par_med - chg_med) if lower else (chg_med - par_med)
         out[name] = {
-            "parent_median": statistics.median(par),
-            "change_median": statistics.median(chg),
-            "change_won": sum((c < p) if lower else (c > p) for p, c in zip(par, chg)),
+            "parent_median": par_med,
+            "change_median": chg_med,
+            "change_won": won,
             "pairs": len(pairs),
             "parent_iqr": q[2] - q[0],
             "paired_ratio_median": _paired_ratio_median(pairs, name),
+            # informational: the gain rule, nine tenths of the pairs won and
+            # a median gain wider than the parent's interquartile range
+            "rule_met": won >= 0.9 * len(pairs) and gain > q[2] - q[0],
         }
+    # informational: each side's median over runs of the run's fastest pass
+    out["pass_s"]["pass_min_median"] = {side: _pass_min_median(pairs, side) for side in ("parent", "change")}
     return out
 
 
