@@ -41,7 +41,7 @@ the stack and gives each residual or norm as an array over it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -49,10 +49,9 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import BadGrid, DimensionMismatch, InvalidInput
 from .kuelbs import GramMetric, KuelbsEmbedding, LpSpace
-from .linalg import SvdResult, as_matrix, as_stack, fro, herm, svd
-from .polar import PolarDecomposition, polar_from_svd
+from .linalg import as_matrix, as_stack, fro, herm, svd
 from .rng import Rng
-from .spectral import SpectralMeasure, deform, deformation_from_svd
+from .spectral import PolarDecomposition, SpectralMeasure
 
 __all__ = [
     "BanachOperator",
@@ -201,32 +200,26 @@ def adjoint_metrics(pair: AdjointPair, draws: np.ndarray) -> dict[str, float | n
     }
 
 
-def _frame_svd(op: BanachOperator) -> SvdResult:
-    """SVD of the frame matrix L* A inv(L*), whose Euclidean geometry is
-    the operator's metric."""
-    return svd(op.metric.to_frame(op.matrix))
-
-
 def h_polar(op: BanachOperator, *, tols: Tolerances = DEFAULT) -> PolarDecomposition:
     """Polar decomposition A = U T = Tbar U in the operator's metric, via
     the Cholesky frame: T and Tbar are H-selfadjoint H-PSD, U an
     H-partial-isometry; rank, tol and threshold are the frame's.
 
-    U and Tbar are pulled back to coordinates. T keeps its frame spectral
-    resolution: ``sigma`` and ``V`` are the frame matrix's, ``metric`` is
-    the operator's, and T = inv(L*) V diag(sigma) V* L* is formed on first
-    read.
+    One SVD of the frame matrix L* A inv(L*) builds it: ``sigma``, ``W``
+    and ``V`` are the frame's, ``metric`` is the operator's, and every
+    view (U, T, Tbar, the measure of T and its deformation) is formed on
+    first read and pulled back to coordinates, e.g. T = inv(L*) V
+    diag(sigma) V* L*.
 
     Computed once per operator and tolerance set: later calls with equal
     ``tols`` return the same read-only :class:`PolarDecomposition`, which
-    the Baire study and approximant share. This is the only writer of the
-    operator's polar memo.
+    the Baire study and approximant and :func:`banach_deformed_spectral`
+    share. This is the only writer of the operator's polar memo.
     """
     gp = op._polars.get(tols)
     if gp is None:
-        p = polar_from_svd(_frame_svd(op), tols=tols)
-        pull = op.metric.from_frame
-        gp = op._polars[tols] = replace(p, U=pull(p.U), Tbar=pull(p.Tbar), metric=op.metric)
+        frame = svd(op.metric.to_frame(op.matrix))
+        gp = op._polars[tols] = PolarDecomposition.from_svd(frame, tols=tols, metric=op.metric)
     return gp
 
 
@@ -352,20 +345,18 @@ class BanachDeformedResult:
 
 def banach_deformed_spectral(op: BanachOperator, *, tols: Tolerances = DEFAULT) -> BanachDeformedResult:
     """Deformed spectral measure of an operator in its Gram metric: the
+    ``measure`` of its :func:`h_polar`, so the
     :func:`~dst.spectral.deformed_of` of the frame matrix L* A inv(L*),
     pulled back.
 
-    One SVD of the frame matrix gives the frame isometry and the measure
-    of T; the isometry is pulled back as inv(L*) U L*, and the measure's
+    The frame isometry is pulled back as inv(L*) U L*, and the measure's
     factors once each, left by inv(L*) and right by L*, so its projectors
     are H-orthogonal (idempotent and selfadjoint for the Gram inner
-    product, not the Euclidean one). T and Tbar are never formed, and the
-    operator's :func:`h_polar` memo is neither read nor written.
+    product, not the Euclidean one). T and Tbar are not formed. The
+    H-polar comes from the operator's memo (and is stored there), so a
+    caller that wants both the measure and the H-polar pays one SVD.
     """
-    m = op.metric
-    u, e_frame, threshold = deformation_from_svd(_frame_svd(op), tols=tols)
-    left, right = m.from_frame_factors(e_frame.left, e_frame.right)
-    measure = deform(m.from_frame(u), replace(e_frame, left=left, right=right), support_tol=threshold, tols=tols)
+    measure = h_polar(op, tols=tols).measure
     resid = fro(measure.reconstruct() - op.matrix) / (1.0 + fro(op.matrix))
     return BanachDeformedResult(measure=measure, reconstruction_residual=resid)
 

@@ -106,17 +106,18 @@ def _cmd_polar(args) -> int:
     tols = _library_tols(args, keys=("rank",))
     a = load_matrix(args.input)
     p = polar_decompose(a, tols=tols)
+    t = p.T  # formed on each read
     scale = 1.0 + float(np.linalg.norm(a))
     obj = {
         "rank": p.rank,
         "tol": p.tol,
         "threshold": p.threshold,
-        "residual_ut": float(np.linalg.norm(a - p.U @ p.T)) / scale,
+        "residual_ut": float(np.linalg.norm(a - p.U @ t)) / scale,
         "residual_tbaru": float(np.linalg.norm(a - p.Tbar @ p.U)) / scale,
         "projector_trace": float(np.trace(herm(p.U) @ p.U).real),
         "intertwining": intertwining_check(p, a),
         "u": matrix_to_obj(p.U),
-        "t": matrix_to_obj(p.T),
+        "t": matrix_to_obj(t),
         "tbar": matrix_to_obj(p.Tbar),
     }
     _emit(obj, args.out)

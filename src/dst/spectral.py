@@ -21,30 +21,36 @@ to f(A), Higham, *Functions of Matrices*, ch. 4). Dense per-atom matrices
 are formed only when ``atoms`` is read.
 
 The measure of T needs no eigensolver: the SVD A = W S V* behind the polar
-decomposition already is its spectral resolution T = V S V*.
-``deformed_of`` reads it off that one SVD (``deformation_from_svd``);
-``spectral_measure`` diagonalizes a general Hermitian matrix.
+decomposition already is its spectral resolution T = V S V*. So the one
+object that SVD builds, :class:`PolarDecomposition`, lives here and
+carries both: the polar factors U, T and Tbar, and the measure E_T of T
+(``source``) with its deformation F = U E_T (``measure``), each formed
+from W, S and V on first read. ``deformed_of`` is that object's
+``measure``; ``spectral_measure`` diagonalizes a general Hermitian matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import DimensionMismatch, NegativeSupport
+from .errors import DimensionMismatch, NegativeSupport, NotSquare
 from .gexpr import GExpr, compile_expr
 from .gexpr import parse as parse_g
 from .linalg import SvdResult, as_stack, as_vector, herm, hermitian_eigen, svd
-from .polar import isometry_from_svd
+
+if TYPE_CHECKING:
+    from .kuelbs import GramMetric
 
 __all__ = [
     "SpectralMeasure",
+    "PolarDecomposition",
     "QuadraticFormResult",
     "spectral_measure",
-    "deformation_from_svd",
     "deform",
     "deformed_of",
     "integrate",
@@ -75,8 +81,9 @@ class SpectralMeasure:
     measure makes no uniqueness claim beyond this canonical construction.
 
     A stack of measures has leading axes on every array and on
-    ``support_tol``; its atoms and ``bounds`` run over each measure in
-    turn, and ``support`` is of one measure only.
+    ``support_tol``; its atoms, ``bounds`` and ``support`` run over each
+    measure in turn, the support of each above that measure's own
+    ``support_tol``.
     """
 
     values: np.ndarray
@@ -105,7 +112,8 @@ class SpectralMeasure:
 
     @property
     def support(self) -> tuple[float, ...]:
-        return tuple(lam for lam in self.lambdas if lam > self.support_tol)
+        above = self.values > np.asarray(self.support_tol)[..., None]
+        return tuple(self.values[self._starts() & above].tolist())
 
     @property
     def atoms(self) -> tuple[tuple[float, np.ndarray], ...]:
@@ -180,22 +188,6 @@ def spectral_measure(h, *, tols: Tolerances = DEFAULT) -> SpectralMeasure:
     return SpectralMeasure(values=_cluster(es.values, tols.cluster_tol()), left=es.vectors, right=herm(es.vectors))
 
 
-def deformation_from_svd(dec: SvdResult, *, tols: Tolerances = DEFAULT) -> tuple[np.ndarray, SpectralMeasure, float]:
-    """What :func:`deform` takes, read off the SVD A = W S V* of a square
-    matrix (or of a stack): the polar isometry U (``isometry_from_svd``),
-    the spectral measure E of T = V S V*, and the rank threshold.
-
-    E ascends and clusters by the rule of :func:`spectral_measure`, except
-    that a cluster bound is forced at the rank cut: the columns of V past
-    the rank span ker(T), which is its own atom (or atoms), and no atom
-    straddles it.
-    """
-    u, rank, _, threshold = isometry_from_svd(dec, tols=tols)
-    vecs = np.ascontiguousarray(dec.right[..., ::-1])
-    values = _cluster(dec.sigma[..., ::-1], tols.cluster_tol(), cut=dec.sigma.shape[-1] - rank)
-    return u, SpectralMeasure(values=values, left=vecs, right=herm(vecs)), threshold
-
-
 def deform(u, e: SpectralMeasure, *, support_tol=0.0, tols: Tolerances = DEFAULT) -> SpectralMeasure:
     """Push a nonnegative measure through a partial isometry: F = U E
     (of a stack, each U through its measure).
@@ -222,20 +214,104 @@ def deform(u, e: SpectralMeasure, *, support_tol=0.0, tols: Tolerances = DEFAULT
     )
 
 
+def _hermitize(m: np.ndarray) -> np.ndarray:
+    return (m + herm(m)) / 2.0
+
+
+@dataclass(frozen=True)
+class PolarDecomposition:
+    """A = U T = Tbar U and the deformed measure F = U E_T, all read off
+    one SVD A = W S V* of a square matrix (or of each matrix of a stack).
+
+    It stores the SVD (W, sigma descending, V), the rank cut (``rank``,
+    the relative ``tol`` and ``threshold`` = tol * sigma_max), the
+    ``tols`` it was built with and, for an H-polar, the GramMetric whose
+    frame the SVD is of (else None), which pulls every view back.
+
+    The views are formed read-only from the SVD: U = W_r V_r*, zero on
+    ker(T) (a mixed-rank stack forms each U from its own views), Tbar =
+    W S W*, T = V S V*, ``source`` = E_T, clustered ascending with a bound
+    forced at the rank cut, and ``measure`` = deform(U, E_T), supported
+    above ``threshold``. U and Tbar, which the resolvent checks read once
+    per lambda, are cached. Each read of T, ``source`` or ``measure``
+    forms a new one that lives as long as its reader keeps it, since an
+    operator keeps its H-polar as long as it lives.
+    """
+
+    W: np.ndarray
+    sigma: np.ndarray
+    V: np.ndarray
+    rank: int | np.ndarray
+    tol: float
+    threshold: float | np.ndarray
+    tols: Tolerances = DEFAULT
+    metric: GramMetric | None = None
+
+    @classmethod
+    def from_svd(cls, dec: SvdResult, *, tols: Tolerances = DEFAULT, metric: GramMetric | None = None):
+        """The decomposition of a square matrix (or stack) from its SVD.
+        Singular values at or below tol * sigma_max are cut, with ``tol``
+        = ``tols.rank_threshold_rel(n)``: ``rank_rel`` (n*eps when None)
+        times ``scale``."""
+        if dec.left.shape != dec.right.shape:
+            raise NotSquare(f"SVD of a non-square matrix: W is {dec.left.shape}, V is {dec.right.shape}")
+        rel = tols.rank_threshold_rel(dec.sigma.shape[-1])
+        threshold = rel * dec.sigma[..., 0]
+        rank = np.count_nonzero(dec.sigma > threshold[..., None], axis=-1)  # sigma descends: the first rank columns
+        if rank.ndim == 0:
+            threshold, rank = float(threshold), int(rank)
+        return cls(dec.left, dec.sigma, dec.right, rank, rel, threshold, tols, metric)
+
+    def _pulled(self, x: np.ndarray) -> np.ndarray:
+        """x pulled back to coordinates (for an H-polar), read-only."""
+        if self.metric is not None:
+            x = self.metric.from_frame(x)
+        x.setflags(write=False)
+        return x
+
+    @cached_property
+    def U(self) -> np.ndarray:
+        w, v, rank = self.W, self.V, self.rank
+        if np.all(rank == np.max(rank)):
+            r = int(np.max(rank))
+            return self._pulled(w[..., :r] @ herm(v[..., :r]))
+        return self._pulled(np.stack([wk[:, :r] @ herm(vk[:, :r]) for wk, vk, r in zip(w, v, rank.tolist())]))
+
+    @cached_property
+    def Tbar(self) -> np.ndarray:
+        return self._pulled(_hermitize((self.W * self.sigma[..., None, :]) @ herm(self.W)))
+
+    @property
+    def T(self) -> np.ndarray:
+        return self._pulled(_hermitize((self.V * self.sigma[..., None, :]) @ herm(self.V)))
+
+    @property
+    def source(self) -> SpectralMeasure:
+        """E_T, clustered by the rule of :func:`spectral_measure` except that
+        a bound is forced at the rank cut: ker(T) is its own atom (or atoms)."""
+        vecs = np.ascontiguousarray(self.V[..., ::-1])
+        values = _cluster(self.sigma[..., ::-1], self.tols.cluster_tol(), cut=self.sigma.shape[-1] - self.rank)
+        left, right = vecs, herm(vecs)
+        if self.metric is not None:
+            left, right = self.metric.from_frame_factors(left, right)
+        return SpectralMeasure(values=values, left=left, right=right)
+
+    @property
+    def measure(self) -> SpectralMeasure:
+        return deform(self.U, self.source, support_tol=self.threshold, tols=self.tols)
+
+
 def deformed_of(a, *, tols: Tolerances = DEFAULT) -> SpectralMeasure:
     """Canonical deformed measure of an arbitrary square matrix, or the
-    stack of those of a stack of matrices.
+    stack of those of a stack of matrices: ``polar_decompose(a).measure``.
 
-    One SVD A = W S V* gives the polar isometry U and the spectral
-    measure E of the positive factor T = V S V* (``deformation_from_svd``);
-    the result is ``deform(U, E)``, with no eigensolver on the way and T
-    itself never formed. The support threshold is the polar rank cutoff,
-    and the singular directions at or below it, which span ker(T), form
-    their own atoms: a singular A keeps its zero cluster in ``source`` but
-    reports only the nonzero spectrum of T as support.
+    One SVD gives U and the measure E of T, with no eigensolver and T
+    never formed. The support threshold is the polar rank cutoff, and the
+    singular directions at or below it, which span ker(T), form their own
+    atoms: a singular A keeps its zero cluster in ``source`` but reports
+    only the nonzero spectrum of T as support.
     """
-    u, e, threshold = deformation_from_svd(svd(as_stack(a, square=True)), tols=tols)
-    return deform(u, e, support_tol=threshold, tols=tols)
+    return PolarDecomposition.from_svd(svd(as_stack(a, square=True)), tols=tols).measure
 
 
 def _as_scalar_function(g) -> Callable[[float], complex]:

@@ -324,15 +324,16 @@ def _suite_funcalc(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> lis
     for dim in cfg.dims:
         ens = Ensemble("general", dim, cfg.trials, _stream(cfg, f"funcalc/{dim}"))
         a = generate(ens)
+        # the measure and the oracle's U and T from one polar decomposition
         p = polar_decompose(a, tols=tols)
-        u, et = p.U, hermitian_eigen(p.T, tols=tols)
+        et = hermitian_eigen(p.T, tols=tols)
+        f = p.measure
         del p  # a group's stacks set the run's peak memory: hold few at once
-        f = deformed_of(a, tols=tols)
         worst = classical_worst = 0.0
         for ast in asts:
-            rhs = u @ _g_of_psd(et, ast)
+            rhs = f.U @ _g_of_psd(et, ast)
             worst = np.maximum(worst, _rel(fro(integrate(ast, f) - rhs), fro(rhs)))
-        del u, et, f
+        del et, f
 
         # positive-definite input: deformed and classical calculi agree
         pd = a @ herm(a) + 0.5 * np.eye(dim)
@@ -539,7 +540,15 @@ def _suite_banach_spectral(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings
             ens = Ensemble("general", dim, cfg.trials, _stream(cfg, f"banach-spectral/{p}/{dim}"))
             op = banach_operator(generate(ens), embs[p, dim])
             a = op.matrix
+            # the oracle U T^2 and the measure from one H-polar (the measure
+            # is read off the stored one), then drop it: a group's stacks set
+            # the run's peak memory, so hold few at once
+            gp = h_polar(op, tols=tols)
+            t = gp.T
+            rhs = gp.U @ (t @ t)
+            del t
             measure = banach_deformed_spectral(op, tols=tols).measure
+            del op, gp
             # the canonical basis and three random probes, as rows
             basis = np.broadcast_to(np.eye(dim, dtype=np.complex128), a.shape)
             probes = np.concatenate([basis, _draws(ens, 40_000, 3)], axis=1)
@@ -547,11 +556,7 @@ def _suite_banach_spectral(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings
             num = space.norm_rows(probes @ measure.reconstruct().mT - a_phi)
             recon = (num / (1.0 + space.norm_rows(a_phi))).max(axis=1)
             lhs = integrate(square, measure)
-            del measure, probes, a_phi  # a group's stacks set the run's peak memory: hold few at once
-
-            # oracle U T^2 from the H-polar, an SVD of the same frame matrix
-            gp = h_polar(op, tols=tols)
-            rhs = gp.U @ (gp.T @ gp.T)
+            del measure, probes, a_phi
             metrics = {"reconstruction_lp": recon, "funcalc_identity": _rel(fro(lhs - rhs), fro(rhs))}
             cases += _cases(cfg, f"banach-spectral/p{p}/n{dim}", a, metrics, limits)
     return cases

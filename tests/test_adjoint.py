@@ -27,7 +27,7 @@ from dst.kuelbs import KuelbsEmbedding, LpSpace, build_kuelbs
 from dst.linalg import abs_norm, gram_norm_rows, herm, svd, vnorm
 from dst.polar import PolarDecomposition, polar_decompose
 from dst.rng import Rng
-from dst.spectral import deform, deformation_from_svd, deformed_of, integrate
+from dst.spectral import SpectralMeasure, _cluster, deform, deformed_of, integrate
 from dst.suites import Report, SuiteConfig, _case
 
 
@@ -272,7 +272,7 @@ def test_shared_h_polar_is_read_only():
 
 def test_study_and_approximant_reuse_the_operator_polar(lapack_calls):
     # h_polar takes the one SVD and every later polar reader gets the stored
-    # polar; the spectral measure takes its own SVD and leaves the memo be
+    # polar, the spectral measure included
     emb = build_kuelbs(LpSpace(5, 3.0))
     op = banach_operator(Rng(215).matrix(5, 5), emb)
     lapack_calls.clear()
@@ -281,7 +281,7 @@ def test_study_and_approximant_reuse_the_operator_polar(lapack_calls):
     assert baire_approximant(op, 1e3).polar is gp
     assert lapack_calls == {"svd": 1}
     banach_deformed_spectral(op)
-    assert lapack_calls == {"svd": 2}
+    assert lapack_calls == {"svd": 1}
     assert op._polars == {DEFAULT: gp} and op._polars[DEFAULT] is gp
 
 
@@ -292,12 +292,10 @@ def test_banach_deformed_spectral_takes_one_svd_over_a_stored_polar(lapack_calls
     lapack_calls.clear()
     fresh = banach_deformed_spectral(op)
     assert lapack_calls == {"svd": 1}
-    assert op._polars == {}  # no polar stored, and none seeded
-    gp = h_polar(op)
-    lapack_calls.clear()
+    gp = h_polar(op)  # the polar the measure was read off, stored by h_polar
+    assert op._polars == {DEFAULT: gp} and op._polars[DEFAULT] is gp
     res = banach_deformed_spectral(op)
     assert lapack_calls == {"svd": 1}
-    assert op._polars == {DEFAULT: gp} and op._polars[DEFAULT] is gp
     # a stored polar changes nothing: the same measure from the same SVD
     np.testing.assert_array_equal(res.measure.left, fresh.measure.left)
     np.testing.assert_array_equal(res.measure.right, fresh.measure.right)
@@ -306,22 +304,42 @@ def test_banach_deformed_spectral_takes_one_svd_over_a_stored_polar(lapack_calls
     assert np.linalg.norm(t - gp.T) <= 1e-12 * (1 + np.linalg.norm(gp.T))
 
 
+@pytest.mark.parametrize("measure_first", [True, False], ids=["measure-first", "polar-first"])
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+def test_measure_and_h_polar_take_one_svd_together(lapack_calls, measure_first, dense):
+    rng = Rng(220)
+    emb = build_kuelbs(LpSpace(6, 3.0), seeds=[rng.vector(6) for _ in range(8)] if dense else None)
+    op = banach_operator(generate(Ensemble("general", 6, 3, 221)), emb)
+    lapack_calls.clear()
+    if measure_first:
+        res = banach_deformed_spectral(op)
+        gp = h_polar(op)
+    else:
+        gp = h_polar(op)
+        res = banach_deformed_spectral(op)
+    gp.U, gp.T, gp.Tbar  # the polar's views take no further decomposition
+    assert lapack_calls == {"svd": 1} and lapack_calls.shapes[-1] == ("svd", (3, 6, 6))
+    assert np.array_equal(res.measure.U, gp.U) and np.array_equal(res.measure.left, gp.measure.left)
+
+
 @pytest.mark.parametrize("n", [3, 8, 20])
 @pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
 def test_banach_deformed_spectral_is_the_h_polar_deformation(n, dense):
     # the measure is bit for bit deform(U, E) with U the H-polar isometry
-    # and E the frame measure of T pulled back, as when it was built on the polar
+    # and E the frame measure of T pulled back, restated from the frame SVD
     rng = Rng(230 + n)
     seeds = [rng.vector(n) for _ in range(n + 2)] if dense else None
     emb = build_kuelbs(LpSpace(n, 3.0), seeds=seeds)
     assert emb.metric.is_diagonal is not dense
     op = banach_operator(rng.matrix(n, n), emb)
     res = banach_deformed_spectral(op)
-    assert op._polars == {}
     gp = h_polar(op)
-    _, e_frame, _ = deformation_from_svd(svd(op.metric.to_frame(op.matrix)))
-    left, right = op.metric.from_frame_factors(e_frame.left, e_frame.right)
-    expect = deform(gp.U, replace(e_frame, left=left, right=right), support_tol=gp.threshold)
+    assert op._polars == {DEFAULT: gp}  # the measure was read off the stored polar
+    dec = svd(op.metric.to_frame(op.matrix))
+    vecs = np.ascontiguousarray(dec.right[..., ::-1])
+    values = _cluster(dec.sigma[..., ::-1], DEFAULT.cluster_tol(), cut=n - gp.rank)
+    left, right = op.metric.from_frame_factors(vecs, herm(vecs))
+    expect = deform(gp.U, SpectralMeasure(values=values, left=left, right=right), support_tol=gp.threshold)
     for name in ("left", "right", "U"):
         np.testing.assert_array_equal(getattr(res.measure, name), getattr(expect, name))
     assert (res.measure.lambdas, res.measure.bounds, res.measure.support_tol) == (

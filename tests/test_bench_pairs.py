@@ -69,3 +69,18 @@ def test_pass_min_median_is_the_median_of_each_runs_fastest_pass():
     mins = out["pass_s"]["pass_min_median"]
     assert mins["parent"] == pytest.approx(0.9 * 0.5) and mins["change"] == pytest.approx(0.9 * 0.35)
     assert "pass_min_median" not in out["setup_s"]
+
+
+def test_copy_tree_leaves_out_git_caches_and_benchmark_output(tmp_path):
+    src = tmp_path / "tree"
+    for rel in (".git/HEAD", "src/dst/__pycache__/x.pyc", "src/dst/x.py", "perfbench/_out/spans.json",
+                "perfbench/run.py", "tools/_out/kept.txt", "tools/bench_pairs.py"):
+        (src / rel).parent.mkdir(parents=True, exist_ok=True)
+        (src / rel).write_text(rel)
+    out = bench_pairs._copy_tree(src, tmp_path / "root" / "change")
+    assert out == tmp_path / "root" / "change"
+    copied = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+    # only perfbench/_out is the benchmark's output; an _out elsewhere is kept
+    assert copied == ["perfbench/run.py", "src/dst/x.py", "tools/_out/kept.txt", "tools/bench_pairs.py"]
+    assert (out / "src/dst/x.py").read_text() == "src/dst/x.py"
+    assert (src / ".git/HEAD").exists()  # the source tree is left as it was

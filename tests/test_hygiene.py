@@ -6,8 +6,9 @@ raises a bare ``ValueError`` (a refusal is an ``InvalidInput``), the
 operator and suite modules leave the lp geometry to ``LpSpace`` and the
 Gram factors to ``GramMetric``, no module but ``GramMetric`` multiplies by
 a Gram, only ``h_polar`` touches the operator's
-polar memo, every function and class is named somewhere in the package
-or promised by the README, and the README's library tour runs as written.
+polar memo, no module imports inside a function, every function and
+class is named somewhere in the package or promised by the README, and
+the README's library tour runs as written.
 """
 
 import ast
@@ -155,6 +156,20 @@ def test_only_h_polar_touches_the_polar_memo(stem):
         if isinstance(node, ast.Attribute) and node.attr == "_polars" and id(node) not in inside
     )
     assert not touches, f"dst/{stem}.py touches ._polars outside h_polar at lines {touches}"
+
+
+@pytest.mark.parametrize("stem", MODULES)
+def test_no_import_inside_a_function(stem):
+    # every dependency between modules is stated at the top, so a cycle fails at import
+    tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
+    late = sorted(
+        node.lineno
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    )
+    assert not late, f"dst/{stem}.py imports inside a function at lines {late}"
 
 
 def test_readme_library_tour_runs():

@@ -502,3 +502,26 @@ def test_a_stack_of_measures_is_the_measure_of_each_matrix(stack):
     assert [lam for lam, _ in f.atoms] == [lam for a in stack for lam, _ in deformed_of(a).atoms]
     with pytest.raises(DimensionMismatch):  # one phi per measure of the stack
         integrate("lambda", f, phi[0])
+
+
+@pytest.mark.parametrize("stack", _stacked_cases(), ids=["one-rank", "mixed-rank"])
+def test_deformed_of_is_the_measure_of_the_polar_decomposition(stack):
+    for a in (stack[0], stack):
+        f, g = deformed_of(a), polar_decompose(a).measure
+        for m, n in ((f, g), (f.source, g.source)):
+            for name in ("values", "left", "right", "support_tol"):
+                assert np.array_equal(getattr(m, name), getattr(n, name)), name
+        assert np.array_equal(f.U, g.U) and g.source.U is None and g.source.source is None
+
+
+def test_support_of_a_stack_runs_over_each_measure_in_turn():
+    # each measure's atoms above that measure's own support_tol, in turn;
+    # ranks 3 and 6 mix in the second stack
+    mixed = _stacked_cases()[1]
+    for stack in (generate(Ensemble("general", 3, 2, 5)), mixed):
+        f = deformed_of(stack)
+        assert f.support == tuple(lam for a in stack for lam in deformed_of(a).support)
+    assert [len(deformed_of(a).support) for a in mixed] == [3, 3, 6, 6]
+    # a single measure's support is unchanged: its lambdas above support_tol
+    one = deformed_of(mixed[0])
+    assert one.support == tuple(lam for lam in one.lambdas if lam > one.support_tol)

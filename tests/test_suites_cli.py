@@ -141,6 +141,23 @@ def test_deformed_suite_diagonalizes_each_negdef_input_once(lapack_calls):
     assert [shape for name, shape in lapack_calls.shapes if name == "eigh"] == [(3, 2, 2), (3, 5, 5)]
 
 
+def test_bench_run_decomposes_each_input_once(monkeypatch):
+    # every polar and its measure come from one SVD; the singular-value-only
+    # calls are the suites' own oracles and count apart
+    seen = []
+    decompose = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        seen.append((hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest(), np.shape(a),
+                     kwargs.get("compute_uv", True)))
+        return decompose(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    run_suite("all", SuiteConfig(dims=(2, 4, 8, 16), trials=20, seed=42))
+    assert len(seen) == 72
+    assert len(set(seen)) == len(seen), "an input was decomposed twice"
+
+
 def test_summary_names_nonfinite_metrics():
     cases = (
         CaseResult("s/n2/t1", "d1", {"a": float("inf"), "b": 1.0}, {}, False),

@@ -3,8 +3,12 @@
     python3 tools/bench_pairs.py --parent DIR --out BENCH_<pr>.json [--pairs 10]
 
 DIR holds the parent commit's files (``git archive`` or ``git clone``);
-the change is the checkout this script lives in. Both sides run their
-own, unmodified ``perfbench/run.py``. For each workload, pair i runs both
+the change is the checkout this script lives in. Both trees are copied,
+without ``.git``, ``__pycache__`` and ``perfbench/_out``, into two sibling
+directories under one temporary root, and each side runs its own,
+unmodified ``perfbench/run.py`` from its copy; the root is removed at the
+end. So the two sides differ only in their files, not in where they lie
+or in what earlier runs left there. For each workload, pair i runs both
 sides with ``--trace 0`` on the same seed, the parent first in even pairs
 and the change first in odd ones, so a drifting host loads both alike.
 Then each side makes one ``--trace 1`` run of every workload (per-layer
@@ -25,15 +29,30 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 WORKLOADS = ("verify-small", "calculus-large", "metric-large")
 LOWER_IS_BETTER = {"setup_s": True, "pass_s": True, "items_per_s": False, "peak_mb": True}
 CHANGE = Path(__file__).resolve().parent.parent
+
+
+def _copy_tree(src: Path, dst: Path) -> Path:
+    """Copy the tree ``src`` to ``dst``, leaving out ``.git``, every
+    ``__pycache__`` and ``perfbench/_out``."""
+    src = src.resolve()
+
+    def ignore(folder: str, names: list[str]) -> set[str]:
+        skip = {".git", "__pycache__"} | ({"_out"} if Path(folder) == src / "perfbench" else set())
+        return skip.intersection(names)
+
+    shutil.copytree(src, dst, symlinks=True, ignore=ignore)
+    return dst
 
 
 def _perfbench(side: Path, workload: str, seed: int, trace: int) -> dict:
@@ -99,15 +118,8 @@ def _summary(pairs: list[dict]) -> dict:
     return out
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--parent", type=Path, required=True)
-    ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=42)
-    args = ap.parse_args()
-    sides = {"parent": args.parent.resolve(), "change": CHANGE}
-
+def _bench(sides: dict[str, Path], args: argparse.Namespace) -> dict:
+    """The BENCH file's content, from runs in the two side directories."""
     command = f"tools/bench_pairs.py --parent PARENT --out {args.out.name} --pairs {args.pairs} --seed {args.seed}"
     bench: dict = {"command": command, "seed": args.seed, "workloads": {}}
     for workload in WORKLOADS:
@@ -126,6 +138,22 @@ def main() -> int:
     bench["traced"] = {w: {s: _perfbench(d, w, args.seed, 1) for s, d in sides.items()} for w in WORKLOADS}
     bench["tier1"] = {s: _tier1(d) for s, d in sides.items()}
     bench["src_dst_lines"] = {s: _src_lines(d) for s, d in sides.items()}
+    return bench
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--out", type=Path, required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=42)
+    args = ap.parse_args()
+    root = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    try:
+        sides = {"parent": _copy_tree(args.parent, root / "parent"), "change": _copy_tree(CHANGE, root / "change")}
+        bench = _bench(sides, args)
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
     args.out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     return 0
 
