@@ -225,10 +225,11 @@ def h_polar(op: BanachOperator, *, tols: Tolerances = DEFAULT) -> PolarDecomposi
 
 def lambda_schedule(lambdas: Sequence[float]) -> tuple[float, ...]:
     """The resolvent parameters as floats, refused (InvalidInput) unless the
-    schedule is non-empty, ascending, and every lam is positive and finite
-    with a finite 1/lam: an empty schedule checks nothing, a lam whose
-    1/lam overflows turns the 1/lam error bound into inf, which anything
-    meets, and the rate checks read the rows in schedule order.
+    schedule is non-empty, ascending, and every lam is positive, at most
+    1e8, with a finite 1/lam: an empty schedule checks nothing, a 1/lam
+    that overflows makes the error bound inf, which anything meets, above
+    1e8 the Baire check fails on roundoff, and the rate checks read the
+    rows in schedule order.
     """
     lams = tuple(float(x) for x in lambdas)
     if not lams:
@@ -238,6 +239,8 @@ def lambda_schedule(lambdas: Sequence[float]) -> tuple[float, ...]:
             raise InvalidInput(f"lambda must be positive and finite with a finite 1/lambda, got {lam!r}")
     if sorted(lams) != list(lams):
         raise InvalidInput("lambda schedule must be ascending")
+    if lams[-1] > 1e8:
+        raise InvalidInput(f"lambda schedule capped at 1e8 (lam A R phi - A phi floors at eps * lam), got {lams[-1]!r}")
     return lams
 
 
@@ -265,7 +268,7 @@ class ResolventProbe:
 
 def baire_approximant(op: BanachOperator, lam: float, *, tols: Tolerances = DEFAULT) -> ResolventProbe:
     """Bounded approximant of A at a resolvent parameter lam that
-    :func:`lambda_schedule` accepts (positive, lam and 1/lam finite).
+    :func:`lambda_schedule` accepts (positive, at most 1e8, 1/lam finite).
 
     The resolvent is inv(L*) V diag(1/(lam + sigma)) V* L*, from the
     spectral resolution of T that the H-polar keeps; nothing is solved.
@@ -303,7 +306,7 @@ def baire_convergence_study(
     (1/lam) ||Tbar A phi||_H scaled by the H -> lp equivalence constant
     of the Gram factorization, so every row satisfies error <= bound.
     Rows come back in schedule order, which must be valid for
-    :func:`lambda_schedule` (non-empty and ascending). The resolvent
+    :func:`lambda_schedule` (non-empty, ascending, at most 1e8). The resolvent
     inv(lam I + T) = inv(L*) V diag(1/(lam + sigma)) V* L* comes from the
     H-polar's spectral resolution of T: V* L* phi is formed once, and each
     lambda costs a rescaling, a product with inv(L*) V and one with A,
@@ -315,9 +318,6 @@ def baire_convergence_study(
     since an infinite bound holds for any error.
     """
     lams = lambda_schedule(lambdas)
-    if lams[-1] > 1e8:
-        # beyond this the subtraction lam*A*R*phi - A*phi floors at eps*lam
-        raise InvalidInput("lambda schedule capped at 1e8")
     m, space = op.metric, op.space
     gp = h_polar(op)
     # ||x||_p <= l2_to_p ||x||_2 and ||x||_2 <= ||x||_H / sqrt(min eig G)
@@ -349,10 +349,10 @@ def banach_deformed_spectral(op: BanachOperator, *, tols: Tolerances = DEFAULT) 
     :func:`~dst.spectral.deformed_of` of the frame matrix L* A inv(L*),
     pulled back.
 
-    The frame isometry is pulled back as inv(L*) U L*, and the measure's
-    factors once each, left by inv(L*) and right by L*, so its projectors
-    are H-orthogonal (idempotent and selfadjoint for the Gram inner
-    product, not the Euclidean one). T and Tbar are not formed. The
+    The frame factors (W, V*) are pulled back once each, left by inv(L*)
+    and right by L*, so F is inv(L*) U L* times projectors that are
+    H-orthogonal (idempotent and selfadjoint for the Gram inner product,
+    not the Euclidean one). U, T and Tbar are not formed. The
     H-polar comes from the operator's memo (and is stored there), so a
     caller that wants both the measure and the H-polar pays one SVD.
     """

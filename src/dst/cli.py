@@ -127,9 +127,9 @@ def _cmd_polar(args) -> int:
 def _cmd_deformed(args) -> int:
     tols = _library_tols(args)
     a = load_matrix(args.input)
-    f = deformed_of(a, tols=tols)
-    recon = float(np.linalg.norm(f.reconstruct() - a)) / (1.0 + float(np.linalg.norm(a)))
-    obj = measure_to_obj(f)
+    p = polar_decompose(a, tols=tols)
+    recon = float(np.linalg.norm(p.measure.reconstruct() - a)) / (1.0 + float(np.linalg.norm(a)))
+    obj = measure_to_obj(p)
     obj["reconstruction_residual"] = recon
     _emit(obj, args.out)
     return 0

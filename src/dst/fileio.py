@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ParseError
 from .linalg import as_matrix
-from .spectral import SpectralMeasure
+from .spectral import PolarDecomposition
 
 __all__ = [
     "matrix_to_obj",
@@ -147,16 +147,18 @@ def load_matrix(path: str) -> np.ndarray:
     raise ParseError("unrecognized matrix file format", line=1)
 
 
-def measure_to_obj(f: SpectralMeasure) -> dict:
+def measure_to_obj(p: PolarDecomposition) -> dict:
+    """F = U E_T of a polar decomposition, with its U and the atoms of E_T."""
+    f = p.measure
     return {
         "dim": f.dim,
         "support": list(f.support),
-        "u": matrix_to_obj(f.U),
+        "u": matrix_to_obj(p.U),
         "atoms": [
             {"lambda": float(lam), "df": matrix_to_obj(df)} for lam, df in f.atoms
         ],
         "source_atoms": [
-            {"lambda": float(lam), "p": matrix_to_obj(p)} for lam, p in f.source.atoms
+            {"lambda": float(lam), "p": matrix_to_obj(e)} for lam, e in p.source.atoms
         ],
     }
 

@@ -14,9 +14,9 @@ tolerance-dependent; callers that care should pass
 The :class:`~dst.spectral.PolarDecomposition` that ``polar_decompose``
 returns is defined next to the spectral measures, because the one SVD it
 keeps gives the deformed measure F = U E_T as well as the factors: its
-``measure`` is what ``deformed_of`` returns. ``polar_decompose`` also
-takes a stack of matrices, with one LAPACK call for the stack; ``rank``
-and ``threshold`` become arrays.
+``measure``, read off W and V with no U formed, is what ``deformed_of``
+returns. ``polar_decompose`` also takes a stack of matrices, with one
+LAPACK call for the stack; ``rank`` and ``threshold`` become arrays.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import DimensionMismatch
-from .linalg import as_matrix, as_stack, herm, svd
+from .linalg import as_matrix, herm, svd
 from .spectral import PolarDecomposition
 
 __all__ = ["PolarDecomposition", "polar_decompose", "intertwining_check"]
@@ -34,7 +34,7 @@ __all__ = ["PolarDecomposition", "polar_decompose", "intertwining_check"]
 def polar_decompose(a, *, tols: Tolerances = DEFAULT) -> PolarDecomposition:
     """Polar-decompose a square matrix (or stack) via one SVD; see
     :class:`~dst.spectral.PolarDecomposition` for the views it forms."""
-    return PolarDecomposition.from_svd(svd(as_stack(a, square=True)), tols=tols)
+    return PolarDecomposition.from_svd(svd(a), tols=tols)
 
 
 def intertwining_check(p: PolarDecomposition, a) -> float:

@@ -13,20 +13,19 @@ is the calculus these measures implement. Note this is *not* the
 holomorphic calculus: for A = diag(-2, -1), g(lambda) = lambda^2 yields
 U T^2 = diag(-4, -1), not A^2.
 
-Every measure is stored factored, as an orthonormal basis split into
-clusters: with H = V diag(lambda) V*, E keeps (V, V*) and F keeps
-(U V, V*), so a sum against a measure is one (left * w) @ right
-contraction, O(n^3) time and O(n^2) memory (the eigendecomposition route
-to f(A), Higham, *Functions of Matrices*, ch. 4). Dense per-atom matrices
-are formed only when ``atoms`` is read.
+Every measure is four arrays, an orthonormal basis split into clusters
+(``left``, ``right``), the atom of each column and ``support_tol``: with
+H = V diag(lambda) V*, E keeps (V, V*) and F keeps (U V, V*), so a sum
+against a measure is one (left * w) @ right contraction, O(n^3) time and
+O(n^2) memory (Higham, *Functions of Matrices*, ch. 4). Dense per-atom
+matrices are formed only when ``atoms`` is read.
 
-The measure of T needs no eigensolver: the SVD A = W S V* behind the polar
-decomposition already is its spectral resolution T = V S V*. So the one
-object that SVD builds, :class:`PolarDecomposition`, lives here and
-carries both: the polar factors U, T and Tbar, and the measure E_T of T
-(``source``) with its deformation F = U E_T (``measure``), each formed
-from W, S and V on first read. ``deformed_of`` is that object's
-``measure``; ``spectral_measure`` diagonalizes a general Hermitian matrix.
+The SVD A = W S V* behind the polar decomposition already is the spectral
+resolution T = V S V*, and U V = [W_r, 0]. So the one object that SVD
+builds, :class:`PolarDecomposition`, lives here and carries the polar
+factors U, T and Tbar, E_T (``source``) and F = U E_T (``measure``), each
+formed from W, S and V on read, F with no U. ``deformed_of`` is its
+``measure``; ``spectral_measure`` diagonalizes a Hermitian matrix.
 """
 
 from __future__ import annotations
@@ -73,12 +72,12 @@ class SpectralMeasure:
     place of the Euclidean one (they are still idempotent and still sum
     to the identity).
 
-    A deformed measure F = U E has left = U E.left, the same ``right``,
-    lambda_i >= 0, and carries ``U`` and its ``source`` E. All atoms of
-    the source are kept, including a numerically-zero cluster when A is
-    rank deficient; ``support`` excludes atoms at or below ``support_tol``
-    because U annihilates ker(T) and those atoms carry no mass. The
-    measure makes no uniqueness claim beyond this canonical construction.
+    A deformed measure F = U E has left = U E.left, the same ``right``
+    and lambda_i >= 0. All atoms of E are kept, including a numerically-
+    zero cluster when A is rank deficient; ``support`` excludes atoms at
+    or below ``support_tol`` because U annihilates ker(T) and those atoms
+    carry no mass. The measure makes no uniqueness claim beyond this
+    canonical construction.
 
     A stack of measures has leading axes on every array and on
     ``support_tol``; its atoms, ``bounds`` and ``support`` run over each
@@ -90,13 +89,10 @@ class SpectralMeasure:
     left: np.ndarray
     right: np.ndarray
     support_tol: float | np.ndarray = 0.0
-    U: np.ndarray | None = None
-    source: SpectralMeasure | None = None
 
     def __post_init__(self):
-        for a in (self.values, self.left, self.right, self.U):
-            if a is not None:
-                a.setflags(write=False)
+        for a in (self.values, self.left, self.right):
+            a.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -204,14 +200,7 @@ def deform(u, e: SpectralMeasure, *, support_tol=0.0, tols: Tolerances = DEFAULT
     low = lam_min < -tols.support_tol() * (1.0 + np.maximum(np.abs(lam_min), np.abs(lam_max)))
     if np.any(low):
         raise NegativeSupport(f"atom at lambda = {np.min(lam_min):.6e} is below zero")
-    return SpectralMeasure(
-        values=np.where(v < 0.0, 0.0, v),
-        left=u @ e.left,
-        right=e.right,
-        support_tol=support_tol,
-        U=u,
-        source=e,
-    )
+    return SpectralMeasure(values=np.where(v < 0.0, 0.0, v), left=u @ e.left, right=e.right, support_tol=support_tol)
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
@@ -230,12 +219,13 @@ class PolarDecomposition:
 
     The views are formed read-only from the SVD: U = W_r V_r*, zero on
     ker(T) (a mixed-rank stack forms each U from its own views), Tbar =
-    W S W*, T = V S V*, ``source`` = E_T, clustered ascending with a bound
-    forced at the rank cut, and ``measure`` = deform(U, E_T), supported
-    above ``threshold``. U and Tbar, which the resolvent checks read once
-    per lambda, are cached. Each read of T, ``source`` or ``measure``
-    forms a new one that lives as long as its reader keeps it, since an
-    operator keeps its H-polar as long as it lives.
+    W S W*, T = V S V*, ``source`` = E_T = (V, V*) ascending, and
+    ``measure`` = F = (W, V*), zero on ker(T), supported above
+    ``threshold``: deform(U, E_T) up to roundoff, with no U formed. U and
+    Tbar, which the resolvent checks read once per lambda, are cached.
+    Each read of T, ``source`` or ``measure`` forms a new one that lives
+    as long as its reader keeps it, since an operator keeps its H-polar
+    as long as it lives.
     """
 
     W: np.ndarray
@@ -285,33 +275,39 @@ class PolarDecomposition:
     def T(self) -> np.ndarray:
         return self._pulled(_hermitize((self.V * self.sigma[..., None, :]) @ herm(self.V)))
 
-    @property
-    def source(self) -> SpectralMeasure:
-        """E_T, clustered by the rule of :func:`spectral_measure` except that
-        a bound is forced at the rank cut: ker(T) is its own atom (or atoms)."""
-        vecs = np.ascontiguousarray(self.V[..., ::-1])
+    def _ascending(self, left=None, support_tol=0.0) -> SpectralMeasure:
+        """E_T, or F when ``left`` is F's left factor: the atoms clustered as
+        by :func:`spectral_measure` but split at the rank cut (ker(T) is its
+        own atoms), the right factor V*, the columns in ascending order."""
         values = _cluster(self.sigma[..., ::-1], self.tols.cluster_tol(), cut=self.sigma.shape[-1] - self.rank)
-        left, right = vecs, herm(vecs)
+        vecs = np.ascontiguousarray(self.V[..., ::-1])
+        left, right = vecs if left is None else left, herm(vecs)
         if self.metric is not None:
             left, right = self.metric.from_frame_factors(left, right)
-        return SpectralMeasure(values=values, left=left, right=right)
+        return SpectralMeasure(values=values, left=left, right=right, support_tol=support_tol)
+
+    @property
+    def source(self) -> SpectralMeasure:
+        return self._ascending()
 
     @property
     def measure(self) -> SpectralMeasure:
-        return deform(self.U, self.source, support_tol=self.threshold, tols=self.tols)
+        n = self.sigma.shape[-1]
+        kept = np.arange(n) >= n - np.asarray(self.rank)[..., None, None]  # U V = [W_r, 0]: the last rank columns
+        return self._ascending(np.where(kept, self.W[..., ::-1], 0.0), self.threshold)
 
 
 def deformed_of(a, *, tols: Tolerances = DEFAULT) -> SpectralMeasure:
     """Canonical deformed measure of an arbitrary square matrix, or the
     stack of those of a stack of matrices: ``polar_decompose(a).measure``.
 
-    One SVD gives U and the measure E of T, with no eigensolver and T
-    never formed. The support threshold is the polar rank cutoff, and the
-    singular directions at or below it, which span ker(T), form their own
-    atoms: a singular A keeps its zero cluster in ``source`` but reports
-    only the nonzero spectrum of T as support.
+    One SVD gives it, with no eigensolver and neither U nor T formed. The
+    support threshold is the polar rank cutoff, and the singular
+    directions at or below it, which span ker(T), form their own atoms
+    with exactly zero left factors: a singular A keeps its zero cluster
+    but reports only the nonzero spectrum of T as support.
     """
-    return PolarDecomposition.from_svd(svd(as_stack(a, square=True)), tols=tols).measure
+    return PolarDecomposition.from_svd(svd(a), tols=tols).measure
 
 
 def _as_scalar_function(g) -> Callable[[float], complex]:

@@ -275,7 +275,8 @@ def _suite_deformed(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> li
             rank = max(1, dim // 2) if kind == "rankdef" else None
             ens = Ensemble(kind, dim, cfg.trials, _stream(cfg, f"deformed/{kind}/{dim}"), rank=rank)
             a = generate(ens)
-            f = deformed_of(a, tols=tols)
+            p = polar_decompose(a, tols=tols)
+            f, e = p.measure, p.source
             recon = _rel(fro(f.reconstruct() - a), fro(a))
 
             # the support (NaN off it) against an independent singular-value solve
@@ -287,12 +288,12 @@ def _suite_deformed(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> li
             draws = _draws(ens, 10_000, 4)
             var_excess = 0.0
             for v_phi in draws.swapaxes(0, 1)[:3]:
-                var_excess = np.maximum(var_excess, variation(f, v_phi) - variation(f.source, v_phi))
+                var_excess = np.maximum(var_excess, variation(f, v_phi) - variation(e, v_phi))
 
             # summation-order independence: U (sum g dE) phi vs sum g d(UE) phi
             phi = draws[:, 3]
             via_deformed = integrate(g, f, phi)
-            via_source = (f.U @ integrate(g, f.source, phi)[..., None])[..., 0]
+            via_source = (p.U @ integrate(g, e, phi)[..., None])[..., 0]
             comm = _rel(fro((via_deformed - via_source)[:, None]), fro(via_source[:, None]))
 
             metrics = {
@@ -327,13 +328,13 @@ def _suite_funcalc(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> lis
         # the measure and the oracle's U and T from one polar decomposition
         p = polar_decompose(a, tols=tols)
         et = hermitian_eigen(p.T, tols=tols)
-        f = p.measure
+        f, u = p.measure, p.U
         del p  # a group's stacks set the run's peak memory: hold few at once
         worst = classical_worst = 0.0
         for ast in asts:
-            rhs = f.U @ _g_of_psd(et, ast)
+            rhs = u @ _g_of_psd(et, ast)
             worst = np.maximum(worst, _rel(fro(integrate(ast, f) - rhs), fro(rhs)))
-        del et, f
+        del et, f, u
 
         # positive-definite input: deformed and classical calculi agree
         pd = a @ herm(a) + 0.5 * np.eye(dim)

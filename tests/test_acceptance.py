@@ -114,10 +114,11 @@ def test_05_variation_bound():
     count = 0
     for dim in (2, 4, 8, 16):
         for a in generate(Ensemble("general", dim, 50, substream(SEED, 600 + dim))):
-            f = deformed_of(a)
+            p = polar_decompose(a)
+            f, e = p.measure, p.source
             for _ in range(5):
                 phi = rng.vector(dim)
-                assert variation(f, phi) <= variation(f.source, phi) + 1e-12
+                assert variation(f, phi) <= variation(e, phi) + 1e-12
                 count += 1
     assert count >= 1000
     announce(5, f"variation bound Var(F phi) <= Var(E phi) on {count} pairs")

@@ -300,7 +300,7 @@ def test_banach_deformed_spectral_takes_one_svd_over_a_stored_polar(lapack_calls
     np.testing.assert_array_equal(res.measure.left, fresh.measure.left)
     np.testing.assert_array_equal(res.measure.right, fresh.measure.right)
     assert res.measure.lambdas == fresh.measure.lambdas
-    t = res.measure.source.reconstruct()
+    t = gp.source.reconstruct()
     assert np.linalg.norm(t - gp.T) <= 1e-12 * (1 + np.linalg.norm(gp.T))
 
 
@@ -319,14 +319,28 @@ def test_measure_and_h_polar_take_one_svd_together(lapack_calls, measure_first, 
         res = banach_deformed_spectral(op)
     gp.U, gp.T, gp.Tbar  # the polar's views take no further decomposition
     assert lapack_calls == {"svd": 1} and lapack_calls.shapes[-1] == ("svd", (3, 6, 6))
-    assert np.array_equal(res.measure.U, gp.U) and np.array_equal(res.measure.left, gp.measure.left)
+    assert np.array_equal(res.measure.left, gp.measure.left) and np.array_equal(res.measure.right, gp.measure.right)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+def test_banach_deformed_spectral_forms_no_isometry(dense):
+    rng = Rng(222)
+    emb = build_kuelbs(LpSpace(6, 3.0), seeds=[rng.vector(6) for _ in range(8)] if dense else None)
+    op = banach_operator(generate(Ensemble("rankdef", 6, 3, 223, rank=3)), emb)
+    res = banach_deformed_spectral(op)
+    gp = h_polar(op)
+    assert [name for name in ("U", "Tbar") if name in vars(gp)] == []
+    # the columns of ker(T) stay exact zeros through either pull-back
+    assert np.all(gp.rank == 3) and np.all(res.measure.left[..., :3] == 0.0)
 
 
 @pytest.mark.parametrize("n", [3, 8, 20])
 @pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
 def test_banach_deformed_spectral_is_the_h_polar_deformation(n, dense):
-    # the measure is bit for bit deform(U, E) with U the H-polar isometry
-    # and E the frame measure of T pulled back, restated from the frame SVD
+    # the measure is bit for bit the frame SVD's (W, V*) in ascending order,
+    # the columns at or below the rank cut set to 0, each factor pulled back
+    # once; it is deform(U, E) up to roundoff, with U the H-polar isometry
+    # and E the frame measure of T pulled back
     rng = Rng(230 + n)
     seeds = [rng.vector(n) for _ in range(n + 2)] if dense else None
     emb = build_kuelbs(LpSpace(n, 3.0), seeds=seeds)
@@ -338,13 +352,20 @@ def test_banach_deformed_spectral_is_the_h_polar_deformation(n, dense):
     dec = svd(op.metric.to_frame(op.matrix))
     vecs = np.ascontiguousarray(dec.right[..., ::-1])
     values = _cluster(dec.sigma[..., ::-1], DEFAULT.cluster_tol(), cut=n - gp.rank)
-    left, right = op.metric.from_frame_factors(vecs, herm(vecs))
-    expect = deform(gp.U, SpectralMeasure(values=values, left=left, right=right), support_tol=gp.threshold)
-    for name in ("left", "right", "U"):
-        np.testing.assert_array_equal(getattr(res.measure, name), getattr(expect, name))
-    assert (res.measure.lambdas, res.measure.bounds, res.measure.support_tol) == (
-        expect.lambdas, expect.bounds, expect.support_tol
+    w = np.array(dec.left[..., ::-1])
+    w[:, : n - gp.rank] = 0.0
+    left, right = op.metric.from_frame_factors(w, herm(vecs))
+    for name, want in (("values", values), ("left", left), ("right", right)):
+        np.testing.assert_array_equal(getattr(res.measure, name), want)
+    assert res.measure.support_tol == gp.threshold
+    e_left, e_right = op.metric.from_frame_factors(vecs, herm(vecs))
+    expect = deform(gp.U, SpectralMeasure(values=values, left=e_left, right=e_right), support_tol=gp.threshold)
+    np.testing.assert_array_equal(res.measure.right, expect.right)
+    assert (res.measure.lambdas, res.measure.bounds, res.measure.support, res.measure.support_tol) == (
+        expect.lambdas, expect.bounds, expect.support, expect.support_tol
     )
+    gap = np.linalg.norm(res.measure.left - expect.left)
+    assert gap <= 1e-13 * np.linalg.norm(expect.left)
 
 
 def _full_resolvent_study(op, phis, lambdas):
@@ -408,6 +429,12 @@ def test_study_refuses_a_bound_that_overflows():
 def test_lambda_schedule_names_the_refused_value():
     with pytest.raises(ValueError, match="empty"):
         lambda_schedule([])
+    with pytest.raises(ValueError, match=r"capped at 1e8.*1000000000\.0"):
+        lambda_schedule([1e1, 1e9])
+    assert lambda_schedule([1e1, 1e8]) == (10.0, 1e8)
+    op = banach_operator(Rng(213).matrix(3, 3), hilbert_embedding(3))
+    with pytest.raises(ValueError, match="capped at 1e8"):  # every caller, the approximant too
+        baire_approximant(op, 1e9)
     with pytest.raises(ValueError, match="1e-320"):
         lambda_schedule([1e1, 1e-320])
     assert lambda_schedule([1e-300, 1e1]) == (1e-300, 10.0)

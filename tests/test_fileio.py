@@ -18,7 +18,8 @@ from dst.fileio import (
     write_json,
 )
 from dst.rng import Rng
-from dst.spectral import deformed_of
+from dst.polar import polar_decompose
+from dst.spectral import deform
 from dst.suites import CaseResult, Report, SuiteConfig, run_suite
 
 
@@ -109,13 +110,23 @@ def test_digest_stability():
 
 
 def test_measure_serialization():
-    f = deformed_of(np.diag([-2.0, -1.0]).astype(complex))
-    obj = measure_to_obj(f)
+    p = polar_decompose(np.diag([-2.0, -1.0]).astype(complex))
+    obj = measure_to_obj(p)
+    assert sorted(obj) == ["atoms", "dim", "source_atoms", "support", "u"]
     assert obj["dim"] == 2
     assert obj["support"] == [1.0, 2.0]
-    assert len(obj["atoms"]) == len(f.atoms)
+    assert obj["u"] == matrix_to_obj(p.U)
+    assert obj["source_atoms"] == [{"lambda": lam, "p": matrix_to_obj(e)} for lam, e in p.source.atoms]
+    # atom j of F is w v* of the SVD's pair j from the last, bit for bit,
+    # and that of deform(U, E_T) to roundoff
+    want = deform(p.U, p.source, support_tol=p.threshold).atoms
+    assert len(obj["atoms"]) == len(want) == 2
+    for j, (atom, (lam, ref)) in enumerate(zip(obj["atoms"], want)):
+        df = np.outer(p.W[:, 1 - j], p.V[:, 1 - j].conj())
+        assert atom == {"lambda": lam, "df": matrix_to_obj(df)}
+        assert np.abs(df - ref).max() <= 16 * np.finfo(np.float64).eps
     # canonical text is stable
-    assert dump_json(obj) == dump_json(measure_to_obj(f))
+    assert dump_json(obj) == dump_json(measure_to_obj(p))
 
 
 def _small_report(**kwargs) -> Report:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,13 @@ from dst.config import DEFAULT
 from dst.ensembles import Ensemble, generate
 from dst.errors import DimensionMismatch, NotSquare
 from dst.kuelbs import LpSpace, build_kuelbs
-from dst.linalg import herm, hermitian_eigen, svd
+from dst.linalg import as_stack, herm, hermitian_eigen, svd
 from dst.polar import intertwining_check, polar_decompose
 from dst.rng import Rng
-from dst.spectral import PolarDecomposition, SpectralMeasure, _cluster, deform
+from dst.spectral import PolarDecomposition, SpectralMeasure, _cluster, deform, deformed_of
+
+
+EPS = float(np.finfo(np.float64).eps)
 
 
 def test_identity():
@@ -166,11 +171,12 @@ def test_h_polar_t_formed_on_first_read_is_the_pulled_back_eager_t(kind, count, 
 
 
 def _parent_views(dec, tols=DEFAULT, metric=None) -> dict:
-    """U, Tbar, T, E_T and F = U E_T of one SVD, each restated as the
-    library formed it before one object carried them all: the rank cut and
-    U of the former ``isometry_from_svd``, the Tbar of ``polar_from_svd``,
-    the measure of ``deformation_from_svd``, and for an H-polar the
-    pull-backs of ``h_polar`` and ``banach_deformed_spectral``."""
+    """U, Tbar, T, E_T and F of one SVD, each restated from W, S and V: the
+    rank cut and U of the former ``isometry_from_svd``, the Tbar of
+    ``polar_from_svd``, E_T of ``deformation_from_svd``, F = (W, V*) in
+    ascending order with the columns at or below the rank cut set to 0,
+    and for an H-polar the pull-backs of ``h_polar``, the factors of E_T
+    and of F pulled back once each."""
     rel = tols.rank_threshold_rel(dec.sigma.shape[-1])
     threshold = rel * dec.sigma[..., 0]
     rank = np.count_nonzero(dec.sigma > threshold[..., None], axis=-1)
@@ -183,42 +189,60 @@ def _parent_views(dec, tols=DEFAULT, metric=None) -> dict:
         u = np.stack([w[:, :r] @ herm(v[:, :r]) for w, v, r in zip(dec.left, dec.right, rank.tolist())])
     tbar = (dec.left * dec.sigma[..., None, :]) @ herm(dec.left)
     tbar = (tbar + herm(tbar)) / 2.0
+    n = dec.sigma.shape[-1]
     vecs = np.ascontiguousarray(dec.right[..., ::-1])
-    values = _cluster(dec.sigma[..., ::-1], tols.cluster_tol(), cut=dec.sigma.shape[-1] - rank)
-    left, right = vecs, herm(vecs)
+    values = _cluster(dec.sigma[..., ::-1], tols.cluster_tol(), cut=n - rank)
+    # column j of the ascending order is column n-1-j of the SVD, kept when n-1-j < rank
+    w = np.array(dec.left[..., ::-1])
+    for k, r in enumerate(np.atleast_1d(rank).tolist()):
+        w.reshape(-1, n, n)[k, :, : n - r] = 0.0
+    left, right, f_left, f_right = vecs, herm(vecs), w, herm(vecs)
     t = _parent_t(dec)
     if metric is not None:
         u, tbar, t = metric.from_frame(u), metric.from_frame(tbar), metric.from_frame(t)
         left, right = metric.from_frame_factors(left, right)
+        f_left, f_right = metric.from_frame_factors(f_left, f_right)
     source = SpectralMeasure(values=values, left=left, right=right)
-    measure = deform(u, source, support_tol=threshold, tols=tols)
+    measure = SpectralMeasure(values=values, left=f_left, right=f_right, support_tol=threshold)
     return {"U": u, "Tbar": tbar, "T": t, "source": source, "measure": measure, "rank": rank, "threshold": threshold}
 
 
 def _assert_same_measure(got, want):
     for name in ("values", "left", "right", "support_tol"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    assert (got.U is None) == (want.U is None) and (want.U is None or np.array_equal(got.U, want.U))
-    assert (got.source is None) == (want.source is None)
-    if want.source is not None:
-        _assert_same_measure(got.source, want.source)
+
+
+def _assert_measure_is_the_deformed_source(p):
+    """F against its reference deform(U, E_T): the values, atoms, support
+    and right factor bit for bit, the left factor to roundoff (16 eps per
+    entry in the Euclidean metric, 1e-13 relative Frobenius when pulled
+    back through a Gram metric)."""
+    got, want = p.measure, deform(p.U, p.source, support_tol=p.threshold, tols=p.tols)
+    assert np.array_equal(got.values, want.values) and np.array_equal(got.right, want.right)
+    assert (got.bounds, got.support) == (want.bounds, want.support)
+    gap = np.abs(got.left - want.left)
+    if p.metric is None:
+        assert gap.max() <= 16 * EPS
+    else:
+        assert np.linalg.norm(gap) <= 1e-13 * np.linalg.norm(want.left)
 
 
 def _assert_views_are_the_parents(p, dec, metric=None):
     want = _parent_views(dec, metric=metric)
     assert np.array_equal(p.rank, want["rank"]) and np.array_equal(p.threshold, want["threshold"])
+    for name in ("source", "measure"):
+        view = getattr(p, name)
+        _assert_same_measure(view, want[name])
+        assert all(not a.flags.writeable for a in (view.values, view.left, view.right))
+        assert getattr(p, name) is not view  # built anew on each read, never kept on p
+    assert [name for name in ("U", "Tbar", "T") if name in vars(p)] == []  # reading E_T or F forms none of them
     for name in ("U", "Tbar", "T"):
         view = getattr(p, name)
         assert np.array_equal(view, want[name]), name
         assert not view.flags.writeable, name
         # U and Tbar are cached: a second read returns the same array
         assert (getattr(p, name) is view) is (name != "T"), name
-    for name in ("source", "measure"):
-        view = getattr(p, name)
-        _assert_same_measure(view, want[name])
-        assert all(not a.flags.writeable for a in (view.values, view.left, view.right))
-        assert getattr(p, name) is not view  # built anew on each read, never kept on p
-    assert not p.measure.U.flags.writeable
+    _assert_measure_is_the_deformed_source(p)
 
 
 def _draws_of(kind, count, seed):
@@ -251,3 +275,33 @@ def test_every_h_polar_view_is_the_pulled_back_expression(kind, count, dense):
     gp = h_polar(banach_operator(a, emb))
     assert gp.metric is emb.metric and gp.tols is DEFAULT
     _assert_views_are_the_parents(gp, svd(emb.metric.to_frame(a)), metric=emb.metric)
+
+
+def test_measure_zeroes_the_kernel_columns_exactly():
+    # U annihilates ker(T): the left factor's columns at or below the rank cut are exact zeros
+    a, = generate(Ensemble("rankdef", 16, 1, 57, rank=8))
+    p = polar_decompose(a)
+    f = p.measure
+    assert p.rank == 8 and f.values[7] <= p.threshold < f.values[8]
+    assert np.all(f.left[:, :8] == 0.0) and np.all(np.any(f.left[:, 8:] != 0.0, axis=0))
+    assert np.array_equal(f.left[:, 8:], p.W[:, 7::-1])
+
+
+def test_one_validating_copy_per_decomposition(monkeypatch):
+    # polar_decompose and deformed_of validate their input once, in svd
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return as_stack(*args, **kwargs)
+
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "dst"]
+    bound = [m for m in modules if getattr(m, "as_stack", None) is as_stack]
+    assert len(bound) >= 2  # linalg, which defines it, and every module that imports it
+    for module in bound:
+        monkeypatch.setattr(module, "as_stack", counting)
+    a = _draws_of("general", 3, 59)
+    polar_decompose(a)
+    assert calls == [a.shape]
+    deformed_of(a[0])
+    assert calls == [a.shape, a.shape[1:]]

@@ -1,9 +1,11 @@
+import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from dst.adjoint import banach_deformed_spectral, banach_operator
+from dst.adjoint import banach_deformed_spectral, banach_operator, h_polar
 from dst.ensembles import Ensemble, generate
 from dst.errors import DimensionMismatch, EvalError, NegativeSupport, NotHermitian
 from dst.gexpr import evaluate, parse
@@ -12,6 +14,8 @@ from dst.linalg import herm, hermitian_eigen
 from dst.polar import polar_decompose
 from dst.rng import Rng
 from dst.spectral import (
+    PolarDecomposition,
+    SpectralMeasure,
     deform,
     deformed_of,
     integrate,
@@ -19,7 +23,10 @@ from dst.spectral import (
     spectral_measure,
     variation,
 )
-from dst.suites import SuiteConfig, _stream
+from dst.suites import SuiteConfig, _stream, run_suite
+
+
+EPS = float(np.finfo(np.float64).eps)
 
 
 def unit_projector(k, n):
@@ -133,7 +140,7 @@ def test_deformed_support_excludes_kernel_at_rank_boundary(seed, idx):
     f = deformed_of(a)
     p = polar_decompose(a)
     assert f.bounds == (0, 1, 2)
-    assert f.source.lambdas[0] <= p.threshold < f.source.lambdas[1]
+    assert p.source.lambdas[0] <= p.threshold < p.source.lambdas[1]
     assert len(f.support) == p.rank == 1
 
 
@@ -166,7 +173,7 @@ def test_svd_measure_clusters_repeated_and_close_singular_values():
     assert f.lambdas == pytest.approx((0.0, 1.0, 2.0 - 1e-12, 3.0), rel=1e-14, abs=1e-14)
     assert len(f.support) == 3
     assert np.linalg.norm(f.reconstruct() - a) <= 1e-12 * (1 + np.linalg.norm(a))
-    _assert_projector_measure(f.source, a)
+    _assert_projector_measure(polar_decompose(a).source, a)
 
 
 def test_svd_measure_splits_a_cluster_at_the_rank_cut():
@@ -182,7 +189,7 @@ def test_svd_measure_splits_a_cluster_at_the_rank_cut():
     assert f.lambdas[1] == pytest.approx(1e-10, rel=1e-4)
     assert len(f.support) == p.rank
     assert np.linalg.norm(f.reconstruct() - a) <= 1e-14 * (1 + np.linalg.norm(a))
-    _assert_projector_measure(f.source, a)
+    _assert_projector_measure(p.source, a)
 
 
 def test_svd_measure_of_a_rank_13_matrix_has_13_support_atoms():
@@ -191,7 +198,7 @@ def test_svd_measure_of_a_rank_13_matrix_has_13_support_atoms():
     assert len(f.support) == polar_decompose(a).rank == 13
     assert f.bounds[:2] == (0, 3) and f.lambdas[0] <= f.support_tol
     assert np.linalg.norm(f.reconstruct() - a) <= 1e-12 * (1 + np.linalg.norm(a))
-    _assert_projector_measure(f.source, a)
+    _assert_projector_measure(polar_decompose(a).source, a)
 
 
 @pytest.mark.parametrize("kind", ["general", "rankdef"])
@@ -203,7 +210,7 @@ def test_svd_measure_matches_an_eigendecomposition_of_t(n, kind):
     p = polar_decompose(a)
     et = hermitian_eigen(p.T)
     scale = float(et.values[-1])
-    e = f.source
+    e = p.source
     assert e.bounds[-1] == n and list(e.lambdas) == sorted(e.lambdas)
     # every atom spans the eigenvectors of T in the same ascending positions
     for lam, lo, hi in zip(e.lambdas, e.bounds, e.bounds[1:]):
@@ -235,7 +242,8 @@ def test_integrate_constant_recovers_isometry_mass():
     a = Rng(63).matrix(5, 5)
     f = deformed_of(a)
     out = integrate("1", f)
-    assert np.linalg.norm(out - f.U) <= 1e-10 * (1 + np.linalg.norm(f.U))
+    u = polar_decompose(a).U
+    assert np.linalg.norm(out - u) <= 1e-10 * (1 + np.linalg.norm(u))
 
 
 def test_integrate_square_is_deformed_calculus():
@@ -303,7 +311,7 @@ def test_quadratic_form_source_matches_t_norm():
     f = deformed_of(a)
     p = polar_decompose(a)
     phi = Rng(72).vector(6)
-    qf = quadratic_form(f.source, phi)
+    qf = quadratic_form(p.source, phi)
     t_phi = p.T @ phi
     a_phi = a @ phi
     assert qf.total.real == pytest.approx(float(np.vdot(t_phi, t_phi).real), rel=1e-10)
@@ -355,8 +363,8 @@ def test_variation_bound_random():
     for _ in range(200):
         a = rng.matrix(4, 4)
         phi = rng.vector(4)
-        f = deformed_of(a)
-        assert variation(f, phi) <= variation(f.source, phi) + 1e-12
+        p = polar_decompose(a)
+        assert variation(p.measure, phi) <= variation(p.source, phi) + 1e-12
 
 
 def test_boundary_spectra_reconstruction():
@@ -403,9 +411,9 @@ def test_commutation_order_independence():
     for _ in range(20):
         a = rng.matrix(5, 5)
         phi = rng.vector(5)
-        f = deformed_of(a)
-        lhs = f.U @ integrate("exp(-lambda)", f.source, phi)
-        rhs = integrate("exp(-lambda)", f, phi)
+        p = polar_decompose(a)
+        lhs = p.U @ integrate("exp(-lambda)", p.source, phi)
+        rhs = integrate("exp(-lambda)", p.measure, phi)
         assert np.linalg.norm(lhs - rhs) <= 1e-13 * (1 + np.linalg.norm(lhs))
 
 
@@ -449,15 +457,16 @@ def test_factored_contractions_rank_deficient_zero_cluster():
     assert len(f.support) == 3
     phi = Rng(93).vector(6)
     _cross_check(f, phi)
-    _cross_check(f.source, phi)
+    _cross_check(polar_decompose(a).source, phi)
 
 
 def test_factored_contractions_metric_measure():
     emb = build_kuelbs(LpSpace(5, 3.0))
     g = emb.gram
-    res = banach_deformed_spectral(banach_operator(Rng(94).matrix(5, 5), emb))
+    op = banach_operator(Rng(94).matrix(5, 5), emb)
+    res = banach_deformed_spectral(op)
     _cross_check(res.measure, Rng(95).vector(5))
-    pulled = res.measure.source.atoms
+    pulled = h_polar(op).source.atoms
     assert np.linalg.norm(sum(p for _, p in pulled) - np.eye(5)) <= 1e-10
     for _, p in pulled:
         assert np.linalg.norm(p @ p - p) <= 1e-10 * (1 + np.linalg.norm(p))
@@ -490,15 +499,15 @@ def test_a_stack_of_measures_is_the_measure_of_each_matrix(stack):
     f = deformed_of(stack)
     phi = Rng(203).matrix(len(stack), 6)
     p = polar_decompose(stack)
-    lhs, at_phi, var = integrate("exp(-lambda)", f), integrate("sqrt(lambda)", f, phi), variation(f.source, phi)
+    lhs, at_phi, var = integrate("exp(-lambda)", f), integrate("sqrt(lambda)", f, phi), variation(p.source, phi)
     for k, a in enumerate(stack):
-        one = deformed_of(a)
-        assert np.array_equal(f.values[k], one.values) and np.array_equal(f.U[k], one.U)
-        assert np.array_equal(f.left[k], one.left) and np.array_equal(f.source.left[k], one.source.left)
-        assert f.support_tol[k] == one.support_tol and p.rank[k] == polar_decompose(a).rank
+        one, p_one = deformed_of(a), polar_decompose(a)
+        assert np.array_equal(f.values[k], one.values) and np.array_equal(p.U[k], p_one.U)
+        assert np.array_equal(f.left[k], one.left) and np.array_equal(p.source.left[k], p_one.source.left)
+        assert f.support_tol[k] == one.support_tol and p.rank[k] == p_one.rank
         assert np.array_equal(lhs[k], integrate("exp(-lambda)", one))
         assert np.array_equal(at_phi[k], integrate("sqrt(lambda)", one, phi[k]))
-        assert var[k] == variation(one.source, phi[k])
+        assert var[k] == variation(p_one.source, phi[k])
     assert [lam for lam, _ in f.atoms] == [lam for a in stack for lam, _ in deformed_of(a).atoms]
     with pytest.raises(DimensionMismatch):  # one phi per measure of the stack
         integrate("lambda", f, phi[0])
@@ -506,12 +515,20 @@ def test_a_stack_of_measures_is_the_measure_of_each_matrix(stack):
 
 @pytest.mark.parametrize("stack", _stacked_cases(), ids=["one-rank", "mixed-rank"])
 def test_deformed_of_is_the_measure_of_the_polar_decomposition(stack):
+    # F is (W, V*) in ascending order, the columns at or below the rank
+    # cut set to 0; deform(U, E_T) is the same measure up to roundoff
     for a in (stack[0], stack):
-        f, g = deformed_of(a), polar_decompose(a).measure
-        for m, n in ((f, g), (f.source, g.source)):
-            for name in ("values", "left", "right", "support_tol"):
-                assert np.array_equal(getattr(m, name), getattr(n, name)), name
-        assert np.array_equal(f.U, g.U) and g.source.U is None and g.source.source is None
+        p = polar_decompose(a)
+        f, g, ref = deformed_of(a), p.measure, deform(p.U, p.source, support_tol=p.threshold)
+        n = a.shape[-1]
+        kept = np.arange(n) >= n - np.asarray(p.rank)[..., None, None]
+        assert np.array_equal(g.left, np.where(kept, p.W[..., ::-1], 0.0))
+        assert np.array_equal(g.right, herm(p.V[..., ::-1])) and np.array_equal(g.values, p.source.values)
+        for name in ("values", "left", "right", "support_tol"):
+            assert np.array_equal(getattr(f, name), getattr(g, name)), name
+        assert np.array_equal(g.values, ref.values) and np.array_equal(g.right, ref.right)
+        assert (g.bounds, g.support) == (ref.bounds, ref.support)
+        assert np.abs(g.left - ref.left).max() <= 16 * EPS
 
 
 def test_support_of_a_stack_runs_over_each_measure_in_turn():
@@ -525,3 +542,57 @@ def test_support_of_a_stack_runs_over_each_measure_in_turn():
     # a single measure's support is unchanged: its lambdas above support_tol
     one = deformed_of(mixed[0])
     assert one.support == tuple(lam for lam in one.lambdas if lam > one.support_tol)
+
+
+def test_a_measure_is_four_arrays():
+    assert [f.name for f in dataclasses.fields(SpectralMeasure)] == ["values", "left", "right", "support_tol"]
+
+
+def test_deformed_of_holds_five_matrices_at_most():
+    # the SVD's W and V, V in ascending order, and F's two factors;
+    # forming U and multiplying it into V took two matrices more
+    n = 128
+    a = generate(Ensemble("general", n, 1, 97))[0]
+    tracemalloc.start()
+    try:
+        deformed_of(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * n * n * 16
+
+
+def test_no_library_path_deforms(monkeypatch):
+    # deform is the public push-forward and the tests' reference for F; the
+    # library reads F off the polar decomposition instead
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return deform(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dst" and getattr(module, "deform", None) is deform:
+            monkeypatch.setattr(module, "deform", spy)
+    run_suite("all", SuiteConfig(dims=(2, 4, 8, 16), trials=20, seed=42))
+    deformed_of(Rng(98).matrix(6, 6))
+    banach_deformed_spectral(banach_operator(Rng(99).matrix(6, 6), build_kuelbs(LpSpace(6, 3.0))))
+    assert calls == []
+    sys.modules["dst.spectral"].deform(np.eye(2, dtype=complex), spectral_measure(np.eye(2)))  # the spy is in place
+    assert calls == [1]
+
+
+def test_the_calculus_gates_see_a_wrong_isometry(monkeypatch):
+    # F no longer shares U with the oracles U g(T): flipping the sign of U's
+    # first singular pair, w_1 v_1*, must fail both calculus identities
+    formed = PolarDecomposition.U.func
+
+    def flipped(p):
+        pair = p.W[..., :1] @ herm(p.V[..., :1])
+        return formed(p) - 2.0 * (pair if p.metric is None else p.metric.from_frame(pair))
+
+    monkeypatch.setattr(PolarDecomposition, "U", property(flipped))
+    cfg = SuiteConfig(dims=(2, 4, 8), trials=5, seed=42)
+    for suite, check in (("funcalc", "identity"), ("banach-spectral", "funcalc_identity")):
+        report = run_suite(suite, cfg)
+        assert any(c.metrics[check] > c.tolerances[check] for c in report.cases), suite

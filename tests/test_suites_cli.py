@@ -10,7 +10,7 @@ import dst.suites
 from dst.adjoint import AdjointPair
 from dst.cli import _emit, build_parser, main
 from dst.config import Tolerances
-from dst.errors import ConfigError
+from dst.errors import ConfigError, InvalidInput
 from dst.fileio import dump_json, matrix_to_obj
 from dst.polar import polar_decompose
 from dst.rng import Rng
@@ -83,7 +83,7 @@ def test_verify_defaults_are_the_suite_config_defaults():
 # SHA-256 of the default `dst verify --suite all --no-timestamp` report,
 # pinned with Python 3.11, numpy 2.4 and OpenBLAS 0.3.31. Re-pin only with
 # a CHANGES.md entry that gives the largest metric drift.
-GOLDEN_DEFAULT_REPORT = "9f5dbe4e67a6c5823422fd1bf758a7f74cf0547907c5310c3286855df5757b3d"
+GOLDEN_DEFAULT_REPORT = "3bd0c35dcbfee0406a72bfa3d4c7860d5887f4c7852ead6889be86355b90141d"
 
 
 def _report_digest(tmp_path, *args) -> str:
@@ -99,7 +99,7 @@ def test_golden_report_digest(tmp_path, capsys):
 
 # The same for the benchmarked run (896 cases), whose kuelbs suite calls
 # lp_operator_norm at dims 2 through 16.
-GOLDEN_BENCH_REPORT = "3a5b88705c8f3843f4c6934a5068577e21e5873c56af577f97998f674d16fb37"
+GOLDEN_BENCH_REPORT = "1ea4325515da64c515551c5bbaeb7a81015313b4f57ff710c163ccde5d3a7680"
 
 
 def test_golden_bench_report_digest(tmp_path, capsys):
@@ -344,6 +344,20 @@ def test_cli_baire_lambda_cap(tmp_path, capsys):
     path = write_matrix(tmp_path, Rng(403).matrix(3, 3))
     assert main(["baire", "--input", path, "--lambdas", "1e1,1e9"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_lambda_above_the_baire_cap(tmp_path, capsys):
+    # above 1e8 the Baire check fails on roundoff, so verify refuses the
+    # schedule as `dst baire` does, before any suite runs
+    report = tmp_path / "r.json"
+    argv = ["verify", "--dims", "2", "--trials", "1", "--lambdas", "1e1,1e9", "--report", str(report)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "capped at 1e8" in captured.err
+    assert not report.exists()
+    with pytest.raises(InvalidInput, match="capped at 1e8"):
+        SuiteConfig(lambdas=(1e1, 1e12))
+    assert SuiteConfig(lambdas=(1e1, 1e8)).lambdas == (1e1, 1e8)
 
 
 # a schedule that checks nothing (empty, or a lambda whose 1/lambda
