@@ -16,6 +16,7 @@ tolerance, both the library thresholds and the suite pass/fail limits.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -27,9 +28,9 @@ from .adjoint import (
     adjoint, adjoint_metrics, baire_convergence_study, banach_operator, dirichlet_laplacian_demo, lambda_schedule,
 )
 from .config import Tolerances, from_env
-from .errors import ConfigError, ToolkitError
+from .errors import ConfigError, InvalidInput, ToolkitError
 from .fileio import load_matrix, matrix_to_obj, measure_to_obj, save_report, write_json
-from .kuelbs import LpSpace, build_kuelbs
+from .kuelbs import GramMetric, LpSpace, build_kuelbs
 from .linalg import herm
 from .polar import intertwining_check, polar_decompose
 from .rng import Rng, substream
@@ -99,12 +100,35 @@ def _ints_csv(text: str) -> tuple[int, ...]:
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
 
 
+def _refuse_huge(a: np.ndarray, metric: GramMetric | None = None) -> np.ndarray:
+    """``a`` itself, refused (InvalidInput) when an entry is so large that a
+    command's largest product overflows.
+
+    That product is a squared norm of two n x n factors built from A: of
+    A A* U in polar's intertwining check, of A*A in the adjoint axioms, and
+    of Tbar A phi in the Baire bound, whose probe has |phi|^2 <= 2n. With
+    |a_ij| <= M, each factor has Frobenius norm at most n M, times
+    sqrt(cond G) in a Gram metric, so the squared norm is at most
+    2n (n M)^4 cond(G)^2; the limit keeps twice that below the largest double.
+    """
+    n, cond = max(a.shape), 1.0 if metric is None else metric.eig_max / metric.eig_min
+    limit = (np.finfo(np.float64).max / (4 * n)) ** 0.25 / (n * math.sqrt(cond))
+    with np.errstate(over="ignore"):  # |a_ij| itself may overflow, and is then refused
+        top = float(np.abs(a).max())
+    if not top <= limit:
+        raise InvalidInput(
+            f"max |a_ij| = {top:.6g} exceeds the limit {limit:.6g} for this command at n = {n}:"
+            " a squared norm of a product of two such matrices would overflow"
+        )
+    return a
+
+
 # --------------------------------------------------------------------------
 
 
 def _cmd_polar(args) -> int:
     tols = _library_tols(args, keys=("rank",))
-    a = load_matrix(args.input)
+    a = _refuse_huge(load_matrix(args.input))
     p = polar_decompose(a, tols=tols)
     t = p.T  # formed on each read
     scale = 1.0 + float(np.linalg.norm(a))
@@ -126,7 +150,7 @@ def _cmd_polar(args) -> int:
 
 def _cmd_deformed(args) -> int:
     tols = _library_tols(args)
-    a = load_matrix(args.input)
+    a = _refuse_huge(load_matrix(args.input))
     p = polar_decompose(a, tols=tols)
     recon = float(np.linalg.norm(p.measure.reconstruct() - a)) / (1.0 + float(np.linalg.norm(a)))
     obj = measure_to_obj(p)
@@ -137,7 +161,7 @@ def _cmd_deformed(args) -> int:
 
 def _cmd_funcalc(args) -> int:
     tols = _library_tols(args)
-    a = load_matrix(args.input)
+    a = _refuse_huge(load_matrix(args.input))
     f = deformed_of(a, tols=tols)
     result = integrate(args.g, f)
     obj = {
@@ -168,7 +192,7 @@ def _cmd_kuelbs(args) -> int:
 def _cmd_adjoint(args) -> int:
     a = load_matrix(args.input)
     emb = build_kuelbs(LpSpace(dim=args.dim, p=args.p))
-    pair = adjoint(banach_operator(a, emb))
+    pair = adjoint(banach_operator(_refuse_huge(a, emb.metric), emb))
     obj = {
         "p": args.p,
         "dim": args.dim,
@@ -194,7 +218,7 @@ def _cmd_baire(args) -> int:
     a = load_matrix(args.input)
     dim = a.shape[0]
     emb = build_kuelbs(LpSpace(dim=dim, p=args.p))
-    op = banach_operator(a, emb)
+    op = banach_operator(_refuse_huge(a, emb.metric), emb)
     rows = baire_convergence_study(op, Rng(substream(args.seed, 3)).matrix(4, dim), args.lambdas)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:

@@ -56,14 +56,14 @@ class Ensemble:
 
 
 def generate(ens: Ensemble) -> np.ndarray:
-    """All ``count`` matrices of the ensemble as one (count, n, n) stack,
-    in index order, each equal bit for bit to its draw alone; an
-    h_selfadjoint ensemble factors its Gram once for all draws, as a
-    :class:`~dst.kuelbs.GramMetric` (no LAPACK call for a diagonal Gram;
-    a Gram that is not positive definite raises SingularGram)."""
+    """All ``count`` matrices of the ensemble as one (count, n, n) stack
+    in index order, drawn from all substreams at once, each equal bit for
+    bit to its draw alone; an h_selfadjoint ensemble factors its Gram once
+    for all draws, as a :class:`~dst.kuelbs.GramMetric` (no LAPACK call for
+    a diagonal Gram; a Gram that is not positive definite raises SingularGram)."""
     n, r = ens.dim, ens.rank
     rows, cols = (2, n * r) if ens.kind == "rankdef" else (n, n)  # rankdef draws B (n x r), then C (r x n)
-    draws = np.stack([Rng(substream(ens.seed, k)).matrix(rows, cols) for k in range(ens.count)])
+    draws = Rng(substream(ens.seed, np.arange(ens.count))).matrix(rows, cols)
     if ens.kind == "general":
         return draws
     if ens.kind == "rankdef":

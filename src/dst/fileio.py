@@ -22,7 +22,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ParseError
-from .linalg import as_matrix
+from .linalg import as_matrix, as_stack
 from .spectral import PolarDecomposition
 
 __all__ = [
@@ -163,13 +163,13 @@ def measure_to_obj(p: PolarDecomposition) -> dict:
     }
 
 
-def digest(m) -> str:
-    """Stable content hash of a matrix (shape and IEEE-754 bytes)."""
-    m = as_matrix(m)
-    h = hashlib.sha256()
-    h.update(struct.pack("<qq", m.shape[0], m.shape[1]))
-    h.update(np.ascontiguousarray(m, dtype="<c16").tobytes())
-    return h.hexdigest()[:16]
+def digest(m) -> str | list[str]:
+    """Stable content hash of a matrix (shape and IEEE-754 bytes); of a
+    stack, validated once, the list of each matrix's hash."""
+    m = as_stack(m).astype("<c16", copy=False)  # C-ordered, as validated
+    header = struct.pack("<qq", *m.shape[-2:])
+    out = [hashlib.sha256(header + x.tobytes()).hexdigest()[:16] for x in m.reshape(-1, *m.shape[-2:])]
+    return out[0] if m.ndim == 2 else out
 
 
 def _pieces(obj: Any):

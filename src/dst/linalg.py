@@ -186,7 +186,7 @@ def abs_norm(a: np.ndarray, p: float) -> float | np.ndarray:
             # the root per row as a scalar power: the array power can round
             # differently in the last bit
             sums = (b**p).sum(axis=-1)
-            root = np.array([s ** (1.0 / p) for s in sums.ravel().tolist()]).reshape(sums.shape)
+            root = np.fromiter(map(pow, sums.ravel().tolist(), [1.0 / p] * sums.size), float).reshape(sums.shape)
             out = top * root
     return float(out) if out.ndim == 0 else out
 

@@ -24,6 +24,12 @@ Substreams: stream ``k`` of seed ``s`` starts from the state
 draw from sequences that depend only on ``(seed, k)``, never on
 evaluation order. No transcendental functions are used, so streams are
 stable across platforms and libm versions.
+
+Stacked substreams: of an array of stream indices ``ks``,
+``substream(s, ks)`` is the uint64 array of their states, and
+``Rng(substream(s, ks)).matrix(r, c)`` draws them all at once, a
+``(len(ks), r, c)`` stack whose matrix ``j`` and end state ``j`` are, bit
+for bit, those of ``Rng(substream(s, ks[j])).matrix(r, c)``.
 """
 
 from __future__ import annotations
@@ -35,41 +41,42 @@ _GAMMA = 0x9E3779B97F4A7C15
 _STREAM_GAMMA = 0xD1B54A32D192ED03
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D49BBB133111EB
-_GAMMA_U64, _M1_U64, _M2_U64 = (np.uint64(v) for v in (_GAMMA, _M1, _M2))
 
 
-def mix64(z: int) -> int:
-    """Output transformation of the stream."""
+def mix64(z):
+    """Output transformation of the stream, of an int below 2^64 or, in
+    place, of each entry of a uint64 array (which wraps mod 2^64 silently)."""
+    z ^= z >> 30
+    z *= _M1
     z &= _MASK
-    z = ((z ^ (z >> 30)) * _M1) & _MASK
-    z = ((z ^ (z >> 27)) * _M2) & _MASK
-    return (z ^ (z >> 31)) & _MASK
+    z ^= z >> 27
+    z *= _M2
+    z &= _MASK
+    z ^= z >> 31
+    return z
 
 
-def substream(seed: int, k: int) -> int:
-    """Seed of the k-th substream of ``seed`` (pure function of both)."""
-    return mix64((mix64(seed) + ((k + 1) * _STREAM_GAMMA)) & _MASK)
+def substream(seed: int, k):
+    """Seed of the k-th substream of ``seed`` (pure function of both); of
+    an array of stream indices, the uint64 array of their seeds."""
+    k = np.asarray(k, dtype=np.uint64) if np.ndim(k) else k
+    return mix64((mix64(seed & _MASK) + (k + 1) * _STREAM_GAMMA) & _MASK)
 
 
 class Rng:
-    """Counter-based stream of complex entries in [-1, 1) + i[-1, 1)."""
+    """Counter-based stream of complex entries in [-1, 1) + i[-1, 1); of an
+    array of seeds, one stream per seed, drawn as one stack."""
 
     __slots__ = ("_state",)
 
-    def __init__(self, seed: int):
-        self._state = seed & _MASK
+    def __init__(self, seed):
+        self._state = np.array(seed & _MASK if isinstance(seed, int) else seed, dtype=np.uint64)
 
     def _entries(self, count: int) -> np.ndarray:
-        # every step is an array op: uint64 arrays wrap mod 2^64 silently
         z = np.arange(1, 2 * count + 1, dtype=np.uint64)
-        z *= _GAMMA_U64
-        z += np.uint64(self._state)
-        z ^= z >> 30
-        z *= _M1_U64
-        z ^= z >> 27
-        z *= _M2_U64
-        z ^= z >> 31
-        self._state = (self._state + 2 * count * _GAMMA) & _MASK
+        z *= _GAMMA
+        z = mix64(z + self._state[..., None])
+        self._state += 2 * count * _GAMMA & _MASK
         u = (z >> 11).astype(np.float64)
         u *= 2.0**-52  # 2 * (x * 2^-53) - 1, exactly: both scalings are powers of two
         u -= 1.0
@@ -79,4 +86,4 @@ class Rng:
         return self._entries(dim)
 
     def matrix(self, rows: int, cols: int) -> np.ndarray:
-        return self._entries(rows * cols).reshape(rows, cols)
+        return self._entries(rows * cols).reshape(*self._state.shape, rows, cols)

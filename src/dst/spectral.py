@@ -375,8 +375,10 @@ def quadratic_form(measure: SpectralMeasure, phi, functional=None) -> QuadraticF
 
 def variation(measure: SpectralMeasure, phi) -> float | np.ndarray:
     """Total variation Sum_i ||dM_i phi||_2 of the atomized vector measure;
-    of a stack, one per measure, with one phi per measure."""
+    of a stack, one per measure, with one phi per measure. Each measure's
+    sum, alone or in a stack, is ``np.add.reduceat``'s over its atoms in lambda
+    order: the first atom's norm plus numpy's pairwise sum of the rest."""
     norms = np.linalg.norm(measure.atom_vectors(_phi_for(measure, phi)), axis=1)
-    counts = measure._starts().reshape(-1, measure.dim).sum(axis=1)
-    out = np.array([part.sum() for part in np.split(norms, np.cumsum(counts)[:-1])])  # as each alone
+    counts = measure._starts().reshape(-1, measure.dim).sum(axis=1)  # every measure has an atom
+    out = np.add.reduceat(norms, np.cumsum(counts) - counts)
     return float(out[0]) if measure.values.ndim == 1 else out.reshape(measure.values.shape[:-1])

@@ -193,14 +193,14 @@ def _stream(cfg: SuiteConfig, label: str) -> int:
     return substream(cfg.seed, zlib.crc32(label.encode("utf-8")))
 
 
-def _case(cfg: SuiteConfig, case_id: str, inputs: np.ndarray, metrics: dict[str, float],
+def _case(cfg: SuiteConfig, case_id: str, inputs_digest: str, metrics: dict[str, float],
           limits: dict[str, str], *conditions: bool) -> CaseResult:
     """One case: each metric named in ``limits`` must not exceed the
     tolerance under its ``TOL_DEFAULTS`` key, and every extra condition
     (a sign test or bound not expressed as a metric limit) must hold."""
     tolerances = {k: cfg.tolerance(key) for k, key in limits.items()}
     passed = all(metrics[k] <= tol for k, tol in tolerances.items()) and all(conditions)
-    return CaseResult(case_id, digest(inputs), metrics, tolerances, passed)
+    return CaseResult(case_id, inputs_digest, metrics, tolerances, passed)
 
 
 def _cases(cfg: SuiteConfig, prefix: str, stack: np.ndarray, metrics: dict, limits: dict[str, str],
@@ -209,12 +209,12 @@ def _cases(cfg: SuiteConfig, prefix: str, stack: np.ndarray, metrics: dict, limi
     and conditions that hold one entry per matrix."""
     rows = [dict(zip(metrics, vals)) for vals in zip(*(np.asarray(v).tolist() for v in metrics.values()))]
     flags = list(zip(*(np.asarray(c).tolist() for c in conditions))) or [()] * len(stack)
-    return [_case(cfg, f"{prefix}/t{idx}", a, m, limits, *f) for idx, (a, m, f) in enumerate(zip(stack, rows, flags))]
+    return [_case(cfg, f"{prefix}/t{i}", d, m, limits, *f) for i, (d, m, f) in enumerate(zip(digest(stack), rows, flags))]
 
 
 def _draws(ens: Ensemble, offset: int, rows: int) -> np.ndarray:
     """The rows×dim probe block of each trial, from substream offset + idx."""
-    return np.stack([Rng(substream(ens.seed, offset + idx)).matrix(rows, ens.dim) for idx in range(ens.count)])
+    return Rng(substream(ens.seed, offset + np.arange(ens.count))).matrix(rows, ens.dim)
 
 
 def _support_match(support, sigma_nonzero) -> float | np.ndarray:
@@ -428,7 +428,7 @@ def _suite_kuelbs(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> list
 
             metrics.update(gram_min_eig=gram_min, dual_gram=dual_gram_err, lax_margin=lax_margin)
             cases.append(
-                _case(cfg, f"kuelbs/p{p}/n{dim}", gram, metrics, limits, gram_min > 0.0,
+                _case(cfg, f"kuelbs/p{p}/n{dim}", digest(gram), metrics, limits, gram_min > 0.0,
                       bool(diag.is_h_selfadjoint.all()))
             )
     return cases
@@ -588,7 +588,7 @@ def _suite_laplacian(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> l
         for name, a in operators:
             _, metrics = dirichlet_laplacian_demo(n, r=3.0, a=a, rng=rng)
             cases.append(_case(
-                cfg, f"laplacian/n{n}/{name}", a, metrics, limits,
+                cfg, f"laplacian/n{n}/{name}", digest(a), metrics, limits,
                 metrics["accretive_min"] >= -cfg.tolerance("laplacian.accretive"),
                 metrics["inverse_norm"] <= 1.0 + cfg.tolerance("laplacian.inverse"),
             ))

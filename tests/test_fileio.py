@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dst.errors import ParseError
+from dst.errors import DimensionMismatch, ParseError
 from dst.fileio import (
     digest,
     dump_json,
@@ -107,6 +107,20 @@ def test_digest_stability():
     for z in t.ravel(order="C"):
         ref.update(struct.pack("<dd", float(z.real), float(z.imag)))
     assert digest(t) == ref.hexdigest()[:16]
+
+
+def test_digest_of_a_stack_is_the_digest_of_each_matrix():
+    # a transposed (non-contiguous) stack with signed zeros and subnormals
+    stack = Rng(305).matrix(4, 15).reshape(4, 3, 5).swapaxes(1, 2)
+    stack[0, 0, 0] = complex(-0.0, 5e-324)
+    stack[2, 4, 1] = complex(2.2e-308, -0.0)
+    stack[3] = -0.0
+    got = digest(stack)
+    assert got == [digest(m) for m in stack]
+    assert got == [digest(np.ascontiguousarray(m)) for m in stack]
+    assert len(set(got)) == 4
+    with pytest.raises(DimensionMismatch):
+        digest(stack[0, 0])
 
 
 def test_measure_serialization():

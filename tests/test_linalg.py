@@ -117,7 +117,7 @@ def _per_vector_abs_norm(a, p):
     return float(top * (((b**p).sum()) ** (1.0 / p)))
 
 
-@pytest.mark.parametrize("p", [1, 1.5, 2, 3, math.inf])
+@pytest.mark.parametrize("p", [1, 1.1, 1.5, 2, 3, 8, math.inf])
 @pytest.mark.parametrize("n", [1, 2, 9, 200])
 def test_abs_norm_block_matches_each_row_bit_for_bit(n, p):
     block = np.abs(Rng(1000 + n).matrix(12, n))
@@ -131,6 +131,7 @@ def test_abs_norm_block_matches_each_row_bit_for_bit(n, p):
         want = _per_vector_abs_norm(row, p)
         assert float(got).hex() == want.hex()
         assert abs_norm(row, p).hex() == want.hex()
+    assert abs_norm(block.reshape(3, 4, n), p).tobytes() == rows.reshape(3, 4).tobytes()  # a stack of blocks
 
 
 def test_gram_rows_match_per_vector_forms():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dst.rng import Rng
+from dst.rng import Rng, substream
 
 MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -56,3 +56,34 @@ def test_matrix_rows_are_consecutive_vectors():
     for row in rows:
         assert row.tobytes() == b.vector(5).tobytes()
     assert a._state == b._state
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, MASK])
+@pytest.mark.parametrize("offset", [0, 40_000])
+@pytest.mark.parametrize("count", [1, 20])
+@pytest.mark.parametrize("shape", [(3, 4), (2, 8 * 4)])  # a probe block; rankdef's (2, n r) at n = 8, r = 4
+def test_stacked_substreams_are_the_scalar_streams(seed, offset, count, shape):
+    ks = offset + np.arange(count)
+    stacked = Rng(substream(seed, ks))
+    got = stacked.matrix(*shape)
+    alone = [Rng(substream(seed, int(k))) for k in ks]
+    want = np.stack([rng.matrix(*shape) for rng in alone])
+    assert got.shape == (count, *shape)
+    assert got.tobytes() == want.tobytes()
+    assert stacked._state.tolist() == [int(rng._state) for rng in alone]
+    assert substream(seed, ks).tolist() == [substream(seed, int(k)) for k in ks]
+    # and the streams go on as they would alone
+    assert stacked.vector(5).tobytes() == np.stack([rng.vector(5) for rng in alone]).tobytes()
+
+
+def test_substream_of_an_index_is_the_mixed_seed():
+    # mix(mix(s) + (k + 1) * 0xD1B54A32D192ED03), the README's formula, in plain integers
+    def mix(z):
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+        z = ((z ^ (z >> 27)) * 0x94D49BBB133111EB) & MASK
+        return z ^ (z >> 31)
+
+    for seed, k in [(0, 0), (42, 7), (MASK, 2**32 - 1), (-1, 3)]:
+        want = mix((mix(seed & MASK) + (k + 1) * 0xD1B54A32D192ED03) & MASK)
+        assert substream(seed, k) == want
+        assert type(substream(seed, k)) is int

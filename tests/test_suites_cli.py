@@ -1,5 +1,7 @@
+import collections
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -83,7 +85,7 @@ def test_verify_defaults_are_the_suite_config_defaults():
 # SHA-256 of the default `dst verify --suite all --no-timestamp` report,
 # pinned with Python 3.11, numpy 2.4 and OpenBLAS 0.3.31. Re-pin only with
 # a CHANGES.md entry that gives the largest metric drift.
-GOLDEN_DEFAULT_REPORT = "3bd0c35dcbfee0406a72bfa3d4c7860d5887f4c7852ead6889be86355b90141d"
+GOLDEN_DEFAULT_REPORT = "5b38065d2a8bc5358b7804cb8907786d66bb7bb2cf964dffd6526627396c2ec5"
 
 
 def _report_digest(tmp_path, *args) -> str:
@@ -99,7 +101,7 @@ def test_golden_report_digest(tmp_path, capsys):
 
 # The same for the benchmarked run (896 cases), whose kuelbs suite calls
 # lp_operator_norm at dims 2 through 16.
-GOLDEN_BENCH_REPORT = "1ea4325515da64c515551c5bbaeb7a81015313b4f57ff710c163ccde5d3a7680"
+GOLDEN_BENCH_REPORT = "549ef87e492f51600c4dfb0a52521a0254b55c69353812ab5edc4fad4dc94dbf"
 
 
 def test_golden_bench_report_digest(tmp_path, capsys):
@@ -156,6 +158,27 @@ def test_bench_run_decomposes_each_input_once(monkeypatch):
     run_suite("all", SuiteConfig(dims=(2, 4, 8, 16), trials=20, seed=42))
     assert len(seen) == 72
     assert len(set(seen)) == len(seen), "an input was decomposed twice"
+
+
+def test_bench_run_draws_each_group_at_once(monkeypatch):
+    # one Rng.matrix call per ensemble or probe group, over all its trials'
+    # substreams; a per-trial draw loop would make about 1,800 calls
+    seen = []
+    draw = Rng.matrix
+
+    def spy(self, rows, cols):
+        seen.append(np.shape(self._state))
+        return draw(self, rows, cols)
+
+    monkeypatch.setattr(Rng, "matrix", spy)
+    run_suite("all", SuiteConfig(dims=(2, 4, 8, 16), trials=20, seed=42))
+    # per dim, 20 trials: deformed's 4 ensembles and their probes, funcalc's
+    # ensemble, and an ensemble and a probe group per p in adjoint, baire and
+    # banach-spectral: 4 * (8 + 1 + 3 * 2 * 2) = 84; kuelbs' Lax ensembles of
+    # trials // 2 per (p, dim): 8; one stream each: kuelbs' probes and lp-norm
+    # starts per (p, dim), 16, and laplacian's random operator and 4 demo
+    # probe blocks per n, 10
+    assert collections.Counter(seen) == {(20,): 84, (10,): 8, (): 26}
 
 
 def test_summary_names_nonfinite_metrics():
@@ -338,6 +361,38 @@ def test_cli_bad_inputs(tmp_path, capsys):
     bad.write_text("{broken")
     assert main(["polar", "--input", str(bad)]) == 1
     capsys.readouterr()
+
+
+_INPUT_COMMANDS = {
+    "polar": [], "deformed": [], "funcalc": ["--g", "lambda^2"],
+    "adjoint": ["--p", "3", "--dim", "4"], "baire": ["--p", "3"],
+}
+
+
+@pytest.mark.filterwarnings("error")  # as under `python -W error`: no overflow warning may escape
+@pytest.mark.parametrize("command", list(_INPUT_COMMANDS))
+def test_cli_refuses_entries_whose_products_overflow(command, tmp_path, capsys):
+    # a finite 4 x 4 input scaled to 1e300 printed NaN residuals (or, for
+    # baire, "error bound nan") with exit 0; it is refused at the boundary
+    probe = Rng(409).matrix(4, 4)
+    probe /= np.abs(probe).max()
+    argv = [command, "--input", write_matrix(tmp_path, probe * 1e300), *_INPUT_COMMANDS[command]]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    match = re.search(r"max \|a_ij\| = (\S+) exceeds the limit (\S+) ", captured.err)
+    assert match, captured.err
+    top, limit = float(match[1]), float(match[2])
+    assert top == pytest.approx(1e300, rel=1e-5) and 1e70 < limit < 1e77
+
+    # just under the limit every command still reports finite numbers
+    argv[2] = write_matrix(tmp_path, probe * (limit * (1 - 1e-5)), name="under.json")
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "NaN" not in out and "Infinity" not in out
+    argv[2] = write_matrix(tmp_path, probe * (limit * (1 + 1e-5)), name="over.json")
+    assert main(argv) == 1
+    assert "exceeds the limit" in capsys.readouterr().err
 
 
 def test_cli_baire_lambda_cap(tmp_path, capsys):
