@@ -225,11 +225,6 @@ class GramMetric:
         """Whether the methods apply G and its factors as diagonal scalings."""
         return self._diagonals is not None
 
-    @property
-    def basis(self) -> np.ndarray:
-        """Rows are an H-orthonormal basis: the columns of inv(L*)."""
-        return self.frame_inv.T
-
     def to_frame(self, a: np.ndarray) -> np.ndarray:
         """L* a inv(L*): the matrix of ``a`` in the frame where the Gram
         inner product is the Euclidean one."""

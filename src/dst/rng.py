@@ -34,6 +34,8 @@ for bit, those of ``Rng(substream(s, ks[j])).matrix(r, c)``.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _MASK = (1 << 64) - 1
@@ -57,10 +59,10 @@ def mix64(z):
 
 
 def substream(seed: int, k):
-    """Seed of the k-th substream of ``seed`` (pure function of both); of
-    an array of stream indices, the uint64 array of their seeds."""
-    k = np.asarray(k, dtype=np.uint64) if np.ndim(k) else k
-    return mix64((mix64(seed & _MASK) + (k + 1) * _STREAM_GAMMA) & _MASK)
+    """Seed of the k-th substream of ``seed`` (pure function of both, each
+    an int or numpy integer); of an array of indices, the uint64 array of their seeds."""
+    k = np.asarray(k, dtype=np.uint64) if np.ndim(k) else operator.index(k)
+    return mix64((mix64(operator.index(seed) & _MASK) + (k + 1) * _STREAM_GAMMA) & _MASK)
 
 
 class Rng:

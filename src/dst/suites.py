@@ -4,9 +4,9 @@ pass/fail report.
 Each suite runs a battery of randomized checks over deterministic
 ensembles; the case list depends only on the configuration (dims, trials,
 seed, tolerances), never on wall clock or evaluation order, so two runs
-with the same arguments produce byte-identical reports. Every case is
-built by ``_case``, which derives the pass flag from the gated metrics and
-any extra conditions.
+with the same arguments produce byte-identical reports. Each suite states
+its gates once, as named checks ``metric -> (op, limit)``, and ``_case``
+derives the pass flag from them alone.
 
 The trials of one configuration run as one stack, one LAPACK call per
 step, with probes from each trial's own substream; every metric equals
@@ -20,6 +20,7 @@ by ``DST_TOL_SCALE`` when set.
 from __future__ import annotations
 
 import math
+import operator
 import zlib
 from dataclasses import dataclass, field
 
@@ -30,7 +31,6 @@ from .adjoint import (
     adjoint,
     adjoint_metrics,
     baire_approximant,
-    banach_deformed_spectral,
     banach_operator,
     dirichlet_laplacian,
     dirichlet_laplacian_demo,
@@ -58,6 +58,8 @@ __all__ = [
 SUITE_NAMES = ("deformed", "funcalc", "kuelbs", "adjoint", "baire", "banach-spectral", "laplacian")
 
 G_CORPUS = ("lambda", "lambda^2", "exp(-lambda)", "sin(lambda)", "sqrt(lambda)")
+
+_OPS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt}  # a check's op, by its report name
 
 TOL_DEFAULTS: dict[str, float] = {
     "deformed.reconstruction": 1e-10,
@@ -133,17 +135,23 @@ class CaseResult:
     case_id: str
     inputs_digest: str
     metrics: dict[str, float]
-    tolerances: dict[str, float]
-    passed: bool
+    checks: dict[str, tuple[str, float]]  # the suite's table, shared by its cases
+    failed: tuple[str, ...] = ()  # the metrics whose check does not hold
+
+    @property
+    def passed(self) -> bool:
+        return not self.failed
 
     def to_obj(self) -> dict:
-        return {
+        obj = {
             "id": self.case_id,
             "inputs_digest": self.inputs_digest,
             "metrics": self.metrics,  # the encoder sorts keys
-            "tolerances": self.tolerances,
             "pass": self.passed,
         }
+        if self.failed:
+            obj["failed"] = list(self.failed)
+        return obj
 
 
 @dataclass(frozen=True)
@@ -161,12 +169,19 @@ class Report:
     def to_obj(self) -> dict:
         max_metrics: dict[str, float] = {}
         nonfinite: list[str] = []
+        checks: dict[str, dict] = {}
+        failed: dict[str, dict[str, int]] = {}
         for c in self.cases:
+            suite = c.case_id.split("/", 1)[0]
+            checks[suite] = c.checks
             for k, v in c.metrics.items():
                 if math.isfinite(v):
                     max_metrics[k] = max(max_metrics.get(k, -math.inf), v)
                 else:
                     nonfinite.append(f"{c.case_id}:{k}")
+            for k in c.failed:
+                counts = failed.setdefault(suite, {})
+                counts[k] = counts.get(k, 0) + 1
         summary = {
             "total": len(self.cases),
             "passed": sum(1 for c in self.cases if c.passed),
@@ -175,11 +190,14 @@ class Report:
         }
         if nonfinite:  # named here because max_metrics leaves them out
             summary["nonfinite"] = sorted(nonfinite)
+        if failed:
+            summary["failed_checks"] = failed
         obj = {
             "suite": self.suite,
             "version": __version__,
             "seed": self.seed,
             "config": self.config,
+            "checks": checks,
             "cases": [c.to_obj() for c in self.cases],
             "summary": summary,
         }
@@ -193,23 +211,18 @@ def _stream(cfg: SuiteConfig, label: str) -> int:
     return substream(cfg.seed, zlib.crc32(label.encode("utf-8")))
 
 
-def _case(cfg: SuiteConfig, case_id: str, inputs_digest: str, metrics: dict[str, float],
-          limits: dict[str, str], *conditions: bool) -> CaseResult:
-    """One case: each metric named in ``limits`` must not exceed the
-    tolerance under its ``TOL_DEFAULTS`` key, and every extra condition
-    (a sign test or bound not expressed as a metric limit) must hold."""
-    tolerances = {k: cfg.tolerance(key) for k, key in limits.items()}
-    passed = all(metrics[k] <= tol for k, tol in tolerances.items()) and all(conditions)
-    return CaseResult(case_id, inputs_digest, metrics, tolerances, passed)
+def _case(case_id: str, inputs_digest: str, metrics: dict[str, float], checks: dict) -> CaseResult:
+    """One case, failing each check ``metric -> (op, limit)`` whose metric
+    it reports and for which ``value op limit`` does not hold (NaN fails)."""
+    failed = tuple(k for k, (op, limit) in checks.items() if k in metrics and not _OPS[op](metrics[k], limit))
+    return CaseResult(case_id, inputs_digest, metrics, checks, failed)
 
 
-def _cases(cfg: SuiteConfig, prefix: str, stack: np.ndarray, metrics: dict, limits: dict[str, str],
-           *conditions) -> list[CaseResult]:
+def _cases(prefix: str, stack: np.ndarray, metrics: dict, checks: dict) -> list[CaseResult]:
     """The case ``prefix/t<idx>`` of each matrix of a stack, from metrics
-    and conditions that hold one entry per matrix."""
+    that hold one entry per matrix."""
     rows = [dict(zip(metrics, vals)) for vals in zip(*(np.asarray(v).tolist() for v in metrics.values()))]
-    flags = list(zip(*(np.asarray(c).tolist() for c in conditions))) or [()] * len(stack)
-    return [_case(cfg, f"{prefix}/t{i}", d, m, limits, *f) for i, (d, m, f) in enumerate(zip(digest(stack), rows, flags))]
+    return [_case(f"{prefix}/t{i}", d, m, checks) for i, (d, m) in enumerate(zip(digest(stack), rows))]
 
 
 def _draws(ens: Ensemble, offset: int, rows: int) -> np.ndarray:
@@ -263,11 +276,14 @@ class _Embeddings(dict):
 
 def _suite_deformed(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> list[CaseResult]:
     cases: list[CaseResult] = []
-    base_limits = {
-        "reconstruction": "deformed.reconstruction",
-        "support": "deformed.support",
-        "variation_excess": "deformed.variation",
-        "commutation": "deformed.commutation",
+    checks = {
+        "reconstruction": ("<=", cfg.tolerance("deformed.reconstruction")),
+        "support": ("<=", cfg.tolerance("deformed.support")),
+        "variation_excess": ("<=", cfg.tolerance("deformed.variation")),
+        "commutation": ("<=", cfg.tolerance("deformed.commutation")),
+        "distinctness_flip": ("<=", cfg.tolerance("deformed.distinctness")),  # negdef only, as the next two
+        "classical_max_atom": ("<", 0.0),
+        "deformed_min_support": (">", 0.0),
     }
     g = parse_g("exp(-lambda)")
     for dim in cfg.dims:
@@ -302,15 +318,12 @@ def _suite_deformed(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> li
                 "variation_excess": var_excess,
                 "commutation": comm,
             }
-            limits, signs = base_limits, ()
             if kind == "negdef":
                 classical = spectral_measure(a, tols=tols).values
                 metrics["distinctness_flip"] = _support_match(support, np.abs(classical))
                 metrics["classical_max_atom"] = classical[:, -1]
                 metrics["deformed_min_support"] = np.nan_to_num(np.fmin.reduce(support, axis=1), nan=0.0)
-                limits = {**base_limits, "distinctness_flip": "deformed.distinctness"}
-                signs = (classical[:, -1] < 0.0, metrics["deformed_min_support"] > 0.0)
-            cases += _cases(cfg, f"deformed/{kind}/n{dim}", a, metrics, limits, *signs)
+            cases += _cases(f"deformed/{kind}/n{dim}", a, metrics, checks)
     return cases
 
 
@@ -320,7 +333,10 @@ def _suite_deformed(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> li
 
 def _suite_funcalc(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> list[CaseResult]:
     cases: list[CaseResult] = []
-    limits = {"identity": "funcalc.identity", "classical_agreement": "funcalc.classical"}
+    checks = {
+        "identity": ("<=", cfg.tolerance("funcalc.identity")),
+        "classical_agreement": ("<=", cfg.tolerance("funcalc.classical")),
+    }
     asts = [parse_g(gsrc) for gsrc in G_CORPUS]
     for dim in cfg.dims:
         ens = Ensemble("general", dim, cfg.trials, _stream(cfg, f"funcalc/{dim}"))
@@ -344,7 +360,7 @@ def _suite_funcalc(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> lis
             rhs = integrate(ast, ec)
             classical_worst = np.maximum(classical_worst, _rel(fro(integrate(ast, fd) - rhs), fro(rhs)))
         metrics = {"identity": worst, "classical_agreement": classical_worst}
-        cases += _cases(cfg, f"funcalc/n{dim}", a, metrics, limits)
+        cases += _cases(f"funcalc/n{dim}", a, metrics, checks)
     return cases
 
 
@@ -391,14 +407,16 @@ def kuelbs_probe_metrics(emb: KuelbsEmbedding, gram: np.ndarray, rng: Rng, trial
 
 def _suite_kuelbs(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> list[CaseResult]:
     cases: list[CaseResult] = []
-    limits = {
-        "continuity_excess": "kuelbs.continuity",
-        "duality_pairing": "kuelbs.duality",
-        "duality_norm": "kuelbs.duality",
-        "steadman_identity": "kuelbs.steadman",
-        "gram_consistency": "kuelbs.gram_consistency",
-        "dual_gram": "kuelbs.dual_gram",
-        "lax_margin": "kuelbs.lax_margin",
+    checks = {
+        "continuity_excess": ("<=", cfg.tolerance("kuelbs.continuity")),
+        "duality_pairing": ("<=", cfg.tolerance("kuelbs.duality")),
+        "duality_norm": ("<=", cfg.tolerance("kuelbs.duality")),
+        "steadman_identity": ("<=", cfg.tolerance("kuelbs.steadman")),
+        "gram_consistency": ("<=", cfg.tolerance("kuelbs.gram_consistency")),
+        "dual_gram": ("<=", cfg.tolerance("kuelbs.dual_gram")),
+        "lax_margin": ("<=", cfg.tolerance("kuelbs.lax_margin")),
+        "gram_min_eig": (">", 0.0),
+        "lax_not_h_selfadjoint": ("<=", 0),  # the Lax operators lax_diagnostic does not call H-selfadjoint
     }
     for p in cfg.ps:
         for dim in cfg.dims:
@@ -426,11 +444,9 @@ def _suite_kuelbs(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> list
             diag = lax_diagnostic(emb, generate(ens), tols=tols)
             lax_margin = float((diag.ratio - diag.bound).max())
 
-            metrics.update(gram_min_eig=gram_min, dual_gram=dual_gram_err, lax_margin=lax_margin)
-            cases.append(
-                _case(cfg, f"kuelbs/p{p}/n{dim}", digest(gram), metrics, limits, gram_min > 0.0,
-                      bool(diag.is_h_selfadjoint.all()))
-            )
+            metrics.update(gram_min_eig=gram_min, dual_gram=dual_gram_err, lax_margin=lax_margin,
+                           lax_not_h_selfadjoint=int((~diag.is_h_selfadjoint).sum()))
+            cases.append(_case(f"kuelbs/p{p}/n{dim}", digest(gram), metrics, checks))
     return cases
 
 
@@ -438,23 +454,26 @@ def _suite_kuelbs(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> list
 # adjoint: defining contract, involution, axioms
 
 
+def _adjoint_checks(cfg: SuiteConfig, suite: str) -> dict[str, tuple[str, float]]:
+    """The checks on :func:`adjoint_metrics`, under the suite's tolerance keys."""
+    return {
+        "contract": ("<=", cfg.tolerance(f"{suite}.contract")),
+        "involution": ("<=", cfg.tolerance(f"{suite}.involution")),
+        "natural_selfadjoint": ("<=", cfg.tolerance(f"{suite}.natural")),
+        "accretive_min": (">=", -cfg.tolerance(f"{suite}.accretive")),
+        "inverse_norm": ("<=", 1.0 + cfg.tolerance(f"{suite}.inverse")),
+    }
+
+
 def _suite_adjoint(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> list[CaseResult]:
     cases: list[CaseResult] = []
-    limits = {
-        "contract": "adjoint.contract",
-        "involution": "adjoint.involution",
-        "natural_selfadjoint": "adjoint.natural",
-    }
+    checks = _adjoint_checks(cfg, "adjoint")
     for p in cfg.ps:
         for dim in cfg.dims:
             ens = Ensemble("general", dim, cfg.trials, _stream(cfg, f"adjoint/{p}/{dim}"))
             a = generate(ens)
             metrics = adjoint_metrics(adjoint(banach_operator(a, embs[p, dim])), _draws(ens, 20_000, 16))
-            cases += _cases(
-                cfg, f"adjoint/p{p}/n{dim}", a, metrics, limits,
-                metrics["accretive_min"] >= -cfg.tolerance("adjoint.accretive"),
-                metrics["inverse_norm"] <= 1.0 + cfg.tolerance("adjoint.inverse"),
-            )
+            cases += _cases(f"adjoint/p{p}/n{dim}", a, metrics, checks)
     return cases
 
 
@@ -468,7 +487,12 @@ _FULL_RANK_CUT = 1e-6
 
 def _suite_baire(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> list[CaseResult]:
     cases: list[CaseResult] = []
-    limits = {"identity": "baire.identity", "intertwine": "baire.intertwine"}
+    checks = {
+        "identity": ("<=", cfg.tolerance("baire.identity")),
+        "intertwine": ("<=", cfg.tolerance("baire.intertwine")),
+        "bound_excess": ("<=", 0.0),
+        "rate_outside": ("<=", 0),  # gated decade ratios outside [rate_low, rate_high]
+    }
     lams = lambda_schedule(cfg.lambdas)  # ascending, as for `dst baire`
     slack = 1.0 + cfg.tolerance("baire.bound_slack")
     low, high = cfg.tolerance("baire.rate_low"), cfg.tolerance("baire.rate_high")
@@ -506,7 +530,7 @@ def _suite_baire(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> list[
 
             # the decade window describes the resolvent-dominated regime,
             # so rate ratios are asserted only once lambda clears ||T||_H
-            rate_ok = np.ones(ens.count, dtype=bool)
+            outside = np.zeros(ens.count, dtype=int)
             rate_min, rate_max = np.full(ens.count, math.inf), np.full(ens.count, -math.inf)
             for e_prev, e_next, l_prev, l_next in zip(errors, errors[1:], lams, lams[1:]):
                 if abs(l_next / l_prev - 10.0) < 1e-9:
@@ -514,7 +538,7 @@ def _suite_baire(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> list[
                     ratio = e_next / np.where(gated, e_prev, 1.0)
                     rate_min = np.where(gated, np.minimum(rate_min, ratio), rate_min)
                     rate_max = np.where(gated, np.maximum(rate_max, ratio), rate_max)
-                    rate_ok &= ~gated | ((low <= ratio) & (ratio <= high))
+                    outside += gated & ~((low <= ratio) & (ratio <= high))
 
             metrics = {
                 "bound_excess": bound_excess,
@@ -522,8 +546,9 @@ def _suite_baire(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> list[
                 "intertwine": intertwine_worst,
                 "rate_min": np.where(np.isfinite(rate_min), rate_min, 0.0),
                 "rate_max": np.where(np.isfinite(rate_max), rate_max, 0.0),
+                "rate_outside": outside,
             }
-            cases += _cases(cfg, f"baire/p{p}/n{dim}", a, metrics, limits, bound_excess <= 0.0, rate_ok)
+            cases += _cases(f"baire/p{p}/n{dim}", a, metrics, checks)
     return cases
 
 
@@ -533,7 +558,10 @@ def _suite_baire(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> list[
 
 def _suite_banach_spectral(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> list[CaseResult]:
     cases: list[CaseResult] = []
-    limits = {"reconstruction_lp": "banach.reconstruction", "funcalc_identity": "banach.funcalc"}
+    checks = {
+        "reconstruction_lp": ("<=", cfg.tolerance("banach.reconstruction")),
+        "funcalc_identity": ("<=", cfg.tolerance("banach.funcalc")),
+    }
     square = parse_g("lambda^2")
     for p in cfg.ps:
         for dim in cfg.dims:
@@ -541,14 +569,13 @@ def _suite_banach_spectral(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings
             ens = Ensemble("general", dim, cfg.trials, _stream(cfg, f"banach-spectral/{p}/{dim}"))
             op = banach_operator(generate(ens), embs[p, dim])
             a = op.matrix
-            # the oracle U T^2 and the measure from one H-polar (the measure
-            # is read off the stored one), then drop it: a group's stacks set
-            # the run's peak memory, so hold few at once
+            # the oracle U T^2 and the measure from one H-polar, then drop it:
+            # a group's stacks set the run's peak memory, so hold few at once
             gp = h_polar(op, tols=tols)
             t = gp.T
             rhs = gp.U @ (t @ t)
             del t
-            measure = banach_deformed_spectral(op, tols=tols).measure
+            measure = gp.measure
             del op, gp
             # the canonical basis and three random probes, as rows
             basis = np.broadcast_to(np.eye(dim, dtype=np.complex128), a.shape)
@@ -559,7 +586,7 @@ def _suite_banach_spectral(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings
             lhs = integrate(square, measure)
             del measure, probes, a_phi
             metrics = {"reconstruction_lp": recon, "funcalc_identity": _rel(fro(lhs - rhs), fro(rhs))}
-            cases += _cases(cfg, f"banach-spectral/p{p}/n{dim}", a, metrics, limits)
+            cases += _cases(f"banach-spectral/p{p}/n{dim}", a, metrics, checks)
     return cases
 
 
@@ -569,12 +596,7 @@ def _suite_banach_spectral(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings
 
 def _suite_laplacian(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> list[CaseResult]:
     cases: list[CaseResult] = []
-    limits = {
-        "contract": "laplacian.contract",
-        "closed_form": "laplacian.contract",
-        "involution": "laplacian.involution",
-        "natural_selfadjoint": "laplacian.natural",
-    }
+    checks = {**_adjoint_checks(cfg, "laplacian"), "closed_form": ("<=", cfg.tolerance("laplacian.contract"))}
     for n in cfg.laplacian_ns:
         rng = Rng(_stream(cfg, f"laplacian/{n}"))
         shift = np.zeros((n, n), dtype=np.complex128)
@@ -587,11 +609,7 @@ def _suite_laplacian(cfg: SuiteConfig, tols: Tolerances, embs: _Embeddings) -> l
         ]
         for name, a in operators:
             _, metrics = dirichlet_laplacian_demo(n, r=3.0, a=a, rng=rng)
-            cases.append(_case(
-                cfg, f"laplacian/n{n}/{name}", digest(a), metrics, limits,
-                metrics["accretive_min"] >= -cfg.tolerance("laplacian.accretive"),
-                metrics["inverse_norm"] <= 1.0 + cfg.tolerance("laplacian.inverse"),
-            ))
+            cases.append(_case(f"laplacian/n{n}/{name}", digest(a), metrics, checks))
     return cases
 
 

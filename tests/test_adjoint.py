@@ -23,12 +23,13 @@ from dst.adjoint import (
 from dst.config import DEFAULT, Tolerances
 from dst.ensembles import Ensemble, generate
 from dst.errors import BadGrid, DimensionMismatch, SingularGram
+from dst.fileio import digest
 from dst.kuelbs import KuelbsEmbedding, LpSpace, build_kuelbs
 from dst.linalg import abs_norm, gram_norm_rows, herm, svd, vnorm
 from dst.polar import PolarDecomposition, polar_decompose
 from dst.rng import Rng
 from dst.spectral import SpectralMeasure, _cluster, deform, deformed_of, integrate
-from dst.suites import Report, SuiteConfig, _case
+from dst.suites import Report, SuiteConfig, _adjoint_checks, _case
 
 
 EPS = float(np.finfo(np.float64).eps)
@@ -675,7 +676,7 @@ def test_accretive_basis_sweep_is_the_frame_diagonal():
     emb = build_kuelbs(LpSpace(6, 3.0), seeds=[rng.vector(6) for _ in range(8)])
     a = rng.matrix(6, 6)
     pair = adjoint(banach_operator(a, emb))
-    us = emb.metric.basis
+    us = emb.metric.frame_inv.T  # rows: an H-orthonormal basis
     ata = pair.astar @ a
     quotients = [np.vdot(u, emb.gram @ (ata @ u)).real / np.vdot(u, emb.gram @ u).real for u in us]
     assert adjoint_axioms(pair).accretive_min == pytest.approx(min(quotients), rel=1e-12)
@@ -691,9 +692,8 @@ def test_singular_i_plus_astar_a_reports_an_infinite_inverse_norm():
     assert ax.inverse_norm == math.inf
     assert ax.accretive_min == pytest.approx(-1.0)
     metrics = adjoint_metrics(pair, Rng(246).matrix(16, 3))
-    cfg = SuiteConfig()
-    bounded = metrics["inverse_norm"] <= 1.0 + cfg.tolerance("adjoint.inverse")
-    case = _case(cfg, "adjoint/singular", eye, metrics, {}, bounded)
-    assert not case.passed
+    case = _case("adjoint/singular", digest(eye), metrics, _adjoint_checks(SuiteConfig(), "adjoint"))
+    # -I is not the adjoint of I either, so the contract and involution fail too
+    assert case.failed == ("contract", "involution", "accretive_min", "inverse_norm")
     summary = Report("adjoint", 0, {}, (case,)).to_obj()["summary"]
     assert summary["nonfinite"] == ["adjoint/singular:inverse_norm"]

@@ -149,8 +149,8 @@ def _small_report(**kwargs) -> Report:
 
 def _nonfinite_report() -> Report:
     cases = (
-        CaseResult("s/n2/t1", "d1", {"b": float("inf"), "a": 1.0}, {"b": 1e-9, "a": 1e-9}, False),
-        CaseResult("s/n2/t0", "d0", {"b": 0.5, "a": float("nan")}, {"b": 1e-9, "a": 1e-9}, False),
+        CaseResult("s/n2/t1", "d1", {"b": float("inf"), "a": 1.0}, {"b": ("<=", 1e-9), "a": ("<=", 1e-9)}, ("b",)),
+        CaseResult("s/n2/t0", "d0", {"b": 0.5, "a": float("nan")}, {"b": ("<=", 1e-9), "a": ("<=", 1e-9)}, ("a",)),
     )
     return Report("s", 7, {}, cases)
 

@@ -280,7 +280,6 @@ def _dense_methods(m, a, us, vs):
         "apply": (m.apply(a), m.gram @ a),
         "inner_rows": (m.inner_rows(us, vs), gram_inner_rows(m.gram, us, vs)),
         "norm_rows": (m.norm_rows(us), gram_norm_rows(m.gram, us)),
-        "basis": (m.basis, m.frame_inv.T),
     }
 
 

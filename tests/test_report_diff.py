@@ -21,12 +21,13 @@ _spec.loader.exec_module(report_diff)
 
 def _report() -> dict:
     cases = [
-        {"id": f"s/n2/t{k}", "inputs_digest": "d", "metrics": {"err": 1e-15 * (k + 1), "rate": 0.1},
-         "tolerances": {"err": 1e-10}, "pass": True}
+        {"id": f"s/n2/t{k}", "inputs_digest": "d", "metrics": {"err": 1e-15 * (k + 1), "rate": 0.1}, "pass": True}
         for k in range(3)
     ]
     summary = {"total": 3, "passed": 3, "all_pass": True, "max_metrics": {"err": 3e-15, "rate": 0.1}}
-    return {"suite": "s", "version": "0", "seed": 7, "config": {}, "cases": cases, "summary": summary}
+    checks = {"s": {"err": ["<=", 1e-10]}}
+    return {"suite": "s", "version": "0", "seed": 7, "config": {}, "checks": checks, "cases": cases,
+            "summary": summary}
 
 
 def _run(a: dict, b: dict, tmp_path) -> tuple[int, str]:
@@ -42,6 +43,16 @@ def test_identical_reports_match(tmp_path):
     code, text = _run(_report(), _report(), tmp_path)
     assert code == 0
     assert "metric err: 0/3 moved, max abs 0, max rel 0" in text and "pass flips: 0" in text
+    assert "check changes: 0" in text
+
+
+def test_a_changed_or_added_check_row_is_named(tmp_path):
+    a, b = _report(), _report()
+    b["checks"]["s"]["err"] = ["<=", 1e-12]
+    b["checks"]["s"]["rate"] = [">", 0.0]
+    code, text = _run(a, b, tmp_path)
+    assert code == 1
+    assert "check changes: 2\n  s err: ['<=', 1e-10] -> ['<=', 1e-12]\n  s rate: None -> ['>', 0.0]" in text
 
 
 def test_a_moved_metric_is_counted_with_its_largest_change(tmp_path):
@@ -95,9 +106,6 @@ def test_blas_threads_move_no_metric_beyond_its_tolerance(tmp_path):
     lines = report_diff.diff(one, two)[0]
     assert lines[:3] == ["only in A: 0 cases", "only in B: 0 cases", "pass flips: 0"]
     moves = {m[1]: float(m[2]) for m in (re.match(r"metric (\w+): .* max abs (\S+),", ln) for ln in lines) if m}
-    limits = {}
-    for case in one["cases"]:
-        for name, tol in case["tolerances"].items():
-            limits[name] = min(tol, limits.get(name, tol))
+    limits = {name: limit for name, (op, limit) in one["checks"]["banach-spectral"].items()}
     assert set(moves) == set(limits) == {"funcalc_identity", "reconstruction_lp"}
     assert all(moves[name] <= limits[name] for name in moves), (moves, limits)

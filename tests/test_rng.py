@@ -87,3 +87,15 @@ def test_substream_of_an_index_is_the_mixed_seed():
         want = mix((mix(seed & MASK) + (k + 1) * 0xD1B54A32D192ED03) & MASK)
         assert substream(seed, k) == want
         assert type(substream(seed, k)) is int
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", [np.int64, np.uint64, np.int32, np.uint8])
+def test_numpy_integer_scalars_are_taken_as_python_ints(kind):
+    # seed 7 and index 3, each as a numpy scalar, alone or together; a
+    # negative index takes the signed kinds through the same arithmetic
+    want = substream(7, 3)
+    for seed, k in [(kind(7), 3), (7, kind(3)), (kind(7), kind(3))]:
+        assert substream(seed, k) == want and type(substream(seed, k)) is int
+    if np.issubdtype(kind, np.signedinteger):
+        assert substream(kind(-1), kind(-5)) == substream(-1, -5)

@@ -595,4 +595,5 @@ def test_the_calculus_gates_see_a_wrong_isometry(monkeypatch):
     cfg = SuiteConfig(dims=(2, 4, 8), trials=5, seed=42)
     for suite, check in (("funcalc", "identity"), ("banach-spectral", "funcalc_identity")):
         report = run_suite(suite, cfg)
-        assert any(c.metrics[check] > c.tolerances[check] for c in report.cases), suite
+        assert any(c.failed == (check,) for c in report.cases), suite
+        assert all(c.failed in ((), (check,)) for c in report.cases), suite

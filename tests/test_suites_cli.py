@@ -2,6 +2,7 @@ import collections
 import hashlib
 import json
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from dst.errors import ConfigError, InvalidInput
 from dst.fileio import dump_json, matrix_to_obj
 from dst.polar import polar_decompose
 from dst.rng import Rng
+from dst.spectral import spectral_measure
 from dst.suites import SUITE_NAMES, TOL_DEFAULTS, CaseResult, Report, SuiteConfig, run_suite
 
 SMALL = SuiteConfig(dims=(2, 4), trials=2, seed=7)
@@ -27,6 +29,8 @@ def test_each_suite_passes_small_config(name):
     report = run_suite(name, cfg)
     failed = [c.case_id for c in report.cases if not c.passed]
     assert report.passed, failed
+    # a check applies where its metric is reported: a row no case reports would gate nothing
+    assert set(report.to_obj()["checks"][name]) <= set().union(*(c.metrics for c in report.cases))
 
 
 def test_reports_are_reproducible():
@@ -39,6 +43,46 @@ def test_corrupt_gram_negative_control():
     cfg = SuiteConfig(dims=(2,), trials=2, seed=7, corrupt_gram=True)
     report = run_suite("kuelbs", cfg)
     assert not report.passed
+    assert all(c.failed == ("gram_min_eig",) and c.metrics["gram_min_eig"] < 0 for c in report.cases)
+
+
+def _classical_of_minus_a(a, tols):
+    # the classical spectrum of -A: the same moduli, the signs flipped
+    return SimpleNamespace(values=-spectral_measure(a, tols=tols).values)
+
+
+_CASES = dst.suites._cases
+
+
+def _zero_min_support(prefix, stack, metrics, checks):
+    # the support compares the same atoms, so only a fault in the metric itself fails this check alone
+    if "deformed_min_support" in metrics:
+        metrics = {**metrics, "deformed_min_support": np.zeros(len(stack))}
+    return _CASES(prefix, stack, metrics, checks)
+
+
+# each former pass condition, now a named check, and a fault (a patched
+# module attribute or a tolerance override) that fails it and no other check
+_FAULTS = [
+    ("deformed", {}, (dst.suites, "spectral_measure", _classical_of_minus_a), "classical_max_atom"),
+    ("deformed", {}, (dst.suites, "_cases", _zero_min_support), "deformed_min_support"),
+    ("kuelbs", {}, (dst.kuelbs, "_SELFADJOINT_REL", -1.0), "lax_not_h_selfadjoint"),
+    ("baire", {"baire.bound_slack": -1.0}, None, "bound_excess"),  # the error bound becomes 0
+    ("baire", {"baire.rate_high": 0.05}, None, "rate_outside"),
+    *((suite, {f"{suite}.accretive": -1e3}, None, "accretive_min") for suite in ("adjoint", "laplacian")),
+    *((suite, {f"{suite}.inverse": -1.0}, None, "inverse_norm") for suite in ("adjoint", "laplacian")),
+]
+
+
+@pytest.mark.parametrize("suite, tol, fault, check", _FAULTS, ids=[f"{f[0]}-{f[3]}" for f in _FAULTS])
+def test_each_former_condition_fails_alone_by_name(suite, tol, fault, check, monkeypatch):
+    if fault is not None:
+        monkeypatch.setattr(*fault)
+    report = run_suite(suite, SuiteConfig(dims=(2, 4), trials=2, seed=7, laplacian_ns=(8,), tol=tol))
+    assert not report.passed
+    assert {c.failed for c in report.cases} <= {(), (check,)}
+    counts = report.to_obj()["summary"]["failed_checks"]
+    assert counts == {suite: {check: sum(not c.passed for c in report.cases)}}
 
 
 def test_laplacian_closed_form_catches_a_perturbed_adjoint(monkeypatch):
@@ -85,7 +129,7 @@ def test_verify_defaults_are_the_suite_config_defaults():
 # SHA-256 of the default `dst verify --suite all --no-timestamp` report,
 # pinned with Python 3.11, numpy 2.4 and OpenBLAS 0.3.31. Re-pin only with
 # a CHANGES.md entry that gives the largest metric drift.
-GOLDEN_DEFAULT_REPORT = "5b38065d2a8bc5358b7804cb8907786d66bb7bb2cf964dffd6526627396c2ec5"
+GOLDEN_DEFAULT_REPORT = "c1341584d65c56347bf47207a26a3677b4b59cc2c0fc51f996f6d6e2e9bd92d9"
 
 
 def _report_digest(tmp_path, *args) -> str:
@@ -101,7 +145,7 @@ def test_golden_report_digest(tmp_path, capsys):
 
 # The same for the benchmarked run (896 cases), whose kuelbs suite calls
 # lp_operator_norm at dims 2 through 16.
-GOLDEN_BENCH_REPORT = "549ef87e492f51600c4dfb0a52521a0254b55c69353812ab5edc4fad4dc94dbf"
+GOLDEN_BENCH_REPORT = "c73bef9dfd30873ef587fed0db515c737636fff71e56a545da8c06cd1652122c"
 
 
 def test_golden_bench_report_digest(tmp_path, capsys):
@@ -183,13 +227,13 @@ def test_bench_run_draws_each_group_at_once(monkeypatch):
 
 def test_summary_names_nonfinite_metrics():
     cases = (
-        CaseResult("s/n2/t1", "d1", {"a": float("inf"), "b": 1.0}, {}, False),
-        CaseResult("s/n2/t0", "d0", {"a": 0.5, "b": float("nan")}, {}, False),
+        CaseResult("s/n2/t1", "d1", {"a": float("inf"), "b": 1.0}, {}, ("a",)),
+        CaseResult("s/n2/t0", "d0", {"a": 0.5, "b": float("nan")}, {}, ("b",)),
     )
     summary = Report("s", 7, {}, cases).to_obj()["summary"]
     assert summary["max_metrics"] == {"a": 0.5, "b": 1.0}
     assert summary["nonfinite"] == ["s/n2/t0:b", "s/n2/t1:a"]
-    finite = Report("s", 7, {}, (CaseResult("s/n2/t2", "d2", {"a": 1.0}, {}, True),))
+    finite = Report("s", 7, {}, (CaseResult("s/n2/t2", "d2", {"a": 1.0}, {}),))
     assert "nonfinite" not in finite.to_obj()["summary"]
 
 
@@ -273,7 +317,9 @@ def test_cli_kuelbs_and_adjoint(tmp_path, capsys):
     path = write_matrix(tmp_path, Rng(401).matrix(8, 8))
     assert main(["adjoint", "--input", path, "--p", "3", "--dim", "8"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["involution_residual"] <= 1e-10
+    assert set(out) == {"p", "dim", "astar", "contract", "involution", "accretive_min", "natural_selfadjoint",
+                        "inverse_norm"}
+    assert out["involution"] <= 1e-10
     assert out["accretive_min"] >= -1e-10
 
 
@@ -300,12 +346,12 @@ def test_cli_baire_csv(tmp_path, capsys):
 def test_cli_demo_laplacian(capsys):
     assert main(["demo", "laplacian", "--n", "8", "--r", "3"]) == 0
     out = json.loads(capsys.readouterr().out)
+    # adjoint_metrics' own keys, as in the laplacian suite's cases
     assert set(out) == {
-        "n", "r", "contract_residual", "involution_residual", "accretive_min",
-        "natural_selfadjoint_residual", "inverse_norm", "residual_r_norm",
+        "n", "r", "contract", "involution", "accretive_min", "natural_selfadjoint", "inverse_norm", "closed_form",
     }
-    assert out["contract_residual"] <= 1e-9
-    assert out["residual_r_norm"] <= 1e-9
+    assert out["contract"] <= 1e-9
+    assert out["closed_form"] <= 1e-9
     assert out["inverse_norm"] <= 1.0 + 1e-9
 
 
@@ -342,6 +388,27 @@ def test_verify_prints_the_report_it_saves(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     assert main(args) == 0
     assert capsys.readouterr().out == path.read_text(encoding="utf-8")
+
+
+def test_verify_names_each_failed_check_with_value_and_limit(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    argv = ["verify", "--suite", "adjoint", "--dims", "2", "--trials", "3", "--p", "3", "--no-timestamp",
+            "--tol", "adjoint.contract=0", "--report", str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    report = json.loads(path.read_text(encoding="utf-8"))
+    assert report["checks"]["adjoint"]["contract"] == ["<=", 0.0]
+    for case in report["cases"]:
+        value = case["metrics"]["contract"]
+        assert value > 0.0 and case["failed"] == ["contract"] and not case["pass"]
+        assert f"FAIL {case['id']}: contract = {value!r}, not <= 0.0\n" in err
+    assert report["summary"]["failed_checks"] == {"adjoint": {"contract": 3}}
+
+    # a passing run names no failed check
+    assert main(argv[:-4] + ["--report", str(path)]) == 0
+    assert "FAIL" not in capsys.readouterr().err
+    report = json.loads(path.read_text(encoding="utf-8"))
+    assert "failed_checks" not in report["summary"] and not any("failed" in c for c in report["cases"])
 
 
 def test_cli_verify_tol_override(tmp_path, capsys):
@@ -522,6 +589,17 @@ def test_hermitian_tol_reaches_no_command(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "tolerance keys ['hermitian'] do not apply here" in captured.err
+
+
+def test_support_tol_reaches_no_command(tmp_path, capsys):
+    # support_rel bounds the negative atoms that deform rejects; the commands
+    # read the measure off the polar SVD and deform nothing, so it is refused
+    path = write_matrix(tmp_path, Rng(406).matrix(3, 3))
+    for argv in (["deformed"], ["funcalc", "--g", "lambda"]):
+        assert main([*argv, "--input", path, "--tol", "support=0.9"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance keys ['support'] do not apply here; valid: ['cluster', 'rank']" in captured.err
 
 
 def test_cli_mtx_input(tmp_path, capsys):

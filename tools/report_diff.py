@@ -3,12 +3,13 @@
     python3 tools/report_diff.py A.json B.json
 
 Prints the case ids found in one report only, the cases whose pass flag
-flipped, and, for every metric, how many of the cases in both reports
-moved, with the largest absolute change |b - a| and relative change
-|b - a| / |a| (inf when a is 0). ``summary.max_metrics`` gets the same
-line per metric, and every other summary field that differs is printed
-as ``A -> B``. Exits 0 when the two reports hold the same cases, flags
-and values, and 1 otherwise.
+flipped, each row of the ``checks`` table whose op or limit differs
+(``None`` on the side that lacks it), and, for every metric, how many of
+the cases in both reports moved, with the largest absolute change
+|b - a| and relative change |b - a| / |a| (inf when a is 0).
+``summary.max_metrics`` gets the same line per metric, and every other
+summary field that differs is printed as ``A -> B``. Exits 0 when the two
+reports hold the same cases, flags, checks and values, and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -67,6 +68,14 @@ def diff(rep_a: dict, rep_b: dict) -> tuple[list[str], bool]:
     lines += [f"only in B: {len(only_b)} cases", *(f"  {k}" for k in only_b)]
     lines += [f"pass flips: {len(flips)}"]
     lines += [f"  {k}: {cases_a[k]['pass']} -> {cases_b[k]['pass']}" for k in flips]
+    checks_a, checks_b = rep_a.get("checks", {}), rep_b.get("checks", {})
+    rows = sorted({(s, m) for table in (checks_a, checks_b) for s in table for m in table[s]})
+    changed = [
+        f"  {s} {m}: {checks_a.get(s, {}).get(m)} -> {checks_b.get(s, {}).get(m)}"
+        for s, m in rows
+        if checks_a.get(s, {}).get(m) != checks_b.get(s, {}).get(m)
+    ]
+    lines += [f"check changes: {len(changed)}", *changed]
 
     metric_lines, same_metrics = _metric_lines(
         "metric", [cases_a[k]["metrics"] for k in both], [cases_b[k]["metrics"] for k in both]
@@ -79,7 +88,7 @@ def diff(rep_a: dict, rep_b: dict) -> tuple[list[str], bool]:
         if sum_a.get(key) != sum_b.get(key)
     ]
     lines += metric_lines + max_lines + other
-    return lines, not (only_a or only_b or flips or other) and same_metrics and same_max
+    return lines, not (only_a or only_b or flips or changed or other) and same_metrics and same_max
 
 
 def main(argv: list[str] | None = None) -> int:
