@@ -78,6 +78,13 @@ class BanachOperator:
     """A coordinate operator on an lp space carrying the Hilbert metric
     (u, v)_H = v* G u of a :class:`GramMetric`.
 
+    :func:`banach_operator` takes its matrix by the one copy rule of
+    :func:`~dst.linalg.as_stack`: a matrix frozen all the way to its owner
+    (a generated one, or an adjoint ``astar``) is kept uncopied, any other
+    is copied, so a caller that writes to its array later changes neither
+    the operator nor its memo. The constructor itself freezes the matrix
+    it is given.
+
     The operator holds its H-polar per tolerance set once
     :func:`h_polar` has computed it, and only :func:`h_polar` writes or
     reads that memo; matrix, metric and space are frozen, so the stored
@@ -152,6 +159,7 @@ def adjoint_axioms(pair: AdjointPair, *, probes: Sequence[np.ndarray] = ()) -> A
     """
     astar_a = pair.astar @ pair.operator.matrix
     metric = pair.operator.metric
+    ns_resid = fro(metric.adjoint_of(astar_a) - astar_a) / (1.0 + fro(astar_a))
     frame = metric.to_frame(astar_a)
 
     accretive_min = np.diagonal(frame, axis1=-2, axis2=-1).real.min(axis=-1)
@@ -161,13 +169,12 @@ def adjoint_axioms(pair: AdjointPair, *, probes: Sequence[np.ndarray] = ()) -> A
         num = metric.inner_rows(us @ astar_a.mT, us).real
         pos = den > 0.0
         accretive_min = np.minimum(accretive_min, np.where(pos, num / np.where(pos, den, 1.0), np.inf).min(axis=-1))
-
-    second = metric.adjoint_of(astar_a)
-    ns_resid = fro(second - astar_a) / (1.0 + fro(astar_a))
+    del astar_a  # the SVD below needs only the frame
 
     # I is added in the frame, where L* I inv(L*) = I holds exactly
+    frame += np.eye(frame.shape[-1])
     with np.errstate(divide="ignore"):
-        inverse_norm = 1.0 / np.linalg.norm(np.eye(frame.shape[-1]) + frame, -2, axis=(-2, -1))
+        inverse_norm = 1.0 / np.linalg.norm(frame, -2, axis=(-2, -1))
     return AdjointAxioms(
         accretive_min=accretive_min,
         natural_selfadjoint_residual=ns_resid,

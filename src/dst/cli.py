@@ -149,8 +149,9 @@ def _cmd_deformed(args) -> int:
     tols = _library_tols(args)
     a = _refuse_huge(load_matrix(args.input))
     p = polar_decompose(a, tols=tols)
-    recon = float(np.linalg.norm(p.measure.reconstruct() - a)) / (1.0 + float(np.linalg.norm(a)))
-    obj = measure_to_obj(p)
+    f = p.measure
+    recon = float(np.linalg.norm(f.reconstruct() - a)) / (1.0 + float(np.linalg.norm(a)))
+    obj = measure_to_obj(p, f)
     obj["reconstruction_residual"] = recon
     _emit(obj, args.out)
     return 0

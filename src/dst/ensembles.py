@@ -56,25 +56,35 @@ class Ensemble:
 
 
 def generate(ens: Ensemble) -> np.ndarray:
-    """All ``count`` matrices of the ensemble as one (count, n, n) stack
-    in index order, drawn from all substreams at once, each equal bit for
-    bit to its draw alone; an h_selfadjoint ensemble factors its Gram once
-    for all draws, as a :class:`~dst.kuelbs.GramMetric` (no LAPACK call for
-    a diagonal Gram; a Gram that is not positive definite raises SingularGram)."""
+    """All ``count`` matrices of the ensemble as one read-only (count, n, n)
+    stack in index order, drawn from all substreams at once, each equal bit
+    for bit to its draw alone; an h_selfadjoint ensemble factors its Gram
+    once for all draws, as a :class:`~dst.kuelbs.GramMetric` (no LAPACK
+    call for a diagonal Gram; a Gram that is not positive definite raises
+    SingularGram).
+
+    The stack is frozen all the way to its owner, so the library keeps it
+    and each matrix of it (a view) uncopied under the one copy rule of
+    :func:`~dst.linalg.as_stack`; to write into one, take a copy."""
     n, r = ens.dim, ens.rank
     rows, cols = (2, n * r) if ens.kind == "rankdef" else (n, n)  # rankdef draws B (n x r), then C (r x n)
     draws = Rng(substream(ens.seed, np.arange(ens.count))).matrix(rows, cols)
     if ens.kind == "general":
-        return draws
-    if ens.kind == "rankdef":
-        return draws[:, 0].reshape(-1, n, r) @ draws[:, 1].reshape(-1, r, n)
-    if ens.kind == "negdef":
-        return -(draws @ herm(draws) + _NEGDEF_SHIFT * np.eye(n))
-    h = (draws + herm(draws)) / 2.0
-    if ens.kind == "hermitian":
-        return h
-    # h_selfadjoint: inv(L*) H L* with L* of G = L L*
-    gram = as_matrix(ens.gram, square=True)
-    gram.setflags(write=False)  # a fresh array: the metric may keep it uncopied
-    ell_h = GramMetric(gram).chol_h
-    return np.linalg.solve(ell_h, h @ ell_h)
+        out = draws
+    elif ens.kind == "rankdef":
+        out = draws[:, 0].reshape(-1, n, r) @ draws[:, 1].reshape(-1, r, n)
+    elif ens.kind == "negdef":
+        out = -(draws @ herm(draws) + _NEGDEF_SHIFT * np.eye(n))
+    else:
+        out = h = (draws + herm(draws)) / 2.0
+    if ens.kind == "h_selfadjoint":
+        # inv(L*) H L* with L* of G = L L*
+        gram = as_matrix(ens.gram, square=True)
+        gram.setflags(write=False)  # a frozen Gram or a fresh copy: the metric keeps it uncopied
+        ell_h = GramMetric(gram).chol_h
+        out = np.linalg.solve(ell_h, h @ ell_h)
+    a = out
+    while a is not None:  # the general draws are a complex view of a float64 buffer
+        a.setflags(write=False)
+        a = a.base
+    return out

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ParseError
 from .linalg import as_matrix, as_stack
-from .spectral import PolarDecomposition
+from .spectral import PolarDecomposition, SpectralMeasure
 
 __all__ = [
     "matrix_to_obj",
@@ -147,9 +147,11 @@ def load_matrix(path: str) -> np.ndarray:
     raise ParseError("unrecognized matrix file format", line=1)
 
 
-def measure_to_obj(p: PolarDecomposition) -> dict:
-    """F = U E_T of a polar decomposition, with its U and the atoms of E_T."""
-    f = p.measure
+def measure_to_obj(p: PolarDecomposition, f: SpectralMeasure | None = None) -> dict:
+    """F = U E_T of a polar decomposition, with its U and the atoms of E_T;
+    ``f`` is F when the caller has already read ``p.measure``, which forms
+    a new F on each read."""
+    f = p.measure if f is None else f
     return {
         "dim": f.dim,
         "support": list(f.support),

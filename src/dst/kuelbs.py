@@ -44,7 +44,7 @@ from .errors import (
     SingularGram,
     ZeroVector,
 )
-from .linalg import abs_norm, as_matrix, as_stack, as_vector, fro, gram_inner_rows, herm, vnorm
+from .linalg import abs_norm, as_matrix, as_stack, as_vector, fro, gram_inner_rows, herm, is_frozen, vnorm
 from .rng import Rng, substream
 
 __all__ = [
@@ -154,9 +154,12 @@ class GramMetric:
 
     Construction is the one positivity gate: a Gram whose smallest
     eigenvalue is at or below n * eps * (largest) raises SingularGram, and
-    so does a G with a NaN or inf entry. A writeable ``gram`` is copied
-    before it is frozen, so the caller's array stays writeable; a
-    read-only one is kept as it is.
+    so does a G with a NaN or inf entry. ``gram`` follows the one copy
+    rule of :func:`~dst.linalg.as_stack`: a complex128, C-ordered Gram
+    that is read-only all the way to its owner is kept as it is; any
+    other is copied before it is frozen, so the caller's array stays
+    writeable and a later write to it (or to the owner of a read-only
+    view) cannot reach the metric.
 
     The diagonal rule: when every nonzero entry of G lies on its diagonal
     (as for a canonical-seed embedding, whose ``seeds`` and ``functionals``
@@ -182,7 +185,7 @@ class GramMetric:
     _diagonals: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g = self.gram.copy() if self.gram.flags.writeable else self.gram
+        g = self.gram if is_frozen(self.gram) else self.gram.copy()
         # the diagonal rule: every nonzero entry of G lies on its diagonal
         diagonal = np.count_nonzero(g) == np.count_nonzero(np.diagonal(g))
         if diagonal:
@@ -253,7 +256,10 @@ class GramMetric:
         if self._diagonals is None:
             return np.linalg.solve(self.gram, herm(a) @ self.gram)
         g = self._diagonals[0]
-        return herm(a) * g / g[:, None]
+        out = np.conjugate(a.swapaxes(-1, -2), order="C")  # a^H, C-ordered like every other result
+        out *= g
+        out /= g[:, None]
+        return out
 
     def apply(self, a: np.ndarray) -> np.ndarray:
         """G a."""
@@ -597,11 +603,13 @@ def lax_diagnostic(k: KuelbsEmbedding, a, *, tols: Tolerances = DEFAULT) -> LaxD
     m = k.metric
     ga = m.apply(a)
     resid = fro(ga - herm(ga)) / (1.0 + fro(ga))
+    del ga  # each n x n temporary goes before the next stage makes its own
     frame = m.to_frame(a)
     # ||a||_H is the frame's top singular value, the root of the top
     # eigenvalue of its Gram, which keeps full relative accuracy
     top = np.linalg.eigvalsh(herm(frame) @ frame)[..., -1]
     norm_h = _scalar(np.sqrt(np.maximum(top, 0.0)))
+    del frame
     est = lp_operator_norm(a, k.space.p)
     return LaxDiagnostic(
         is_h_selfadjoint=resid <= _SELFADJOINT_REL * max(1.0, tols.scale),

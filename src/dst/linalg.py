@@ -33,6 +33,7 @@ __all__ = [
     "as_matrix",
     "as_stack",
     "as_vector",
+    "is_frozen",
     "hermitian_eigen",
     "svd",
     "vnorm",
@@ -49,10 +50,34 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def as_stack(a, square: bool = False) -> np.ndarray:
-    """Validate and convert to a complex128 matrix or stack of matrices,
-    shape (..., m, n), with finite entries."""
-    m = np.array(a, dtype=np.complex128, order="C")
+def is_frozen(a) -> bool:
+    """Whether ``a`` may be kept as it is, with no copy: a complex128,
+    C-ordered ndarray that is read-only all the way to its owner (every
+    array of its ``.base`` chain is read-only, so no one can write to its
+    values through any other array)."""
+    if type(a) is not np.ndarray or a.dtype != np.complex128 or not a.flags.c_contiguous:
+        return False
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None  # an owner of another type (a buffer) may be writeable
+
+
+def as_stack(a, square: bool = False, *, copy: bool = True) -> np.ndarray:
+    """Validate and convert to a C-ordered complex128 matrix or stack of
+    matrices, shape (..., m, n), with finite entries.
+
+    The one copy rule: an input that :func:`is_frozen` accepts
+    (complex128, C-ordered and read-only all the way to its owner) is
+    returned as it is, since no one can change it; every other input is
+    copied, so the result never changes under its holder. A caller that
+    only reads the result while it runs, as LAPACK's SVD reads its input,
+    passes ``copy=False`` and gets any complex128, C-ordered input back
+    as it is. Either way the entries are checked."""
+    if copy and not is_frozen(a):
+        a = np.array(a, dtype=np.complex128, order="C")
+    m = np.asarray(a, dtype=np.complex128, order="C")  # a itself when it is one already
     if m.ndim < 2 or m.shape[-2] < 1 or m.shape[-1] < 1:
         raise DimensionMismatch(f"expected a matrix or a stack of matrices, got shape {m.shape}")
     if not np.all(np.isfinite(m.view(np.float64))):
@@ -148,12 +173,13 @@ def hermitian_eigen(m, *, tols: Tolerances = DEFAULT) -> EigenSystem:
 
 def svd(m) -> SvdResult:
     """Full SVD of a rectangular matrix, or of a stack in one call (thin form)."""
-    m = as_stack(m)
+    m = as_stack(m, copy=False)  # LAPACK never writes its input
     try:
         w, s, vh = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
-    return SvdResult(left=w, sigma=np.asarray(s, dtype=np.float64), right=herm(vh))
+    np.conjugate(vh, out=vh)  # V = herm(vh), with no second array
+    return SvdResult(left=w, sigma=np.asarray(s, dtype=np.float64), right=vh.swapaxes(-1, -2))
 
 
 def vnorm(v, p: float) -> float:

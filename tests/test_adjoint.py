@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -697,3 +698,79 @@ def test_singular_i_plus_astar_a_reports_an_infinite_inverse_norm():
     assert case.failed == ("contract", "involution", "accretive_min", "inverse_norm")
     summary = Report("adjoint", 0, {}, (case,)).to_obj()["summary"]
     assert summary["nonfinite"] == ["adjoint/singular:inverse_norm"]
+
+
+def test_a_writeable_operator_matrix_is_copied():
+    emb = build_kuelbs(LpSpace(5, 3.0))
+    a = Rng(233).matrix(5, 5)
+    before = a.copy()
+    op = banach_operator(a, emb)
+    gp = h_polar(op)
+    memo = [x.copy() for x in (gp.W, gp.sigma, gp.V)]
+    assert not np.shares_memory(op.matrix, a)
+    a += 1.0  # the caller writes on; the operator and its polar memo stay as they were
+    assert np.array_equal(op.matrix, before)
+    assert h_polar(op) is gp and all(np.array_equal(x, y) for x, y in zip((gp.W, gp.sigma, gp.V), memo))
+    view = a[:]
+    view.setflags(write=False)  # read-only, but its owner a is not
+    assert not np.shares_memory(banach_operator(view, emb).matrix, a)
+
+
+def test_a_generated_operator_matrix_and_its_adjoint_are_shared():
+    emb = build_kuelbs(LpSpace(5, 3.0))
+    a = generate(Ensemble("general", 5, 2, 234))[1]
+    op = banach_operator(a, emb)
+    assert op.matrix is a
+    pair = adjoint(op)
+    assert banach_operator(pair.astar, emb).matrix is pair.astar  # the diagonal rule writes a^H C-ordered
+
+
+def _traced_peak(fn) -> tuple[int, int]:
+    """(peak, still held) bytes that ``fn()`` allocates, warm."""
+    fn()  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        out = fn()  # held until the sizes are read
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, held
+
+
+# one complex n x n array at n = 128
+_N = 128
+_NN = _N * _N * 16
+
+
+def test_banach_operator_keeps_no_copy_of_a_generated_matrix():
+    # before the one copy rule it copied the matrix: a peak of 1.13 n x n arrays, 1 kept
+    emb = build_kuelbs(LpSpace(_N, 3.0))
+    a = generate(Ensemble("general", _N, 1, 235))[0]
+    peak, held = _traced_peak(lambda: banach_operator(a, emb))
+    assert peak < 0.5 * _NN and held < 0.1 * _NN
+
+
+def test_adjoint_axioms_hold_four_matrices_at_most():
+    # A*A, its frame F and I + F in place of F, with A*A gone before the SVD;
+    # with the natural residual's two matrices alive at the SVD it took 5
+    emb = build_kuelbs(LpSpace(_N, 3.0))
+    pair = adjoint(banach_operator(generate(Ensemble("general", _N, 1, 236))[0], emb))
+    probes = Rng(237).matrix(4, _N)
+    peak, _ = _traced_peak(lambda: adjoint_axioms(pair, probes=probes))
+    assert peak < 4 * _NN
+
+
+def test_h_polar_holds_three_and_a_half_matrices_at_most():
+    # W and V kept, and the frame; copying the frame in svd and conjugating
+    # a copy of V* took about 4
+    emb = build_kuelbs(LpSpace(_N, 3.0))
+    a = generate(Ensemble("general", _N, 2, 238))
+    ops = [banach_operator(a[k], emb) for k in range(2)]
+    h_polar(ops[0])  # warm; the second operator has no memo yet
+    tracemalloc.start()
+    try:
+        h_polar(ops[1])  # kept in the operator's memo
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * _NN

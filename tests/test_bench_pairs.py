@@ -84,3 +84,33 @@ def test_copy_tree_leaves_out_git_caches_and_benchmark_output(tmp_path):
     assert copied == ["perfbench/run.py", "src/dst/x.py", "tools/_out/kept.txt", "tools/bench_pairs.py"]
     assert (out / "src/dst/x.py").read_text() == "src/dst/x.py"
     assert (src / ".git/HEAD").exists()  # the source tree is left as it was
+
+
+def test_workload_option_is_repeatable_and_defaults_to_all_three():
+    base = ["--parent", "p", "--out", "BENCH_x.json"]
+    assert bench_pairs.parse_args(base).workloads == ["verify-small", "calculus-large", "metric-large"]
+    picked = bench_pairs.parse_args([*base, "--workload", "metric-large", "--workload", "verify-small"])
+    assert picked.workloads == ["metric-large", "verify-small"]
+    with pytest.raises(SystemExit):
+        bench_pairs.parse_args([*base, "--workload", "no-such-workload"])
+
+
+def test_bench_runs_and_records_only_the_chosen_workloads(monkeypatch):
+    runs = []
+
+    def perfbench(side, workload, seed, trace):
+        runs.append((side, workload, trace))
+        return {"env": {}, "correct": True, "failed": 0, "pass_samples_s": None,
+                "metrics": {"setup_s": 0.2, "pass_s": 0.5, "items_per_s": 2.0, "peak_mb": 1.8}}
+
+    monkeypatch.setattr(bench_pairs, "_perfbench", perfbench)
+    monkeypatch.setattr(bench_pairs, "_tier1", lambda side: {})
+    monkeypatch.setattr(bench_pairs, "_src_lines", lambda side: 0)
+    argv = ["--parent", "p", "--out", "BENCH_x.json", "--pairs", "2", "--workload", "metric-large"]
+    args = bench_pairs.parse_args(argv)
+    bench = bench_pairs._bench({"parent": "P", "change": "C"}, args)
+    assert list(bench["workloads"]) == list(bench["traced"]) == ["metric-large"]
+    assert {w for _, w, _ in runs} == {"metric-large"} and len(runs) == 2 * 2 + 2  # two pairs, one traced run a side
+    assert bench["command"].endswith("--seed 42 --workload metric-large")
+    every = bench_pairs.parse_args(["--parent", "p", "--out", "BENCH_x.json", "--pairs", "1"])
+    assert "--workload" not in bench_pairs._bench({"parent": "P", "change": "C"}, every)["command"]

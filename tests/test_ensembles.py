@@ -4,7 +4,7 @@ import pytest
 from dst.ensembles import Ensemble, generate
 from dst.errors import BadRank, ConfigError, SingularGram
 from dst.kuelbs import LpSpace, build_kuelbs
-from dst.linalg import herm, hermitian_eigen
+from dst.linalg import as_stack, herm, hermitian_eigen, is_frozen
 from dst.rng import Rng, substream
 
 
@@ -95,3 +95,17 @@ def test_generate_returns_one_stack_in_index_order(kind):
     stack = generate(Ensemble(kind, 4, 3, 42, rank=rank))
     assert isinstance(stack, np.ndarray) and stack.shape == (3, 4, 4)
     assert np.array_equal(stack[0], generate(Ensemble(kind, 4, 1, 42, rank=rank))[0])
+
+
+@pytest.mark.parametrize("kind", ["general", "hermitian", "negdef", "rankdef", "h_selfadjoint"])
+def test_generate_returns_a_stack_frozen_to_its_owner(kind):
+    gram = build_kuelbs(LpSpace(4, 3.0)).gram if kind == "h_selfadjoint" else None
+    stack = generate(Ensemble(kind, 4, 3, 43, rank=2 if kind == "rankdef" else None, gram=gram))
+    a = stack
+    while a is not None:  # the stack and every array of its base chain
+        assert not a.flags.writeable
+        a = a.base
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 1.0
+    # so the library keeps the stack and each matrix of it uncopied
+    assert is_frozen(stack) and all(as_stack(m) is m for m in (stack, stack[1]))

@@ -247,6 +247,20 @@ def test_gram_metric_leaves_the_callers_gram_writeable(dense):
     assert GramMetric(frozen).gram is frozen
 
 
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+def test_gram_metric_copies_a_read_only_view_of_a_writeable_gram(dense):
+    base = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    if dense:
+        base[0, 1] = base[1, 0] = 0.5
+    v = base[:]
+    v.setflags(write=False)  # read-only, but its owner is not
+    m = GramMetric(v)
+    eig_min, chol = m.eig_min, m.chol.copy()
+    base[0, 0] = -5.0  # the metric's Gram and its factors stay one matrix
+    assert m.gram[0, 0] == 1.0 and m.eig_min == eig_min and np.array_equal(m.chol, chol)
+    assert not np.shares_memory(m.gram, base)
+
+
 def test_embedding_freezes_its_own_gram():
     for emb in (build_kuelbs(LpSpace(3, 3.0)), build_kuelbs(LpSpace(3, 1.5), seeds=Rng(116).matrix(4, 3))):
         assert not emb.gram.flags.writeable
@@ -757,7 +771,7 @@ def test_a_stopped_start_that_the_block_still_carries_never_raises(monkeypatch):
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_lax_diagnostic_of_a_stack_is_the_diagnostic_of_each_matrix(p):
     emb = build_kuelbs(LpSpace(8, p))
-    stack = generate(Ensemble("h_selfadjoint", 8, 5, 119, gram=emb.gram))
+    stack = generate(Ensemble("h_selfadjoint", 8, 5, 119, gram=emb.gram)).copy()  # read-only: written below
     stack[4] += np.triu(np.ones((8, 8)), 1)  # not H-selfadjoint
     diag = lax_diagnostic(emb, stack)
     assert diag.method == "power" and diag.is_h_selfadjoint.tolist() == [True] * 4 + [False]
@@ -799,3 +813,19 @@ def test_dimension_mismatch():
     emb = build_kuelbs(LpSpace(3, 3.0))
     with pytest.raises(DimensionMismatch):
         lax_diagnostic(emb, np.eye(4, dtype=complex))
+
+
+def test_lax_diagnostic_holds_one_stage_of_temporaries_at_a_time():
+    # copying a generated operator twice and holding G A and the frame
+    # through the lp norm took 6.3 n x n arrays
+    n = 128
+    emb = build_kuelbs(LpSpace(n, 3.0))
+    h = generate(Ensemble("h_selfadjoint", n, 1, 239, gram=emb.gram))[0]
+    lax_diagnostic(emb, h)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        lax_diagnostic(emb, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.75 * n * n * 16

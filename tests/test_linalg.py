@@ -7,7 +7,18 @@ from hypothesis import strategies as st
 
 from dst.errors import InvalidInput, InvalidP, NotHermitian, NotSquare, ToolkitError
 from dst.kuelbs import lp_operator_norm
-from dst.linalg import abs_norm, fro, gram_inner_rows, gram_norm_rows, herm, hermitian_eigen, svd, vnorm
+from dst.linalg import (
+    abs_norm,
+    as_stack,
+    fro,
+    gram_inner_rows,
+    gram_norm_rows,
+    herm,
+    hermitian_eigen,
+    is_frozen,
+    svd,
+    vnorm,
+)
 from dst.polar import polar_decompose
 from dst.rng import Rng
 
@@ -205,3 +216,64 @@ def test_a_non_finite_entry_raises_a_toolkit_error(call):
     with pytest.raises(ToolkitError) as info:
         call()
     assert isinstance(info.value, InvalidInput) and isinstance(info.value, ValueError)
+
+
+def _frozen_owner(a: np.ndarray) -> np.ndarray:
+    """``a`` and every array of its ``.base`` chain made read-only."""
+    b = a
+    while b is not None:
+        b.setflags(write=False)
+        b = b.base
+    return a
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@pytest.mark.parametrize(
+    "make, shared",
+    [
+        (lambda owner: owner, False),  # writeable
+        (lambda owner: _read_only(owner[:]), False),  # a read-only view of a writeable owner
+        (lambda owner: _read_only(owner), False),  # read-only, but its float64 owner is writeable
+        (lambda owner: _frozen_owner(owner).T, False),  # frozen, but not C-ordered
+        (lambda owner: _frozen_owner(owner.real.copy()), False),  # frozen, but not complex128
+        (lambda owner: _frozen_owner(owner), True),  # frozen all the way to its owner
+        (lambda owner: _frozen_owner(owner)[1:], True),  # a C-ordered view of a frozen owner
+    ],
+    ids=["writeable", "view-of-writeable", "writeable-owner", "transposed", "real", "frozen", "frozen-view"],
+)
+def test_as_stack_keeps_only_an_input_frozen_to_its_owner(make, shared):
+    owner = Rng(230).matrix(3, 3)  # a complex view of a writeable float64 buffer
+    a = make(owner)
+    m = as_stack(a)
+    assert is_frozen(a) is shared
+    assert np.shares_memory(m, a) is shared and (m is a) is shared
+    assert m.dtype == np.complex128 and m.flags.c_contiguous and np.array_equal(m, a)
+    if not shared:
+        assert m.flags.writeable  # the caller's own copy
+
+
+def test_as_stack_checks_a_frozen_input_too():
+    with pytest.raises(InvalidInput):
+        as_stack(_frozen_owner(np.array([[1.0, np.nan]], dtype=complex)))
+
+
+def test_a_copied_input_does_not_follow_later_writes():
+    owner = Rng(231).matrix(3, 3)
+    view = _read_only(owner[:])
+    m = as_stack(view)
+    owner[0, 0] = 9.0
+    assert view[0, 0] == 9.0 and m[0, 0] != 9.0
+
+
+def test_svd_reads_its_input_in_place_and_leaves_it_unchanged():
+    a = Rng(232).matrix(5, 5)
+    before = a.copy()
+    dec = svd(a)
+    assert np.array_equal(a, before) and a.flags.writeable
+    ref_w, ref_s, ref_vh = np.linalg.svd(before, full_matrices=False)
+    assert np.array_equal(dec.left, ref_w) and np.array_equal(dec.sigma, ref_s)
+    assert np.array_equal(dec.right, herm(ref_vh))

@@ -15,7 +15,8 @@ from dst.cli import _emit, build_parser, main
 from dst.config import Tolerances
 from dst.errors import ConfigError, InvalidInput
 from dst.fileio import dump_json, matrix_to_obj
-from dst.polar import polar_decompose
+from dst.ensembles import Ensemble, generate
+from dst.polar import PolarDecomposition, polar_decompose
 from dst.rng import Rng
 from dst.spectral import spectral_measure
 from dst.suites import SUITE_NAMES, TOL_DEFAULTS, CaseResult, Report, SuiteConfig, run_suite
@@ -288,6 +289,21 @@ def test_cli_polar_and_deformed(tmp_path, capsys):
     assert main(["deformed", "--input", path, "--out", out_path]) == 0
     obj = json.loads(open(out_path).read())
     assert obj["support"] == [1.0, 2.0]
+
+
+def test_cli_deformed_forms_its_measure_once(tmp_path, capsys, monkeypatch):
+    # the residual and the written atoms read one F; the bytes are those of
+    # the command that formed F twice
+    path = write_matrix(tmp_path, generate(Ensemble("rankdef", 6, 1, 31, rank=3))[0])
+    reads = []
+    measure = PolarDecomposition.measure
+    monkeypatch.setattr(PolarDecomposition, "measure", property(lambda p: reads.append(p) or measure.fget(p)))
+    assert main(["deformed", "--input", path]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cfc4d7192257446523689bd37786f9890c21e99cf16a7688b011cdf52df5558b"
+    )
+    assert len(reads) == 1 and len(json.loads(out)["support"]) == 3  # rank 3: the kernel atoms are cut
 
 
 def test_cli_funcalc(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Write a BENCH_<pr>.json from alternating parent/change runs of perfbench.
 
-    python3 tools/bench_pairs.py --parent DIR --out BENCH_<pr>.json [--pairs 10]
+    python3 tools/bench_pairs.py --parent DIR --out BENCH_<pr>.json [--pairs 10] [--workload NAME ...]
 
 DIR holds the parent commit's files (``git archive`` or ``git clone``);
 the change is the checkout this script lives in. Both trees are copied,
@@ -22,6 +22,8 @@ the pairs with a median gain wider than the parent's interquartile
 range, and ``pass_s`` gets ``pass_min_median``, per side the median over
 runs of each run's fastest pass. Both are informational. The file also
 keeps each side's perfbench ``env`` line (BLAS build and thread count).
+``--workload NAME``, which may be repeated, runs only the named workloads
+(by default all three), in the order given.
 """
 
 from __future__ import annotations
@@ -121,8 +123,10 @@ def _summary(pairs: list[dict]) -> dict:
 def _bench(sides: dict[str, Path], args: argparse.Namespace) -> dict:
     """The BENCH file's content, from runs in the two side directories."""
     command = f"tools/bench_pairs.py --parent PARENT --out {args.out.name} --pairs {args.pairs} --seed {args.seed}"
+    if args.workloads != list(WORKLOADS):
+        command += "".join(f" --workload {w}" for w in args.workloads)
     bench: dict = {"command": command, "seed": args.seed, "workloads": {}}
-    for workload in WORKLOADS:
+    for workload in args.workloads:
         pairs = []
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -135,19 +139,27 @@ def _bench(sides: dict[str, Path], args: argparse.Namespace) -> dict:
             for side, run in pair.items():
                 bench.setdefault("env", {})[side] = run.pop("env")
         bench["workloads"][workload] = {"summary": _summary(pairs), "pairs": pairs}
-    bench["traced"] = {w: {s: _perfbench(d, w, args.seed, 1) for s, d in sides.items()} for w in WORKLOADS}
+    bench["traced"] = {w: {s: _perfbench(d, w, args.seed, 1) for s, d in sides.items()} for w in args.workloads}
     bench["tier1"] = {s: _tier1(d) for s, d in sides.items()}
     bench["src_dst_lines"] = {s: _src_lines(d) for s, d in sides.items()}
     return bench
 
 
-def main() -> int:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=42)
-    args = ap.parse_args()
+    ap.add_argument("--workload", dest="workloads", action="append", choices=WORKLOADS,
+                    help="a workload to run (repeatable; default: all three)")
+    args = ap.parse_args(argv)
+    args.workloads = args.workloads or list(WORKLOADS)
+    return args
+
+
+def main() -> int:
+    args = parse_args()
     root = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
         sides = {"parent": _copy_tree(args.parent, root / "parent"), "change": _copy_tree(CHANGE, root / "change")}
